@@ -16,9 +16,7 @@ from .complex2d import (AdditiveFaceSet, Face, delta_pi, delta_pi_limit,
                         enumerate_complex_vertices, face_from_triple,
                         generate_additive_faces,
                         generate_additive_faces_discontinuous,
-                        generate_maximal_additive_faces,
-                        generate_maximal_additive_faces_continuous,
-                        merit_index)
+                        generate_maximal_additive_faces, merit_index)
 from .covering import (CoveredComponentSet, EdgeMove,
                        directly_covered_components,
                        generate_covered_components, uncovered_intervals)
@@ -54,8 +52,7 @@ __all__ = [
     "find_epsilon", "find_f", "format_rational", "from_breakpoints_and_limits",
     "from_breakpoints_and_values", "generate_additive_faces",
     "generate_additive_faces_discontinuous", "generate_covered_components",
-    "generate_maximal_additive_faces",
-    "generate_maximal_additive_faces_continuous", "generate_symbolic",
+    "generate_maximal_additive_faces", "generate_symbolic",
     "gj_2_slope", "gmic", "gomory_fractional", "hildebrand_discont_3_slope_1",
     "interpolate_to_infinite_group", "linear_combination", "merit_index",
     "minimality_test", "minimality_test_discrete",

@@ -17,19 +17,10 @@ The tables are periodic: entry 0 and entry n describe the same point of the
 circle, so lefts[0] is the left limit at 1 and rights[-1] the right limit
 at 0.  Query points are ints on the D-grid; sums up to 2*D are reduced here.
 
-This module has no package dependencies and is additionally compiled with
-Cython (as groupcut._scan_c) when available; groupcut.kernels picks the
-compiled variant at import time.
+This module has no package dependencies.
 """
 
 from bisect import bisect_right
-
-try:
-    import cython
-
-    COMPILED = cython.compiled
-except Exception:  # pragma: no cover - cython not installed
-    COMPILED = False
 
 # Approach directions (side of x, side of y, side of x+y) for the value and
 # the up-to-12 limit cones at a vertex: 6 rays along grid lines, 6 open

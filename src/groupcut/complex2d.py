@@ -5,18 +5,27 @@ linear; its domains of linearity are the faces F(I, J, K) cut out by
 x in I, y in J, x+y in K, where I, J, K run over the breakpoints and
 breakpoint intervals of pi (K shifted into [0, 2]).  This module builds
 faces, enumerates the complex, computes directional limits of the slack,
-enumerates additive faces (where the slack vanishes, in the limit sense for
-discontinuous functions), and the merit index.
+enumerates additive faces, and the merit index.
+
+Additive faces come from one enumerator, generate_additive_faces, for
+continuous and discontinuous functions alike: it applies the limit
+criterion (the slack vanishes in the limit from the face's interior) on
+the integer grid of fn.scaled_tables() and converts to Fraction faces only
+for the faces it returns.  faces_of_complex and face_from_triple build the
+same complex in Fractions; they serve callers and brute-force checks that
+need every face.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 from math import lcm
 from typing import Iterable, Optional, Sequence
 
-from . import kernels
+from . import _scan
 from .errors import ConstructionError, NotSubadditiveError
 from .pwl import PiecewiseFunction
 from .rational import to_rational
@@ -206,7 +215,7 @@ def enumerate_complex_vertices(fn: PiecewiseFunction,
     grid lines x = x_i, y = x_j, x + y = x_k (+1), sorted and deduplicated.
     With upper_triangle_only, restrict to x <= y."""
     b, _, _, _, D, _ = fn.scaled_tables()
-    pts = kernels.scan.complex_vertices(b)
+    pts = _scan.complex_vertices(b)
     out = [(Fraction(px, D), Fraction(py, D)) for px, py in pts]
     if upper_triangle_only:
         out = [p for p in out if p[0] <= p[1]]
@@ -226,12 +235,12 @@ def scan_vertex_slacks(fn: PiecewiseFunction, upper_triangle: bool = True,
     if with_limits is None:
         with_limits = not fn.is_continuous
     b, vals, rights, lefts, D, V = fn.scaled_tables()
-    raw = kernels.scan.complex_vertices(b)
+    raw = _scan.complex_vertices(b)
     if upper_triangle:
         raw = [p for p in raw if p[0] <= p[1]]
     xs = [p[0] for p in raw]
     ys = [p[1] for p in raw]
-    neg, zero, mp, ma = kernels.scan.scan_slacks(
+    neg, zero, mp, ma = _scan.scan_slacks(
         b, vals, rights, lefts, V, xs, ys, with_limits)
     points = [(Fraction(px, D), Fraction(py, D)) for px, py in raw]
     neg_out = [(points[k], (sx, sy, ss), Fraction(num, den))
@@ -252,7 +261,7 @@ def scan_points_slacks(fn: PiecewiseFunction, points: Sequence[Point],
     b, vals, rights, lefts, D, V = fn.scaled_tables(extra_denominator=extra)
     xs = [int(x * D) for x, _ in points]
     ys = [int(y * D) for _, y in points]
-    neg, zero, mp, ma = kernels.scan.scan_slacks(
+    neg, zero, mp, ma = _scan.scan_slacks(
         b, vals, rights, lefts, V, xs, ys, with_limits)
     min_pos = Fraction(mp[0], mp[1]) if mp[1] else None
     max_abs = Fraction(ma[0], ma[1])
@@ -319,31 +328,6 @@ class AdditiveFaceSet:
         return len(self.faces)
 
 
-class _SlackOracle:
-    """Memoized signs of the (limit) slack at complex vertices."""
-
-    def __init__(self, fn: PiecewiseFunction):
-        self.fn = fn
-        self.tables = fn.scaled_tables()
-        self._memo: dict = {}
-
-    def sign(self, v: Point, sides: tuple[int, int, int]) -> int:
-        key = (v, sides)
-        if key not in self._memo:
-            b, vals, rights, lefts, D, V = self.tables
-            num, _ = kernels.scan.delta_num_den(
-                b, vals, rights, lefts, V,
-                int(v[0] * D), sides[0], int(v[1] * D), sides[1], sides[2])
-            self._memo[key] = (num > 0) - (num < 0)
-        return self._memo[key]
-
-    def face_additive_at(self, face: Face, v: Point) -> bool:
-        return self.sign(v, face_sides(face, v)) == 0
-
-    def vertex_additive(self, v: Point) -> bool:
-        return any(self.sign(v, t) == 0 for t in kernels.SIDE_TRIPLES)
-
-
 def _require_subadditive(fn: PiecewiseFunction):
     _, neg, _, _, _ = scan_vertex_slacks(fn, upper_triangle=True)
     if neg:
@@ -353,176 +337,145 @@ def _require_subadditive(fn: PiecewiseFunction):
             "additive-face enumeration requires subadditivity")
 
 
-def generate_additive_faces_discontinuous(fn: PiecewiseFunction) -> AdditiveFaceSet:
-    """Every additive face of the complex, by the limit criterion.
+def _grid_faces(b: Sequence[int], two_dim: bool):
+    """Yield (projection key, vertices, dimension) once for every face
+    F(I, J, K) of the complex on the integer grid b (b[0] = 0, b[-1] = D):
+    the two-dimensional faces with two_dim, the others without.
 
-    A two-dimensional face is additive when the limit slack vanishes at all
-    of its vertices.  An edge is additive when some containing face (itself
-    or one of the up to two incident two-dimensional faces) has vanishing
-    limit slack at both edge endpoints.  A vertex is additive when any
-    containing face gives a vanishing limit.  Maximality flags are computed
-    by inclusion filtering.
+    I and J run over the breakpoints and cells of b, K over those of b
+    extended to [0, 2D]; two-dimensional faces come from triples of cells
+    alone.  A face is yielded from the triple of the smallest pieces that
+    contain its projections, so each face once.  The candidate vertices are
+    the basic solutions, where two of x, y, x+y sit at interval endpoints;
+    the feasible ones are exactly the vertices of the face.
     """
-    _require_subadditive(fn)
-    oracle = _SlackOracle(fn)
-    all_faces = faces_of_complex(fn)
-    two_faces = [f for f in all_faces if f.dimension == 2]
-    additive: list[Face] = []
-    additive_keys: set = set()
-
-    for face in all_faces:
-        if face.dimension == 2:
-            ok = all(oracle.face_additive_at(face, v) for v in face.vertices)
-        elif face.dimension == 1:
-            containers = [face] + [g for g in two_faces if g.contains_face(face)]
-            ok = any(
-                all(oracle.face_additive_at(g, v) for v in face.vertices)
-                for g in containers
-            )
-        else:
-            ok = oracle.vertex_additive(face.vertices[0])
-        if ok:
-            additive.append(face)
-            additive_keys.add(face.key())
-
-    flags = []
-    for face in additive:
-        maximal = not any(
-            other.dimension > face.dimension and other.contains_face(face)
-            for other in additive
-        )
-        flags.append(maximal)
-    return AdditiveFaceSet(tuple(additive), tuple(flags))
-
-
-def generate_maximal_additive_faces_continuous(fn: PiecewiseFunction) -> AdditiveFaceSet:
-    """Inclusion-maximal additive faces of a continuous subadditive
-    function.
-
-    Two-dimensional faces F(I, J, K) are visited in lexicographic order on
-    (I, J, K) with I <= J, with a fast rejection of non-full-dimensional
-    triples.  Each face is classified by its number of additive vertices:
-    none (skip); one (record the vertex when this is the lexicographically
-    last containing 2-face and the vertex is not already part of a recorded
-    maximal face); two (they span an edge, recorded when this is the last
-    containing 2-face and the unique other containing face was not itself
-    recorded); more (the face is fully additive and recorded).  The other
-    half of the square is filled in by mirror symmetry at the end.
-    """
-    if not fn.is_continuous:
-        raise ConstructionError("continuous enumeration on a discontinuous function")
-    _require_subadditive(fn)
-    oracle = _SlackOracle(fn)
-
-    cells = _cells(fn)
-    ext_cells = _ext_cells(fn)
-
-    def is_2d(I: Interval, J: Interval, K: Interval) -> bool:
-        return I[0] + J[0] < K[1] and I[1] + J[1] > K[0]
-
-    def cells_around(t: Fraction, universe: list[Interval]) -> list[Interval]:
-        return [c for c in universe if c[0] <= t <= c[1]]
-
-    def containing_2faces(points: Sequence[Point], require_i_le_j: bool):
-        """Distinct 2-face triples containing every listed point."""
-        xs = [p[0] for p in points]
-        ys = [p[1] for p in points]
-        sums = [p[0] + p[1] for p in points]
-        Is = [c for c in cells if all(c[0] <= x <= c[1] for x in xs)]
-        Js = [c for c in cells if all(c[0] <= y <= c[1] for y in ys)]
-        Ks = [c for c in ext_cells if all(c[0] <= s <= c[1] for s in sums)]
-        out = []
-        for I in Is:
-            for J in Js:
-                if require_i_le_j and I > J:
-                    continue
-                for K in Ks:
-                    if is_2d(I, J, K):
-                        out.append((I, J, K))
-        return out
-
-    recorded: list[Face] = []
-    recorded_keys: set = set()
-    recorded_vertices: set = set()
-
-    def record(face: Face):
-        recorded.append(face)
-        recorded_keys.add(face.key())
-        recorded_vertices.update(face.vertices)
-
-    for ic, I in enumerate(cells):
-        for J in cells[ic:]:
+    D = b[-1]
+    ext = list(b) + [x + D for x in b[1:]]
+    pieces, kpieces = list(zip(b, b[1:])), list(zip(ext, ext[1:]))
+    if not two_dim:
+        pieces = sorted(pieces + [(x, x) for x in b])
+        kpieces = sorted(kpieces + [(s, s) for s in ext])
+    khi = [k[1] for k in kpieces]
+    for I in pieces:
+        for J in pieces:
             lo, hi = I[0] + J[0], I[1] + J[1]
-            for K in ext_cells:
-                if not is_2d(I, J, K):
+            for K in islice(kpieces, bisect_left(khi, lo), None):
+                if K[0] > hi:
+                    break
+                if not two_dim and I[0] < I[1] and J[0] < J[1] and K[0] < K[1]:
+                    continue  # a 2-face, or a corner the points give
+                cand = {(x, y) for x in I for y in J}
+                cand.update((x, s - x) for x in I for s in K)
+                cand.update((s - y, y) for y in J for s in K)
+                verts = tuple(sorted(
+                    (x, y) for x, y in cand
+                    if I[0] <= x <= I[1] and J[0] <= y <= J[1]
+                    and K[0] <= x + y <= K[1]))
+                if not verts:
                     continue
-                face = face_from_triple(I, J, K)
-                add_verts = [v for v in face.vertices
-                             if oracle.sign(v, (0, 0, 0)) == 0]
-                if not add_verts:
-                    continue
-                if len(add_verts) == 1:
-                    v = add_verts[0]
-                    if max(containing_2faces([v], True)) != (I, J, K):
-                        continue
-                    if v not in recorded_vertices:
-                        record(face_from_triple((v[0], v[0]), (v[1], v[1]),
-                                                (v[0] + v[1], v[0] + v[1])))
-                elif len(add_verts) == 2:
-                    v1, v2 = add_verts
-                    edge = _face_from_vertices(sorted([v1, v2]))
-                    if edge.dimension != 1:
-                        raise ConstructionError(
-                            "two additive vertices of a 2-face must span an edge")
-                    in_half = containing_2faces([v1, v2], True)
-                    if max(in_half) != (I, J, K):
-                        continue
-                    others = [t for t in containing_2faces([v1, v2], False)
-                              if t != (I, J, K)]
-                    other_recorded = False
-                    for (oi, oj, ok) in others:
-                        oface = face_from_triple(oi, oj, ok)
-                        k = oface.key() if oi <= oj else oface.mirror_key()
-                        if k in recorded_keys:
-                            other_recorded = True
-                    if not other_recorded:
-                        record(edge)
-                else:
-                    record(face)
-
-    by_key = {f.key(): f for f in recorded}
-    for f in recorded:
-        m = mirror_face(f)
-        by_key.setdefault(m.key(), m)
-    faces = tuple(by_key[k] for k in sorted(by_key))
-    return AdditiveFaceSet(faces, tuple(True for _ in faces))
+                key = tuple((min(c), max(c)) for c in zip(
+                    *((x, y, x + y) for x, y in verts)))
+                if any(c[0] < c[1] and p[0] == p[1] and p[0] in c
+                       for c, p in zip((I, J, K), key)):
+                    continue  # the smaller piece (p[0], p[0]) gives it
+                singles = sum(p[0] == p[1] for p in key)
+                yield key, verts, {0: 2, 1: 1, 3: 0}[singles]
 
 
-def generate_maximal_additive_faces(fn: PiecewiseFunction) -> AdditiveFaceSet:
-    """Inclusion-maximal additive faces (dispatching on continuity)."""
-    if fn.is_continuous:
-        return generate_maximal_additive_faces_continuous(fn)
-    full = generate_additive_faces_discontinuous(fn)
-    faces = tuple(full.maximal_faces())
-    return AdditiveFaceSet(faces, tuple(True for _ in faces))
+def _grid_additive_faces(fn: PiecewiseFunction) -> tuple[int, dict]:
+    """The additive faces of generate_additive_faces on the integer grid of
+    fn.scaled_tables(): (D, {key: (vertices, maximal)}).
+
+    The two-dimensional faces are walked first; each vertex then lists the
+    2-faces whose limit slack vanishes at it, which gives every edge its
+    candidate 2-faces and its additive superfaces.  Only additive faces are
+    kept.
+    """
+    _require_subadditive(fn)
+    b, vals, rights, lefts, D, V = fn.scaled_tables()
+    continuous = fn.is_continuous
+    zero_memo: dict = {}
+
+    def zero(v, sides) -> bool:
+        if continuous:
+            sides = (0, 0, 0)
+        z = zero_memo.get((v, sides))
+        if z is None:
+            num, _ = _scan.delta_num_den(b, vals, rights, lefts, V,
+                                         v[0], sides[0], v[1], sides[1],
+                                         sides[2])
+            z = zero_memo[(v, sides)] = num == 0
+        return z
+
+    def zero_from(key, v) -> bool:
+        """Limit slack at v approached from the interior of face key."""
+        return zero(v, tuple(_approach_side(iv, t)
+                             for iv, t in zip(key, (v[0], v[1], v[0] + v[1]))))
+
+    additive: dict = {}  # key -> (vertices, maximal)
+    zero_2faces_at: dict = {}  # vertex -> 2-faces with zero limit there
+    for key, verts, _ in _grid_faces(b, True):
+        ok = True
+        for v in verts:
+            if zero_from(key, v):
+                zero_2faces_at.setdefault(v, []).append(key)
+            else:
+                ok = False
+        if ok:
+            additive[key] = (verts, True)
+
+    vertices = []
+    for key, verts, dim in _grid_faces(b, False):
+        if dim == 1:
+            v1, v2 = verts
+            around2 = zero_2faces_at.get(v2, ())
+            both = [g for g in zero_2faces_at.get(v1, ()) if g in around2]
+            if both or (zero_from(key, v1) and zero_from(key, v2)):
+                additive[key] = (verts, not any(g in additive for g in both))
+        elif any(zero(verts[0], t) for t in _scan.SIDE_TRIPLES):
+            vertices.append((key, verts))
+    in_larger = {v for verts, _ in additive.values() for v in verts}
+    for key, verts in vertices:
+        additive[key] = (verts, verts[0] not in in_larger)
+
+    return D, additive
+
+
+def _fraction_face_set(D: int, additive: dict) -> AdditiveFaceSet:
+    """Fraction faces of {key: (vertices, maximal)} on the grid 1/D, in key
+    order (integer keys sort as the Fraction keys do)."""
+    keys = sorted(additive)
+    faces = tuple(_face_from_vertices(
+        [(Fraction(x, D), Fraction(y, D)) for x, y in additive[k][0]])
+        for k in keys)
+    return AdditiveFaceSet(faces, tuple(additive[k][1] for k in keys))
 
 
 def generate_additive_faces(fn: PiecewiseFunction) -> AdditiveFaceSet:
-    """All additive faces: limit-based enumeration for discontinuous
-    functions, subface closure of the maximal list for continuous ones."""
-    if not fn.is_continuous:
-        return generate_additive_faces_discontinuous(fn)
-    # continuous: every subface of an additive face is additive, so the
-    # maximal enumeration determines everything; expand to all faces
-    maximal = generate_maximal_additive_faces_continuous(fn)
-    out = []
-    flags = []
-    for face in faces_of_complex(fn):
-        container = next((g for g in maximal.faces if g.contains_face(face)), None)
-        if container is not None:
-            out.append(face)
-            flags.append(face.key() == container.key())
-    return AdditiveFaceSet(tuple(out), tuple(flags))
+    """Every additive face of the complex, by the limit criterion, with
+    maximality flags.
+
+    A two-dimensional face is additive when the limit slack, approached
+    from its interior, vanishes at all of its vertices.  An edge is
+    additive when some containing face (itself or one of its at most two
+    incident two-dimensional faces) has vanishing limit slack at both edge
+    endpoints.  A vertex is additive when any containing face gives a
+    vanishing limit.  For a continuous function all limits equal the value.
+    Requires a subadditive function (NotSubadditiveError otherwise).
+    """
+    return _fraction_face_set(*_grid_additive_faces(fn))
+
+
+# second name of generate_additive_faces, kept for existing callers
+generate_additive_faces_discontinuous = generate_additive_faces
+
+
+def generate_maximal_additive_faces(fn: PiecewiseFunction) -> AdditiveFaceSet:
+    """Inclusion-maximal additive faces: the maximal entries of
+    generate_additive_faces."""
+    D, additive = _grid_additive_faces(fn)
+    return _fraction_face_set(
+        D, {k: fm for k, fm in additive.items() if fm[1]})
 
 
 # -- areas and the merit index ------------------------------------------------

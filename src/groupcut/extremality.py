@@ -21,6 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
+from . import _scan
 from .complex2d import scan_points_slacks, scan_vertex_slacks
 from .covering import CoveredComponentSet, generate_covered_components
 from .errors import (ConstructionError, InternalConsistencyError,
@@ -282,8 +283,6 @@ def extremality_test(fn: PiecewiseFunction, f=None) -> ExtremalityReport:
 # -- finite group model -------------------------------------------------------
 
 def _discrete_system(fn: DiscreteFunction, f_idx: int):
-    from . import kernels
-
     q = fn.q
     ncols = q - 1
 
@@ -306,7 +305,7 @@ def _discrete_system(fn: DiscreteFunction, f_idx: int):
             f"symmetry pi~({Fraction(a, q)}) + pi~({Fraction((f_idx - a) % q, q)}) = 0")
     V = common_denominator(fn.values)
     scaled = [int(v * V) for v in fn.values]
-    _, zeros, _ = kernels.scan.scan_discrete(scaled, q)
+    _, zeros, _ = _scan.scan_discrete(scaled, q)
     for i, j, _ in zeros:
         put(unit_row((i, ONE), (j, ONE), ((i + j) % q, -ONE)),
             f"pi~({Fraction(i, q)}) + pi~({Fraction(j, q)}) = "
@@ -317,13 +316,11 @@ def _discrete_system(fn: DiscreteFunction, f_idx: int):
 
 
 def find_epsilon_discrete(fn: DiscreteFunction, pert: DiscreteFunction) -> Fraction:
-    from . import kernels
-
     if all(v == 0 for v in pert.values):
         raise ParameterError("perturbation must be nonzero")
     V = common_denominator(fn.values)
     scaled = [int(v * V) for v in fn.values]
-    neg, _, min_pos = kernels.scan.scan_discrete(scaled, fn.q)
+    neg, _, min_pos = _scan.scan_discrete(scaled, fn.q)
     if neg:
         raise ParameterError("base function must be minimal valid")
     W = common_denominator(pert.values)

@@ -1,23 +1,13 @@
-"""Import-time selection of the slack-scan kernel.
+"""The slack-scan kernel under the name `groupcut.kernels`.
 
-Prefers the Cython-compiled module when it was built; the pure-Python
-module is the reference implementation and the fallback.  Setting
-GROUPCUT_PURE_KERNEL=1 forces the pure module (used by the benchmark and
-the kernel-equivalence tests).
+The kernel is the pure-Python module groupcut._scan; the benchmark harness
+in perfbench/ imports it from here and stamps implementation() on its runs.
 """
 
-import os
-
-if os.environ.get("GROUPCUT_PURE_KERNEL"):
-    from . import _scan as scan
-else:
-    try:
-        from . import _scan_c as scan  # type: ignore[no-redef]
-    except ImportError:
-        from . import _scan as scan
+from . import _scan as scan
 
 SIDE_TRIPLES = scan.SIDE_TRIPLES
 
 
 def implementation() -> str:
-    return "compiled" if getattr(scan, "COMPILED", False) else "pure-python"
+    return "pure-python"

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
+from . import _scan
 from .complex2d import Face, face_from_triple, scan_vertex_slacks
 from .errors import ConstructionError, NoCandidateFError
 from .pwl import DiscreteFunction, PiecewiseFunction, _reduce_mod_one
@@ -229,8 +230,6 @@ def minimality_test_discrete(fn: DiscreteFunction, f=None,
                              collect_all: bool = True) -> MinimalityReport:
     """Minimality for the cyclic group model: pi(0) = 0, range, symmetry
     pi(a) + pi(f - a) = 1 and subadditivity over all group pairs."""
-    from . import kernels
-
     violations: list[Violation] = []
     q = fn.q
 
@@ -274,7 +273,7 @@ def minimality_test_discrete(fn: DiscreteFunction, f=None,
 
         V = common_denominator(fn.values)
         scaled = [int(v * V) for v in fn.values]
-        neg, _, _ = kernels.scan.scan_discrete(scaled, q)
+        neg, _, _ = _scan.scan_discrete(scaled, q)
         for i, j, d in neg:
             violations.append(Violation(
                 "subadditivity", x=Fraction(i, q), y=Fraction(j, q),

@@ -80,6 +80,33 @@ def oracle_delta_pi_limit(fn, face, v):
     return 2 * d2 - d1
 
 
+def oracle_additive_faces(fn):
+    """Brute force by the limit criterion: every face of the complex, each
+    directional limit taken by oracle_delta_pi_limit and each inclusion by
+    Face.contains_face.  Returns (key, maximal) for the additive faces in
+    key order.  Valid for continuous and discontinuous functions."""
+    all_faces = faces_of_complex(fn)
+    two = [f for f in all_faces if f.dimension == 2]
+    additive = []
+    for face in all_faces:
+        if face.dimension == 2:
+            ok = all(oracle_delta_pi_limit(fn, face, v) == 0
+                     for v in face.vertices)
+        elif face.dimension == 1:
+            containers = [face] + [g for g in two if g.contains_face(face)]
+            ok = any(all(oracle_delta_pi_limit(fn, g, v) == 0
+                         for v in face.vertices) for g in containers)
+        else:
+            v = face.vertices[0]
+            ok = any(oracle_delta_pi_limit(fn, g, v) == 0
+                     for g in all_faces if g.contains_point(v))
+        if ok:
+            additive.append(face)
+    return [(f.key(), not any(g.dimension > f.dimension and g.contains_face(f)
+                              for g in additive))
+            for f in additive]
+
+
 def oracle_additivity_area(fn):
     """Area of the zero-slack set: a two-dimensional face lies in it exactly
     when the slack vanishes at three affinely independent interior points

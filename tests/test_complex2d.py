@@ -5,7 +5,6 @@ import pytest
 import groupcut as gc
 from groupcut.complex2d import (face_area, face_from_triple, faces_of_complex,
                                 generate_additive_faces_discontinuous,
-                                generate_maximal_additive_faces_continuous,
                                 mirror_face)
 from groupcut.errors import ConstructionError, NotSubadditiveError
 
@@ -192,18 +191,6 @@ class TestAdditiveFaces:
         faces = generate_additive_faces_discontinuous(hildebrand)
         vertex_keys = {f.vertices[0] for f in faces.faces if f.dimension == 0}
         assert (F(3, 8), F(1, 8)) in vertex_keys
-
-    def test_continuous_requires_continuity(self, hildebrand):
-        with pytest.raises(ConstructionError):
-            generate_maximal_additive_faces_continuous(hildebrand)
-
-    def test_discont_agrees_with_continuous_after_filtering(self, gmic45, gj):
-        for fn in (gmic45, gj):
-            a = sorted(f.key() for f in
-                       generate_additive_faces_discontinuous(fn).maximal_faces())
-            b = sorted(f.key() for f in
-                       generate_maximal_additive_faces_continuous(fn).faces)
-            assert a == b
 
 
 class TestMeritIndex:

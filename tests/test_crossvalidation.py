@@ -72,16 +72,28 @@ def test_proper_convex_combination_is_not_extreme():
 
 
 def test_three_way_maximal_face_agreement_on_finer_grids():
-    from groupcut.complex2d import (generate_additive_faces_discontinuous,
-                                    generate_maximal_additive_faces_continuous)
     from conftest import oracle_maximal_additive_faces, random_minimal_functions
 
     for fn in random_minimal_functions(8, xgrid=6, ygrid=6, proba=1):
-        a = sorted(f.key() for f in
-                   generate_maximal_additive_faces_continuous(fn).faces)
-        b = sorted(f.key() for f in
-                   generate_additive_faces_discontinuous(fn).maximal_faces())
-        assert a == b == oracle_maximal_additive_faces(fn)
+        got = sorted(f.key() for f in
+                     gc.generate_maximal_additive_faces(fn).faces)
+        assert got == oracle_maximal_additive_faces(fn)
+
+
+def test_additive_faces_match_limit_oracle_on_discontinuous_functions():
+    # every additive face with its maximal flag, non-maximal faces included
+    from conftest import oracle_additive_faces, random_minimal_functions
+
+    fns = [gc.multiplicative_homomorphism(gc.hildebrand_discont_3_slope_1(), 2)]
+    for grid in (4, 5):
+        minimal = random_minimal_functions(20, xgrid=grid, ygrid=grid,
+                                           proba=F(1, 2))
+        fns += [fn for fn in minimal if not fn.is_continuous][:5]
+    assert len(fns) == 11
+    for fn in fns:
+        got = gc.generate_additive_faces(fn)
+        assert [(f.key(), m) for f, m in zip(got.faces, got.maximal)] == \
+            oracle_additive_faces(fn)
 
 
 def test_slope_coherence_on_random_discontinuous_functions():

@@ -1,27 +1,6 @@
-"""The compiled kernel and the pure-Python fallback must agree exactly."""
-
-import random
-
-import pytest
+"""The integer slack-scan kernel on hand-checked tables."""
 
 from groupcut import _scan, kernels
-
-try:
-    from groupcut import _scan_c
-except ImportError:
-    _scan_c = None
-
-
-def _random_tables(rng):
-    n = rng.randrange(1, 7)
-    cuts = sorted(rng.sample(range(1, 60), n))
-    b = [0] + cuts + [60]
-    m = len(b)
-    vals = [rng.randrange(-12, 13) for _ in range(m)]
-    rights = [rng.randrange(-12, 13) for _ in range(m)]
-    lefts = [rng.randrange(-12, 13) for _ in range(m)]
-    vals[-1], rights[-1], lefts[-1] = vals[0], rights[0], lefts[0]
-    return b, vals, rights, lefts, 12
 
 
 def test_one_sided_periodic_tables():
@@ -40,35 +19,5 @@ def test_complex_vertices_square():
     assert _scan.complex_vertices([0, 10]) == [(0, 0), (0, 10), (10, 0), (10, 10)]
 
 
-@pytest.mark.skipif(_scan_c is None, reason="compiled kernel not built")
-def test_pure_and_compiled_agree():
-    rng = random.Random(2024)
-    for _ in range(120):
-        b, vals, rights, lefts, V = _random_tables(rng)
-        pts = _scan.complex_vertices(b)
-        assert pts == _scan_c.complex_vertices(b)
-        xs = [p for p, _ in pts]
-        ys = [q for _, q in pts]
-        assert (_scan.scan_slacks(b, vals, rights, lefts, V, xs, ys, True)
-                == _scan_c.scan_slacks(b, vals, rights, lefts, V, xs, ys, True))
-        q = rng.randrange(2, 25)
-        dv = [rng.randrange(-9, 10) for _ in range(q + 1)]
-        dv[-1] = dv[0]
-        assert _scan.scan_discrete(dv, q) == _scan_c.scan_discrete(dv, q)
-
-
-def test_env_override_selects_pure(monkeypatch):
-    import importlib
-    import sys
-
-    monkeypatch.setenv("GROUPCUT_PURE_KERNEL", "1")
-    saved = sys.modules.pop("groupcut.kernels")
-    try:
-        mod = importlib.import_module("groupcut.kernels")
-        assert mod.implementation() == "pure-python"
-    finally:
-        sys.modules["groupcut.kernels"] = saved
-
-
 def test_default_selection_reports_implementation():
-    assert kernels.implementation() in ("compiled", "pure-python")
+    assert kernels.implementation() == "pure-python"
