@@ -21,6 +21,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import islice
 from math import lcm
 from typing import Iterable, Optional, Sequence
@@ -118,28 +119,38 @@ def _coerce_interval(iv, lo_bound: Fraction, hi_bound: Fraction) -> Interval:
     return (a, b)
 
 
+# t / D for grid integers, one shared object per value for the faces that
+# reports keep
+_grid_fraction = lru_cache(maxsize=4096)(Fraction)
+
+
 def face_from_triple(I, J, K) -> Face:
     """Face F(I, J, K) from intervals (or single points) I, J in [0, 1] and
     K in [0, 2].  The basic solutions, where two of x, y, x+y are fixed to
     interval endpoints, are filtered for feasibility; an empty face (no
     feasible basic solution) is allowed."""
-    I = _coerce_interval(I, ZERO, ONE)
-    J = _coerce_interval(J, ZERO, ONE)
-    K = _coerce_interval(K, ZERO, TWO)
-    cand = set()
-    for x in I:
-        for y in J:
-            cand.add((x, y))
-        for s in K:
-            cand.add((x, s - x))
-    for y in J:
-        for s in K:
-            cand.add((s - y, y))
-    verts = sorted(
-        (x, y) for (x, y) in cand
-        if I[0] <= x <= I[1] and J[0] <= y <= J[1] and K[0] <= x + y <= K[1]
-    )
-    return _face_from_vertices(verts)
+    return _face_from_vertices(_basic_vertices(_coerce_interval(I, ZERO, ONE),
+                                               _coerce_interval(J, ZERO, ONE),
+                                               _coerce_interval(K, ZERO, TWO)))
+
+
+def grid_face(I, J, K, D: int) -> Face:
+    """Face F(I, J, K) for intervals of integers over D: the vertices are
+    found on the integers and converted to Fractions once."""
+    return _face_from_vertices([(_grid_fraction(x, D), _grid_fraction(y, D))
+                                for x, y in _basic_vertices(I, J, K)])
+
+
+def _basic_vertices(I, J, K) -> tuple:
+    """Sorted vertices of {x in I, y in J, x + y in K} for closed intervals
+    of exact numbers: the basic solutions, where two of x, y, x + y sit at
+    interval endpoints, that are feasible."""
+    cand = {(x, y) for x in I for y in J}
+    cand.update((x, s - x) for x in I for s in K)
+    cand.update((s - y, y) for y in J for s in K)
+    return tuple(sorted(
+        (x, y) for x, y in cand
+        if I[0] <= x <= I[1] and J[0] <= y <= J[1] and K[0] <= x + y <= K[1]))
 
 
 def _face_from_vertices(verts: Sequence[Point]) -> Face:
@@ -345,9 +356,7 @@ def _grid_faces(b: Sequence[int], two_dim: bool):
     I and J run over the breakpoints and cells of b, K over those of b
     extended to [0, 2D]; two-dimensional faces come from triples of cells
     alone.  A face is yielded from the triple of the smallest pieces that
-    contain its projections, so each face once.  The candidate vertices are
-    the basic solutions, where two of x, y, x+y sit at interval endpoints;
-    the feasible ones are exactly the vertices of the face.
+    contain its projections, so each face once.
     """
     D = b[-1]
     ext = list(b) + [x + D for x in b[1:]]
@@ -364,13 +373,7 @@ def _grid_faces(b: Sequence[int], two_dim: bool):
                     break
                 if not two_dim and I[0] < I[1] and J[0] < J[1] and K[0] < K[1]:
                     continue  # a 2-face, or a corner the points give
-                cand = {(x, y) for x in I for y in J}
-                cand.update((x, s - x) for x in I for s in K)
-                cand.update((s - y, y) for y in J for s in K)
-                verts = tuple(sorted(
-                    (x, y) for x, y in cand
-                    if I[0] <= x <= I[1] and J[0] <= y <= J[1]
-                    and K[0] <= x + y <= K[1]))
+                verts = _basic_vertices(I, J, K)
                 if not verts:
                     continue
                 key = tuple((min(c), max(c)) for c in zip(
@@ -446,8 +449,8 @@ def _fraction_face_set(D: int, additive: dict) -> AdditiveFaceSet:
     order (integer keys sort as the Fraction keys do)."""
     keys = sorted(additive)
     faces = tuple(_face_from_vertices(
-        [(Fraction(x, D), Fraction(y, D)) for x, y in additive[k][0]])
-        for k in keys)
+        [(_grid_fraction(x, D), _grid_fraction(y, D))
+         for x, y in additive[k][0]]) for k in keys)
     return AdditiveFaceSet(faces, tuple(additive[k][1] for k in keys))
 
 

@@ -7,27 +7,38 @@ directly covered and belong to one connected component.  A one-dimensional
 additive face connects its two proper projections through a translation
 (vertical or horizontal edge) or a reflection (diagonal edge): whenever a
 subinterval of one projection is covered, its image becomes covered in the
-same component.  Phase one collects the direct components and merges any
-two whose interiors meet; phase two propagates through edges to a fixpoint.
+same component.
+
+Both phases work on one sorted integer grid P: the projection and window
+endpoints of the faces, scaled by their common denominator D, closed under
+the edge maps (the images of the points of P inside a window are added
+until none is new, which ends because P stays in {0, ..., D}).  The points
+and open cells of P are the elements of one union-find (Tarjan 1975); a
+component is a class of covered elements, and an uncovered element is a
+class of its own.  Phase one joins the elements inside the projections of
+each 2-face.  Phase two passes over the edges in key order and joins each
+maximal covered run of a source window with its image, logged as an
+EdgeMove, until a pass changes nothing; every change joins two classes, so
+there are at most as many passes as elements.  Components are read off as runs of
+one class: open intervals end at a point outside the class, closed ones
+(continuous functions) join when they touch.  Fractions are built only for
+the returned intervals and moves.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional
+from math import lcm
+from typing import Optional
 
 from .complex2d import (AdditiveFaceSet, Face,
                          generate_maximal_additive_faces)
-from .errors import InternalConsistencyError, UnsupportedCaseError
+from .errors import UnsupportedCaseError
 from .pwl import PiecewiseFunction
 
 Interval = tuple[Fraction, Fraction]
-
-ZERO = Fraction(0)
-ONE = Fraction(1)
-
-_MAX_ROUNDS = 10_000
 
 
 @dataclass(frozen=True)
@@ -69,101 +80,123 @@ class CoveredComponentSet:
         return None
 
 
-def _add_interval(intervals: list[Interval], new: Interval, closed: bool) -> list[Interval]:
-    lo, hi = new
-    if lo >= hi:
-        return intervals
-    out = []
-    for a, b in intervals:
-        joins = (b >= lo and a <= hi) if closed else (b > lo and a < hi)
-        if joins:
-            lo, hi = min(lo, a), max(hi, b)
-        else:
-            out.append((a, b))
-    out.append((lo, hi))
-    out.sort()
-    return out
+def _scaled(iv: Interval, D: int) -> tuple[int, int]:
+    return tuple(x.numerator * (D // x.denominator) for x in iv)
 
 
-def _interiors_overlap(c1: list[Interval], c2: list[Interval]) -> bool:
-    return any(a < d and c < b for a, b in c1 for c, d in c2)
+def _edge_maps(edge: Face, D: int):
+    """Both propagation maps of an additive edge, scaled by D: (kind,
+    source window, image window); a reflection reverses the order."""
+    p1, p2, p3 = (_scaled(iv, D) for iv in edge.key())
+    if edge.edge_kind == "diagonal":
+        return [("reflection", p1, p2), ("reflection", p2, p1)]
+    src = p2 if edge.edge_kind == "vertical" else p1
+    dst = (p3[0] - D, p3[1] - D) if p3[0] >= D else p3
+    return [("translation", src, dst), ("translation", dst, src)]
 
 
-def _merge_overlapping(comps: list[list[Interval]], closed: bool) -> list[list[Interval]]:
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(comps)):
-            for j in range(i + 1, len(comps)):
-                if _interiors_overlap(comps[i], comps[j]):
-                    merged = comps[i]
-                    for iv in comps[j]:
-                        merged = _add_interval(merged, iv, closed)
-                    comps[i] = merged
-                    del comps[j]
-                    changed = True
-                    break
-            if changed:
-                break
-    return sorted(comps, key=lambda c: c[0])
+def _closed_grid(points: set, maps) -> list[int]:
+    """Sorted points, with the image of every point inside a map's source
+    window added until nothing is new."""
+    grid = sorted(points)
+    while True:
+        new = {u - src[0] + dst[0] if kind == "translation"
+               else src[1] + dst[0] - u
+               for _, kind, src, dst in maps
+               for u in grid[bisect_left(grid, src[0]):
+                             bisect_right(grid, src[1])]}.difference(grid)
+        if not new:
+            return grid
+        grid = sorted(new.union(grid))
 
 
-def _covered_subset(comp: list[Interval], piece: Interval) -> bool:
-    return any(a <= piece[0] and piece[1] <= b for a, b in comp)
+class _Classes:
+    """Union-find over the elements of the grid P: element 2i is the point
+    P[i], element 2i + 1 the open cell (P[i], P[i + 1]).  For closed
+    intervals only the cells are used."""
+
+    def __init__(self, grid: list[int], D: int, closed: bool):
+        self.grid, self.D, self.closed = grid, D, closed
+        self.step = 2 if closed else 1
+        self.index = {u: i for i, u in enumerate(grid)}
+        self.parent = list(range(2 * len(grid) - 1))
+        self.covered = [False] * len(self.parent)
+
+    def elements(self, lo: int, hi: int) -> range:
+        """Elements inside the interval (lo, hi) of grid points."""
+        return range(2 * self.index[lo] + 1, 2 * self.index[hi], self.step)
+
+    def find(self, e: int) -> int:
+        parent = self.parent
+        while parent[e] != e:
+            parent[e] = parent[parent[e]]
+            e = parent[e]
+        return e
+
+    def join(self, elements, root: int) -> bool:
+        """Cover the elements in root's class; True when classes joined."""
+        roots = {self.find(e) for e in elements} - {root}
+        for r in roots:
+            self.parent[r] = root
+        for e in elements:
+            self.covered[e] = True
+        return bool(roots)
+
+    def runs(self, elements, key=None) -> list[list]:
+        """Maximal runs [key, first, last] of consecutive elements with one
+        key, by default the class of a covered element and None otherwise."""
+        key = key or (lambda e: self.find(e) if self.covered[e] else None)
+        out: list[list] = []
+        for e in elements:
+            k = key(e)
+            if out and out[-1][0] == k:
+                out[-1][2] = e
+            else:
+                out.append([k, e, e])
+        return out
+
+    def interval(self, first: int, last: int) -> Interval:
+        """Interval spanned by the cells first..last."""
+        return (Fraction(self.grid[first // 2], self.D),
+                Fraction(self.grid[last // 2 + 1], self.D))
+
+    def result(self, moves: tuple) -> CoveredComponentSet:
+        n = len(self.parent)
+        components: dict = {}
+        for root, a, b in self.runs(range(1, n, self.step)):
+            if root is not None:
+                components.setdefault(root, []).append(self.interval(a, b))
+        gaps = self.runs(range(1, n, 2), self.covered.__getitem__)
+        return CoveredComponentSet(
+            tuple(tuple(c) for c in components.values()),
+            tuple(self.interval(a, b) for covered, a, b in gaps if not covered),
+            moves, self.closed)
+
+
+def _cover_directly(fn: PiecewiseFunction, additive: AdditiveFaceSet):
+    """Phase one on the grid P closed under the edge maps: the classes and
+    the maps (edge, kind, source window, image window) in edge key order."""
+    two = [f for f in additive.faces if f.dimension == 2]
+    edges = sorted((f for f in additive.faces if f.dimension == 1),
+                   key=Face.key)
+    D = lcm(*(x.denominator for f in two + edges for iv in f.key() for x in iv))
+    maps = [(edge, *m) for edge in edges for m in _edge_maps(edge, D)]
+    windows = [[_scaled(iv, D) for iv in (f.proj1, f.proj2,
+                                          f.proj3_mod_1())] for f in two]
+    points = {0, D}.union(*(iv for w in windows for iv in w),
+                          *(m[2] for m in maps))
+    classes = _Classes(_closed_grid(points, maps), D, fn.is_continuous)
+    for window in windows:
+        elements = [e for iv in window for e in classes.elements(*iv)]
+        classes.join(elements, classes.find(elements[0]))
+    return classes, maps
 
 
 def directly_covered_components(fn: PiecewiseFunction,
                                 additive: AdditiveFaceSet) -> CoveredComponentSet:
-    """Phase one: one component per two-dimensional additive face (its three
-    projections, the third reduced mod 1), merged until no two components
-    have overlapping interiors."""
-    closed = fn.is_continuous
-    comps: list[list[Interval]] = []
-    for face in (f for f in additive.faces if f.dimension == 2):
-        comp: list[Interval] = []
-        for iv in (face.proj1, face.proj2, face.proj3_mod_1()):
-            comp = _add_interval(comp, iv, closed)
-        comps.append(comp)
-    comps = _merge_overlapping(comps, closed)
-    return _finalize(comps, (), closed)
-
-
-def _edge_maps(edge: Face):
-    """Propagation maps of an additive edge: (source interval, image
-    interval, pointwise map, kind) for both directions."""
-    if edge.edge_kind == "vertical" or edge.edge_kind == "horizontal":
-        src = edge.proj2 if edge.edge_kind == "vertical" else edge.proj1
-        dst = edge.proj3_mod_1()
-        shift = dst[0] - src[0]
-
-        def fwd(u, s=shift):
-            return u + s
-
-        def bwd(u, s=shift):
-            return u - s
-
-        return [(src, dst, fwd, "translation"), (dst, src, bwd, "translation")]
-    r = edge.proj3[0]
-
-    def refl(u, r=r):
-        return r - u
-
-    return [(edge.proj1, edge.proj2, refl, "reflection"),
-            (edge.proj2, edge.proj1, refl, "reflection")]
-
-
-def _map_interval(piece: Interval, f: Callable) -> Interval:
-    a, b = f(piece[0]), f(piece[1])
-    return (a, b) if a <= b else (b, a)
-
-
-def _pieces_in(comp: list[Interval], window: Interval) -> list[Interval]:
-    out = []
-    for a, b in comp:
-        lo, hi = max(a, window[0]), min(b, window[1])
-        if lo < hi:
-            out.append((lo, hi))
-    return out
+    """Phase one: the three projections of each two-dimensional additive
+    face (the third reduced mod 1), components merged where they overlap."""
+    return _cover_directly(fn, additive)[0].result(())
 
 
 def generate_covered_components(fn: PiecewiseFunction,
@@ -184,61 +217,27 @@ def generate_covered_components(fn: PiecewiseFunction,
         # projections nested in the container's, so it can neither extend
         # nor merge components
         additive = generate_maximal_additive_faces(fn)
-    closed = fn.is_continuous
-
-    phase1 = directly_covered_components(fn, additive)
-    comps = [list(c) for c in phase1.components]
-    edges = sorted((f for f in additive.faces if f.dimension == 1),
-                   key=lambda f: f.key())
+    classes, maps = _cover_directly(fn, additive)
+    index, step = classes.index, classes.step
     moves: list[EdgeMove] = []
-
-    rounds = 0
     changed = True
-    while changed:
+    while changed:  # a change joins two classes: passes <= elements
         changed = False
-        rounds += 1
-        if rounds > _MAX_ROUNDS:
-            raise InternalConsistencyError(
-                "covered-component propagation did not reach a fixpoint")
-        for edge in edges:
-            for src, dst, mapf, kind in _edge_maps(edge):
-                for comp in comps:
-                    for piece in _pieces_in(comp, src):
-                        img = _map_interval(piece, mapf)
-                        if _covered_subset(comp, img):
-                            continue
-                        comp[:] = _add_interval(comp, img, closed)
-                        moves.append(EdgeMove(edge, kind, piece, img))
-                        changed = True
-            if changed:
-                break
-        if changed:
-            comps = [list(c) for c in
-                     _merge_overlapping([list(c) for c in comps], closed)]
-
-    comps = _merge_overlapping([list(c) for c in comps], closed)
-    return _finalize(comps, tuple(moves), closed)
-
-
-def _finalize(comps: list[list[Interval]], moves, closed: bool) -> CoveredComponentSet:
-    covered: list[Interval] = []
-    for comp in comps:
-        for iv in comp:
-            covered = _add_interval(covered, iv, True)  # closures for the complement
-    uncovered = []
-    prev = ZERO
-    for a, b in sorted(covered):
-        if prev < a:
-            uncovered.append((prev, a))
-        prev = max(prev, b)
-    if prev < ONE:
-        uncovered.append((prev, ONE))
-    return CoveredComponentSet(
-        components=tuple(tuple(c) for c in comps),
-        uncovered=tuple(uncovered),
-        edges_used=tuple(moves),
-        closed=closed,
-    )
+        for edge, kind, src, dst in maps:
+            # element e of the source window maps to base + sign * e
+            if kind == "translation":
+                base, sign = 2 * (index[dst[0]] - index[src[0]]), 1
+            else:
+                base, sign = 2 * (index[src[0]] + index[dst[1]]), -1
+            for root, first, last in classes.runs(classes.elements(*src)):
+                lo, hi = sorted((base + sign * first, base + sign * last))
+                if root is not None and classes.join(
+                        range(lo, hi + 1, step), classes.find(first)):
+                    moves.append(EdgeMove(edge, kind,
+                                          classes.interval(first, last),
+                                          classes.interval(lo, hi)))
+                    changed = True
+    return classes.result(tuple(moves))
 
 
 def uncovered_intervals(fn: PiecewiseFunction) -> list[Interval]:

@@ -19,6 +19,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache, partial
 from typing import Optional
 
 from . import _scan
@@ -196,12 +197,13 @@ def build_equation_system(fn: PiecewiseFunction, sym: SymbolicPerturbation,
     _, _, zeros, _, _ = scan_vertex_slacks(
         fn, upper_triangle=True, with_limits=not fn.is_continuous)
     side_sym = {0: "", 1: "+", -1: "-"}
+    g_limit = cache(partial(_g_limit, sym))  # points recur across cones
     for (pt, (sx, sy, ss)) in zeros:
         x, y = pt
         row = tuple(
             a + b - c
-            for a, b, c in zip(_g_limit(sym, x, sx), _g_limit(sym, y, sy),
-                               _g_limit(sym, x + y, ss)))
+            for a, b, c in zip(g_limit(x, sx), g_limit(y, sy),
+                               g_limit(x + y, ss)))
         put(row, (f"pi~({x}{side_sym[sx]}) + pi~({y}{side_sym[sy]}) "
                   f"= pi~({x + y}{side_sym[ss]})"))
 
@@ -325,13 +327,10 @@ def find_epsilon_discrete(fn: DiscreteFunction, pert: DiscreteFunction) -> Fract
         raise ParameterError("base function must be minimal valid")
     W = common_denominator(pert.values)
     pscaled = [int(v * W) for v in pert.values]
-    max_abs = ZERO
-    for i in range(fn.q + 1):
-        for j in range(i, fn.q + 1):
-            s = i + j
-            if s > fn.q:
-                s -= fn.q
-            max_abs = max(max_abs, Fraction(abs(pscaled[i] + pscaled[j] - pscaled[s]), W))
+    q = fn.q
+    max_abs = Fraction(max(
+        abs(pscaled[i] + pscaled[j] - pscaled[i + j - q if i + j > q else i + j])
+        for i in range(q + 1) for j in range(i, q + 1)), W)
     eps = ONE if max_abs == 0 else Fraction(min_pos if min_pos else V, V) / max_abs
     f = fn.f
     for _ in range(64):

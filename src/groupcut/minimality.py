@@ -16,10 +16,11 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Optional
 
 from . import _scan
-from .complex2d import Face, face_from_triple, scan_vertex_slacks
+from .complex2d import Face, grid_face, scan_vertex_slacks
 from .errors import ConstructionError, NoCandidateFError
 from .pwl import DiscreteFunction, PiecewiseFunction, _reduce_mod_one
 from .rational import to_rational
@@ -72,26 +73,12 @@ def find_f(fn: PiecewiseFunction) -> Fraction:
     raise NoCandidateFError("no candidate f: no breakpoint value equals 1")
 
 
-def _grid_prev(grid: list[Fraction], t: Fraction) -> Fraction:
-    i = bisect_left(grid, t)
-    return grid[i - 1]
-
-
-def _grid_next(grid: list[Fraction], t: Fraction) -> Fraction:
-    i = bisect_right(grid, t)
-    return grid[i]
-
-
-def _interval_for(grid: list[Fraction], t: Fraction, side: int):
-    """Breakpoint-grid piece approached at t from the given side."""
-    on_grid = grid[bisect_left(grid, t)] == t if t <= grid[-1] else False
-    if side == 0:
-        if on_grid:
-            return (t, t)
-        return (_grid_prev(grid, t), _grid_next(grid, t))
-    if side > 0:
-        return (t, _grid_next(grid, t))
-    return (_grid_prev(grid, t), t)
+def _interval_for(grid: list[int], t: int, side: int) -> tuple[int, int]:
+    """Breakpoint-grid piece approached at t from the given side: the cell
+    around t when t is no breakpoint, from any side."""
+    i, j = bisect_left(grid, t), bisect_right(grid, t)
+    return (grid[i - 1] if i == j or side < 0 else t,
+            grid[j] if i == j or side > 0 else t)
 
 
 def witness_face(fn: PiecewiseFunction, v, sides) -> Face:
@@ -102,21 +89,20 @@ def witness_face(fn: PiecewiseFunction, v, sides) -> Face:
     right of x = 1 is the cone to the right of x = 0).
     """
     x, y = to_rational(v[0]), to_rational(v[1])
+    b, _, _, _, D, _ = fn.scaled_tables(lcm(x.denominator, y.denominator))
+    x, y = int(x * D), int(y * D)
     sx, sy, ss = sides
-    if sx > 0 and x == 1:
-        x = ZERO
+    if sx > 0 and x == D:
+        x = 0
     if sx < 0 and x == 0:
-        x = ONE
-    if sy > 0 and y == 1:
-        y = ZERO
+        x = D
+    if sy > 0 and y == D:
+        y = 0
     if sy < 0 and y == 0:
-        y = ONE
-    grid = list(fn.breakpoints)
-    ext = grid + [g + 1 for g in grid[1:]]
-    I = _interval_for(grid, x, sx)
-    J = _interval_for(grid, y, sy)
-    K = _interval_for(ext, x + y, ss)
-    return face_from_triple(I, J, K)
+        y = D
+    ext = b + [t + D for t in b[1:]]
+    return grid_face(_interval_for(b, x, sx), _interval_for(b, y, sy),
+                     _interval_for(ext, x + y, ss), D)
 
 
 def minimality_test(fn: PiecewiseFunction, f=None, collect_all: bool = True) -> MinimalityReport:

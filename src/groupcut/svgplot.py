@@ -22,7 +22,8 @@ from .complex2d import (AdditiveFaceSet, _convex_hull,
                         generate_additive_faces,
                         generate_maximal_additive_faces,
                         scan_vertex_slacks)
-from .covering import generate_covered_components
+from .covering import (CoveredComponentSet, directly_covered_components,
+                       generate_covered_components)
 from .pwl import PiecewiseFunction
 
 ROLE_COLORS = {
@@ -307,28 +308,27 @@ def plot_2d_diagram(fn: PiecewiseFunction,
     return sq.finish()
 
 
-def _covered_bars(sq: _Square, components: Sequence[Sequence[tuple]], thick):
-    for ci, comp in enumerate(components):
-        color = COMPONENT_PALETTE[ci % len(COMPONENT_PALETTE)]
-        for lo, hi in comp:
-            sq.doc.rect(sq.X(lo), sq.M * 0.55, sq.X(hi) - sq.X(lo), thick,
-                        color, 0.9)
+def _covered_bars(sq: _Square, intervals: Sequence[tuple],
+                  final: CoveredComponentSet, thick):
+    """One bar per interval, colored by the final component holding it."""
+    for lo, hi in intervals:
+        ci = final.component_of((lo + hi) / 2)
+        sq.doc.rect(sq.X(lo), sq.M * 0.55, sq.X(hi) - sq.X(lo), thick,
+                    COMPONENT_PALETTE[ci % len(COMPONENT_PALETTE)], 0.9)
 
 
 def covered_steps_frames(fn: PiecewiseFunction,
                          spec: Optional[DiagramSpec] = None) -> list[str]:
     """One frame per propagation step: the additive-face diagram, the
-    covered intervals so far as colored bars on the x-axis strip, and the
-    edge used in the step highlighted."""
+    phase-one intervals and the images moved so far as bars on the x-axis
+    strip, colored by final component, and the edge used in the step
+    highlighted."""
     spec = spec or DiagramSpec(kind="covered_steps")
     additive = generate_maximal_additive_faces(fn)
-    from .covering import directly_covered_components
-
     final = generate_covered_components(fn, additive)
-    phase1 = directly_covered_components(fn, additive)
-    frames = []
+    covered = directly_covered_components(fn, additive).all_intervals()
 
-    def frame(components, active_edge, moved):
+    def frame(active_edge, moved):
         sq = _Square(fn, spec)
         sq.draw_grid()
         green = ROLE_COLORS["additive"]
@@ -336,7 +336,7 @@ def covered_steps_frames(fn: PiecewiseFunction,
             if face.dimension == 2:
                 pts = [(sq.X(x), sq.Y(y)) for x, y in _convex_hull(face.vertices)]
                 sq.doc.polygon(pts, green, opacity=0.25)
-        _covered_bars(sq, components, sq.M * 0.25)
+        _covered_bars(sq, covered, final, sq.M * 0.25)
         if active_edge is not None:
             (x1, y1) = active_edge.vertices[0]
             (x2, y2) = active_edge.vertices[-1]
@@ -348,24 +348,10 @@ def covered_steps_frames(fn: PiecewiseFunction,
                         ROLE_COLORS["highlight"], 0.9)
         return sq.finish()
 
-    # replay: phase-one result, then each edge move applied in order
-    state = [list(c) for c in phase1.components]
-    frames.append(frame(state, None, None))
-    from .covering import _add_interval, _merge_overlapping
-
+    frames = [frame(None, None)]
     for mv in final.edges_used:
-        target = None
-        for comp in state:
-            if any(a <= mv.source[0] and mv.source[1] <= b for a, b in comp):
-                target = comp
-                break
-        if target is None:
-            state.append([mv.source])
-            target = state[-1]
-        target[:] = _add_interval(target, mv.moved, final.closed)
-        state = [list(c) for c in
-                 _merge_overlapping([list(c) for c in state], final.closed)]
-        frames.append(frame(state, mv.face, mv.moved))
+        covered.append(mv.moved)
+        frames.append(frame(mv.face, mv.moved))
     return frames
 
 

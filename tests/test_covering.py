@@ -3,7 +3,8 @@ from fractions import Fraction as F
 import pytest
 
 import groupcut as gc
-from groupcut.complex2d import generate_additive_faces
+from groupcut.complex2d import (generate_additive_faces,
+                                generate_maximal_additive_faces)
 from groupcut.covering import directly_covered_components
 from groupcut.errors import UnsupportedCaseError
 
@@ -71,6 +72,40 @@ class TestGenerateCoveredComponents:
     def test_zero_uncovered_empty(self, zero_fn):
         assert gc.uncovered_intervals(zero_fn) == []
 
+    def test_grid_closed_under_edge_maps(self, gmic45, hildebrand):
+        # the covered endpoints 1/8 and 1/4 lie inside the window (0, 1/2)
+        # of a translation by 1/2, so their images 5/8 and 3/4 must become
+        # grid points before the covered run (0, 1/4) can move
+        two_face = gc.face_from_triple((0, F(1, 8)), (0, F(1, 8)), (0, F(1, 4)))
+        edge = gc.face_from_triple((0, F(1, 2)), F(1, 2), (F(1, 2), 1))
+        additive = gc.AdditiveFaceSet((two_face, edge), (True, True))
+        for fn in (gmic45, hildebrand):
+            cc = gc.generate_covered_components(fn, additive)
+            assert cc.components == (((0, F(1, 4)), (F(1, 2), F(3, 4))),)
+            assert cc.uncovered == ((F(1, 4), F(1, 2)), (F(3, 4), 1))
+            assert [(mv.kind, mv.source, mv.moved) for mv in cc.edges_used] \
+                == [("translation", (0, F(1, 4)), (F(1, 2), F(3, 4)))]
+
+    def test_later_edge_feeds_earlier_edge(self, gmic45, hildebrand):
+        # the edge at x = 1/4 covers (1/2, 5/8) only after the edge at
+        # x = 1/8, earlier in key order, was passed over: a second pass
+        # must move it on to (5/8, 3/4)
+        two_face = gc.face_from_triple((F(1, 8), F(3, 16)), (F(1, 8), F(3, 16)),
+                                       (F(1, 4), F(3, 8)))
+        first = gc.face_from_triple(F(1, 8), (F(1, 2), F(5, 8)), (F(5, 8), F(3, 4)))
+        second = gc.face_from_triple(F(1, 4), (F(1, 4), F(3, 8)), (F(1, 2), F(5, 8)))
+        additive = gc.AdditiveFaceSet((two_face, first, second), (True,) * 3)
+        for fn, tail in ((hildebrand, ((F(1, 2), F(5, 8)), (F(5, 8), F(3, 4)))),
+                         (gmic45, ((F(1, 2), F(3, 4)),))):
+            cc = gc.generate_covered_components(fn, additive)
+            assert cc.components == (
+                ((F(1, 8), F(3, 16)), (F(1, 4), F(3, 8))) + tail,)
+            assert cc.uncovered == ((0, F(1, 8)), (F(3, 16), F(1, 4)),
+                                    (F(3, 8), F(1, 2)), (F(3, 4), 1))
+            assert [(mv.face, mv.source, mv.moved) for mv in cc.edges_used] \
+                == [(second, (F(1, 4), F(3, 8)), (F(1, 2), F(5, 8))),
+                    (first, (F(1, 2), F(5, 8)), (F(5, 8), F(3, 4)))]
+
     def test_two_sided_discontinuity_at_origin_rejected(self):
         fn = gc.from_breakpoints_and_limits(
             [0, F(1, 2), 1],
@@ -132,3 +167,85 @@ class TestCoveringInvariants:
                 assert a <= cursor
                 cursor = max(cursor, b)
             assert cursor == 1
+
+
+# components, uncovered intervals and closed flags computed by the earlier
+# interval-list implementation of covering
+PINNED = {
+    "gj_2_slope:lam=2": (
+        lambda: gc.multiplicative_homomorphism(gc.gj_2_slope(), 2), True,
+        (((0, F(7, 60)), (F(11, 60), F(3, 10)), (F(1, 2), F(37, 60)),
+          (F(41, 60), F(4, 5))),
+         ((F(7, 60), F(11, 60)), (F(3, 10), F(1, 2)), (F(37, 60), F(41, 60)),
+          (F(4, 5), 1))),
+        ()),
+    "drlm:lam=2": (
+        lambda: gc.multiplicative_homomorphism(gc.drlm_backward_3_slope(), 2),
+        True,
+        (((0, F(1, 24)), (F(1, 2), F(13, 24))),
+         ((F(1, 24), F(5, 24)), (F(1, 3), F(1, 2)), (F(13, 24), F(17, 24)),
+          (F(5, 6), 1))),
+        ((F(5, 24), F(1, 3)), (F(17, 24), F(5, 6)))),
+    "hildebrand:lam=2": (
+        lambda: gc.multiplicative_homomorphism(
+            gc.hildebrand_discont_3_slope_1(), 2), False,
+        (((0, F(1, 16)), (F(3, 16), F(1, 4)), (F(1, 2), F(9, 16)),
+          (F(11, 16), F(3, 4))),
+         ((F(1, 16), F(1, 8)), (F(1, 8), F(3, 16)), (F(1, 4), F(5, 16)),
+          (F(7, 16), F(1, 2)), (F(9, 16), F(5, 8)), (F(5, 8), F(11, 16)),
+          (F(3, 4), F(13, 16)), (F(15, 16), 1)),
+         ((F(5, 16), F(3, 8)), (F(3, 8), F(7, 16)), (F(13, 16), F(7, 8)),
+          (F(7, 8), F(15, 16)))),
+        ()),
+    "gmic:f=123457/1000000": (
+        lambda: gc.gmic(F(123457, 1000000)), True,
+        (((0, F(123457, 1000000)),), ((F(123457, 1000000), 1),)),
+        ()),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED))
+def test_pinned_components(name):
+    make, closed, components, uncovered = PINNED[name]
+    cc = gc.generate_covered_components(make())
+    assert cc.closed is closed
+    assert cc.components == components
+    assert cc.uncovered == uncovered
+
+
+def _probes(iv, ends, closed):
+    """Exact probe points of the interval iv on the grid of ends: the
+    midpoint of every cell and, for open intervals, every grid point
+    inside, where a union of open intervals can have a hole."""
+    pts = sorted({e for e in ends if iv[0] < e < iv[1]} | set(iv))
+    mids = [(a + b) / 2 for a, b in zip(pts, pts[1:])]
+    return mids if closed else mids + pts[1:-1]
+
+
+def _inside(x, intervals):
+    return any(lo < x < hi for lo, hi in intervals)
+
+
+@pytest.mark.parametrize("lam", [1, 2, 3])
+def test_hildebrand_moves_replay(hildebrand, lam):
+    # each logged move starts from intervals already covered, by phase one
+    # or an earlier move, in its own final component, and phase one plus
+    # the moved images is the final covered set
+    fn = gc.multiplicative_homomorphism(hildebrand, lam)
+    additive = generate_maximal_additive_faces(fn)
+    covered = directly_covered_components(fn, additive).all_intervals()
+    final = gc.generate_covered_components(fn, additive)
+    assert len(final.edges_used) == 2 * lam
+    ends = {e for iv in covered + final.all_intervals() for e in iv}
+    ends |= {e for mv in final.edges_used for e in mv.source + mv.moved}
+    for mv in final.edges_used:
+        comp = final.component_of(sum(mv.source) / 2)
+        assert comp is not None
+        for x in _probes(mv.source, ends, final.closed):
+            assert _inside(x, covered)
+            assert final.component_of(x) == comp
+        for x in _probes(mv.moved, ends, final.closed):
+            assert final.component_of(x) == comp
+        covered.append(mv.moved)
+    for x in _probes((F(0), F(1)), ends, final.closed):
+        assert _inside(x, covered) == _inside(x, final.all_intervals())

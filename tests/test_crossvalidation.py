@@ -33,6 +33,32 @@ def test_witness_faces_reproduce_reported_slacks():
     assert checked > 20
 
 
+def test_witness_faces_are_faces_of_the_complex():
+    # every subadditivity violation carries a face of the complex that
+    # contains its point, wrapped along the approach direction; irregular
+    # breakpoints put sums x + y inside pieces, not only on them
+    fns = [
+        gc.from_breakpoints_and_values([0, F(1, 5), F(1, 3), F(3, 4), 1],
+                                       [0, 1, F(1, 4), F(1, 2), 0]),
+        gc.from_breakpoints_and_limits(
+            [0, F(2, 7), F(1, 2), F(5, 6), 1],
+            [(0, 0, 0), (1, F(3, 4), 1), (F(1, 3), F(1, 2), F(1, 5)),
+             (F(2, 3), F(2, 3), F(1, 2)), (0, 0, 0)])]
+    fns += [gc.random_piecewise_function(4, 4, F(1, 2) if seed % 2 else F(1),
+                                         True, seed=seed) for seed in range(8)]
+    checked = 0
+    for fn in fns:
+        faces = {face.key(): face for face in faces_of_complex(fn)}
+        for v in gc.minimality_test(fn).violations:
+            if v.kind != "subadditivity":
+                continue
+            assert faces.get(v.face.key()) == v.face
+            probe = (_wrap(v.x, v.sides[0]), _wrap(v.y, v.sides[1]))
+            assert v.face.contains_point(probe)
+            checked += 1
+    assert checked > 20
+
+
 def test_limit_slacks_match_extrapolation_on_random_functions():
     for seed in (3, 8, 227):
         fn = gc.random_piecewise_function(4, 4, F(1, 2), True, seed=seed)
