@@ -1,79 +1,77 @@
-"""Exact Gaussian elimination over the rationals.
+"""Exact Gauss-Jordan elimination on integer rows.
 
-Deterministic pivoting: columns are eliminated left to right and the pivot
-is the first row (smallest index) with a nonzero entry in the current
-column, so reduced forms and kernel bases are reproducible.
+Rows are scaled once to primitive integer rows {column: nonzero int} and
+zero rows are dropped.  A step clears the pivot column of a row with
+a*row - b*pivot_row and divides out the content (gcd of the entries).
+Columns go left to right; the pivot is the first remaining row, in input
+order, with a nonzero entry.  The reduced row echelon form is unique, so
+each pivot row ends as a primitive multiple of its reduced row; Fractions
+are built only for the results.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Sequence
 
-ZERO = Fraction(0)
-ONE = Fraction(1)
+from .errors import ParameterError
+
+
+def _clear(row: dict, p: dict, c: int) -> dict:
+    """row with column c cleared by the pivot row p, content divided out."""
+    g = gcd(row[c], p[c])
+    a, b = p[c] // g, row[c] // g
+    new = {j: x for j in row.keys() | p.keys()
+           if (x := a * row.get(j, 0) - b * p.get(j, 0))}
+    g = gcd(*new.values())
+    return {j: x // g for j, x in new.items()} if g > 1 else new
+
+
+def _reduce(rows: Sequence[Sequence[Fraction]], ncols: int):
+    """Primitive integer reduced rows and their pivot columns."""
+    rest, done, pivots = [], [], []
+    for row in rows:
+        if len(row) != ncols:
+            raise ParameterError(f"row of length {len(row)}, expected {ncols}")
+        nz = {j: e for j, e in enumerate(row) if e}
+        den = lcm(*(e.denominator for e in nz.values()))
+        ints = {j: e.numerator * (den // e.denominator) for j, e in nz.items()}
+        if g := gcd(*ints.values()):
+            rest.append({j: x // g for j, x in ints.items()})
+    for c in range(ncols):
+        k = next((i for i, row in enumerate(rest) if c in row), None)
+        if k is None:
+            continue
+        p = rest.pop(k)
+        done = [_clear(row, p, c) if c in row else row for row in done] + [p]
+        rest = [r for r in (_clear(row, p, c) if c in row else row for row in rest) if r]
+        pivots.append(c)
+    return done, pivots
 
 
 def rref(rows: Sequence[Sequence[Fraction]]):
     """Reduced row echelon form.  Returns (reduced rows, pivot columns)."""
-    mat = [list(r) for r in rows]
-    if not mat:
+    if not rows:
         return [], []
-    ncols = len(mat[0])
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        pivot = next((i for i in range(r, len(mat)) if mat[i][c] != 0), None)
-        if pivot is None:
-            continue
-        mat[r], mat[pivot] = mat[pivot], mat[r]
-        pv = mat[r][c]
-        mat[r] = [e / pv for e in mat[r]]
-        for i in range(len(mat)):
-            if i != r and mat[i][c] != 0:
-                factor = mat[i][c]
-                mat[i] = [a - factor * b for a, b in zip(mat[i], mat[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(mat):
-            break
-    return mat[:r], pivots
+    reduced, pivots = _reduce(rows, len(rows[0]))
+    return [[Fraction(row.get(j, 0), row[c]) for j in range(len(rows[0]))]
+            for row, c in zip(reduced, pivots)], pivots
 
 
 def matrix_rank(rows: Sequence[Sequence[Fraction]]) -> int:
-    return len(rref(rows)[1])
+    return len(_reduce(rows, len(rows[0]))[1]) if rows else 0
 
 
 def kernel_basis(rows: Sequence[Sequence[Fraction]], ncols: int) -> list[tuple[Fraction, ...]]:
-    """Basis of {v : rows . v = 0}, one vector per free column, with a 1 in
-    the free coordinate.  Vectors are scaled to integer entries with
-    content 1 so they are primitive and reproducible."""
-    if not rows:
-        reduced, pivots = [], []
-    else:
-        reduced, pivots = rref(rows)
-    pivot_set = set(pivots)
-    free = [c for c in range(ncols) if c not in pivot_set]
+    """Basis of {v : rows . v = 0}: per free column, the primitive integer
+    vector that is positive there and zero in the other free columns."""
+    reduced, pivots = _reduce(rows, ncols)
     basis = []
-    for fc in free:
-        v = [ZERO] * ncols
-        v[fc] = ONE
-        for r, pc in enumerate(pivots):
-            v[pc] = -reduced[r][fc]
-        scale = 1
-        for e in v:
-            scale = scale * e.denominator // _gcd(scale, e.denominator) if e else scale
-        vi = [e * scale for e in v]
-        g = 0
-        for e in vi:
-            g = _gcd(g, abs(e.numerator))
-        if g > 1:
-            vi = [e / g for e in vi]
-        basis.append(tuple(Fraction(e) for e in vi))
+    for fc in sorted(set(range(ncols)) - set(pivots)):
+        scale = lcm(*(row[c] for row, c in zip(reduced, pivots) if fc in row))
+        v = {c: -row.get(fc, 0) * (scale // row[c]) for row, c in zip(reduced, pivots)}
+        v[fc] = scale
+        g = gcd(*v.values())
+        basis.append(tuple(Fraction(v.get(j, 0) // g) for j in range(ncols)))
     return basis
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a

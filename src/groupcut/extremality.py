@@ -285,36 +285,39 @@ def extremality_test(fn: PiecewiseFunction, f=None) -> ExtremalityReport:
 # -- finite group model -------------------------------------------------------
 
 def _discrete_system(fn: DiscreteFunction, f_idx: int):
+    """Rows in first-seen order, deduplicated by their sparse integer key
+    ((column, coefficient), ...); the Fraction row and its provenance are
+    built only for the rows kept."""
     q = fn.q
     ncols = q - 1
+    kept: dict[tuple[tuple[int, int], ...], str] = {}
 
-    def unit_row(*terms) -> Vector:
-        row = [ZERO] * ncols
-        for idx, coeff in terms:
-            i = idx % q
-            if i != 0:
-                row[i - 1] += coeff
-        return tuple(row)
+    def put(terms, template, *idx):
+        coeffs: dict[int, int] = {}
+        for i, coeff in terms:
+            if i % q:
+                coeffs[i % q - 1] = coeffs.get(i % q - 1, 0) + coeff
+        key = tuple(sorted((c, v) for c, v in coeffs.items() if v))
+        if key not in kept:
+            kept[key] = template.format(*(Fraction(i, q) for i in idx))
 
-    rows: dict[Vector, str] = {}
-
-    def put(vec, why):
-        rows.setdefault(vec, why)
-
-    put(unit_row((f_idx, ONE)), f"normalization pi~({Fraction(f_idx, q)}) = 0")
+    put(((f_idx, 1),), "normalization pi~({}) = 0", f_idx)
     for a in range(q):
-        put(unit_row((a, ONE), ((f_idx - a) % q, ONE)),
-            f"symmetry pi~({Fraction(a, q)}) + pi~({Fraction((f_idx - a) % q, q)}) = 0")
+        put(((a, 1), (f_idx - a, 1)), "symmetry pi~({}) + pi~({}) = 0",
+            a, (f_idx - a) % q)
     V = common_denominator(fn.values)
     scaled = [int(v * V) for v in fn.values]
     _, zeros, _ = _scan.scan_discrete(scaled, q)
     for i, j, _ in zeros:
-        put(unit_row((i, ONE), (j, ONE), ((i + j) % q, -ONE)),
-            f"pi~({Fraction(i, q)}) + pi~({Fraction(j, q)}) = "
-            f"pi~({Fraction((i + j) % q, q)})")
-    items = list(rows.items())
-    return EquationSystem(tuple(r for r, _ in items),
-                          tuple(w for _, w in items), ncols)
+        put(((i, 1), (j, 1), (i + j, -1)), "pi~({}) + pi~({}) = pi~({})",
+            i, j, (i + j) % q)
+    rows = []
+    for key in kept:
+        row = [ZERO] * ncols
+        for c, v in key:
+            row[c] = Fraction(v)
+        rows.append(tuple(row))
+    return EquationSystem(tuple(rows), tuple(kept.values()), ncols)
 
 
 def find_epsilon_discrete(fn: DiscreteFunction, pert: DiscreteFunction) -> Fraction:

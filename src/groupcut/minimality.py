@@ -240,6 +240,8 @@ def minimality_test_discrete(fn: DiscreteFunction, f=None,
         except NoCandidateFError:
             if not violations:
                 raise
+        if ff is not None and not (0 < ff < 1):
+            raise ConstructionError(f"invalid f = {ff}, must lie in (0, 1)")
     if ff is not None:
         fi = ff * q
         if fi.denominator != 1:

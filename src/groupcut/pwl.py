@@ -326,6 +326,8 @@ def discrete_from_points_and_values(points, values, f=None) -> DiscreteFunction:
     if vals[0] != vals[-1]:
         raise ConstructionError("values at 0 and 1 must agree (periodicity)")
     ff = to_rational(f) if f is not None else None
+    if ff is not None and not (0 < ff < 1):
+        raise ConstructionError("f must lie in (0, 1)")
     return DiscreteFunction(q, pts, vals, ff)
 
 

@@ -36,6 +36,55 @@ class TestExactLinalg:
     def test_rank(self):
         assert matrix_rank([[F(1), F(0)], [F(0), F(1)], [F(1), F(1)]]) == 2
 
+    def test_rref_and_kernel_equal_sympy(self):
+        """rref is Matrix.rref() entry for entry; kernel_basis is
+        Matrix.nullspace() scaled to primitive integer vectors, which are
+        positive in their free coordinate."""
+        import random
+        from math import gcd, lcm
+
+        import sympy
+
+        rng = random.Random(4242)
+        cases = [([], 3), ([], 1)]
+        for _ in range(80):
+            ncols = rng.randrange(1, 7)
+            rows = [[F(rng.randrange(-5, 6), rng.randrange(1, 5))
+                     if rng.random() < 0.6 else ZERO for _ in range(ncols)]
+                    for _ in range(rng.randrange(1, 6))]
+            rows.insert(rng.randrange(len(rows) + 1), [ZERO] * ncols)
+            rows.append(list(rng.choice(rows)))
+            rows.append([F(-3, 2) * e for e in rng.choice(rows)])
+            cases.append((rows, ncols))
+        for rows, ncols in cases:
+            m = sympy.Matrix(len(rows), ncols,
+                             [sympy.Rational(e.numerator, e.denominator)
+                              for row in rows for e in row])
+            want_reduced, want_pivots = m.rref()
+            reduced, pivots = rref(rows)
+            assert tuple(pivots) == want_pivots
+            assert reduced == [[F(int(e.p), int(e.q))
+                                for e in want_reduced.row(i)]
+                               for i in range(len(pivots))]
+            assert matrix_rank(rows) == len(want_pivots)
+            want_basis = []
+            for vec in m.nullspace():
+                scale = lcm(*(int(e.q) for e in vec))
+                ints = [int(e * scale) for e in vec]
+                g = gcd(*ints)
+                want_basis.append(tuple(F(e // g) for e in ints))
+            assert kernel_basis(rows, ncols) == want_basis
+
+    def test_rows_of_the_wrong_length_are_refused(self):
+        with pytest.raises(ParameterError):
+            kernel_basis([(F(1), F(2), F(3))], 2)
+        with pytest.raises(ParameterError):
+            kernel_basis([(F(1),)], 2)
+        with pytest.raises(ParameterError):
+            rref([(F(1), F(2)), (F(1),)])
+        with pytest.raises(ParameterError):
+            matrix_rank([(F(1),), (F(1), F(2))])
+
 
 class TestGenerateSymbolic:
     def test_hildebrand_published_vector_function(self, hildebrand):
@@ -238,6 +287,20 @@ class TestDiscreteExtremality:
             [0, F(1, 3), F(2, 3), 1], [0, 1, F(1, 4), 0], f=F(1, 3))
         rep = gc.extremality_test_discrete(dfn)
         assert not rep.is_extreme and not rep.is_minimal
+
+    def test_pinned_drlm_restriction_kernel(self, drlm):
+        """Four-dimensional kernel of the drlm restriction at q = 36:
+        vector i is -1 at column 18 - i and +1 at column 19 + i."""
+        rep = gc.extremality_test_discrete(
+            gc.restrict_to_finite_group(drlm, oversampling=3))
+        assert rep.system.ncols == 35 and rep.kernel_dimension == 4
+        want = []
+        for i in range(4):
+            vec = [ZERO] * 35
+            vec[18 - i], vec[19 + i] = F(-1), F(1)
+            want.append(tuple(vec))
+        assert rep.kernel == tuple(want)
+        assert rep.perturbation.values == (ZERO,) + want[0] + (ZERO,)
 
 
 class TestOversamplingBridge:

@@ -135,3 +135,9 @@ class TestDiscreteMinimality:
         rep = gc.minimality_test_discrete(dfn)
         assert not rep.is_minimal
         assert "symmetry" in {v.kind for v in rep.violations}
+
+    @pytest.mark.parametrize("f", [F(-1, 5), 0, 1, F(6, 5)])
+    def test_f_outside_unit_interval_refused(self, gmic45, f):
+        dfn = gc.restrict_to_finite_group(gmic45)
+        with pytest.raises(ConstructionError):
+            gc.minimality_test_discrete(dfn, f=f)

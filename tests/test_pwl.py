@@ -135,6 +135,13 @@ class TestDiscrete:
         with pytest.raises(ConstructionError):
             gc.discrete_from_points_and_values([0, F(1, 2), 1], [0, 1])
 
+    @pytest.mark.parametrize("f", [F(-1, 5), 0, 1, F(6, 5)])
+    def test_f_outside_unit_interval_rejected(self, f):
+        with pytest.raises(ConstructionError):
+            gc.discrete_from_points_and_values(
+                [0, F(1, 5), F(2, 5), F(3, 5), F(4, 5), 1],
+                [0, F(1, 4), F(1, 2), F(3, 4), 1, 0], f=f)
+
     def test_incomplete_grid_rejected(self):
         with pytest.raises(ConstructionError):
             gc.discrete_from_points_and_values([0, F(1, 3), 1], [0, F(1, 3), 0])
