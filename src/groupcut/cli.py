@@ -20,11 +20,11 @@ from .complex2d import (delta_pi, generate_additive_faces,
                         generate_maximal_additive_faces, merit_index)
 from .covering import generate_covered_components
 from .errors import GroupCutError
-from .extremality import extremality_test, extremality_test_discrete
+from .extremality import extremality_test
 from .jsonio import (components_to_dict, dumps_function,
                      extremality_report_to_dict, face_to_dict, load_function,
                      minimality_report_to_dict)
-from .minimality import minimality_test, minimality_test_discrete
+from .minimality import minimality_test
 from .pwl import DiscreteFunction, random_piecewise_function
 from .rational import parse_rational
 from .svgplot import (DiagramSpec, covered_steps_frames, plot_2d_diagram,
@@ -136,10 +136,7 @@ def cmd_delta(args) -> int:
 
 def cmd_minimality(args) -> int:
     fn = _load(args)
-    if isinstance(fn, DiscreteFunction):
-        rep = minimality_test_discrete(fn, collect_all=not args.fail_fast)
-    else:
-        rep = minimality_test(fn, collect_all=not args.fail_fast)
+    rep = minimality_test(fn, collect_all=not args.fail_fast)
     if args.json:
         print(json.dumps(minimality_report_to_dict(rep), indent=2))
     else:
@@ -152,10 +149,7 @@ def cmd_minimality(args) -> int:
 
 def cmd_extremality(args) -> int:
     fn = _load(args)
-    if isinstance(fn, DiscreteFunction):
-        rep = extremality_test_discrete(fn)
-    else:
-        rep = extremality_test(fn)
+    rep = extremality_test(fn)
     if args.json:
         print(json.dumps(extremality_report_to_dict(rep), indent=2))
         return 0 if rep.is_extreme else 1

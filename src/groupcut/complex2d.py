@@ -262,24 +262,17 @@ def scan_vertex_slacks(fn: PiecewiseFunction, upper_triangle: bool = True,
     return points, neg_out, zero_out, min_pos, max_abs
 
 
-def scan_points_slacks(fn: PiecewiseFunction, points: Sequence[Point],
-                       with_limits: bool):
-    """Slack scan of fn at an externally supplied point list (used to probe
-    a perturbation on the vertex set of the original function)."""
+def max_abs_slack(fn: PiecewiseFunction, points: Sequence[Point]) -> Fraction:
+    """Largest absolute slack of fn, every limit cone included, at points
+    taken from another function's vertex set (to bound a perturbation)."""
     extra = 1
     for x, y in points:
         extra = lcm(extra, x.denominator, y.denominator)
     b, vals, rights, lefts, D, V = fn.scaled_tables(extra_denominator=extra)
     xs = [int(x * D) for x, _ in points]
     ys = [int(y * D) for _, y in points]
-    neg, zero, mp, ma = _scan.scan_slacks(
-        b, vals, rights, lefts, V, xs, ys, with_limits)
-    min_pos = Fraction(mp[0], mp[1]) if mp[1] else None
-    max_abs = Fraction(ma[0], ma[1])
-    neg_out = [(points[k], (sx, sy, ss), Fraction(num, den))
-               for k, sx, sy, ss, num, den in neg]
-    zero_out = [(points[k], (sx, sy, ss)) for k, sx, sy, ss in zero]
-    return neg_out, zero_out, min_pos, max_abs
+    num, den = _scan.scan_slacks(b, vals, rights, lefts, V, xs, ys, True)[3]
+    return Fraction(num, den)
 
 
 def _cells(fn: PiecewiseFunction) -> list[Interval]:

@@ -11,7 +11,8 @@ relations (the normalizations at 0, f and 1, and one linear row per tight
 vertex/limit-cone slack) yields an exact linear system whose kernel is
 trivial exactly when the function is extreme.  Uncovered intervals mean
 non-extreme immediately; the equivariant perturbation witnessing that case
-is not constructed here.
+is not constructed here.  In the finite cyclic group model the unknowns
+are the interior values of a perturbation; the rest of the test is shared.
 """
 
 from __future__ import annotations
@@ -22,17 +23,16 @@ from fractions import Fraction
 from functools import cache, partial
 from typing import Optional
 
-from . import _scan
-from .complex2d import scan_points_slacks, scan_vertex_slacks
+from .complex2d import max_abs_slack, scan_vertex_slacks
 from .covering import CoveredComponentSet, generate_covered_components
 from .errors import (ConstructionError, InternalConsistencyError,
                      ParameterError)
 from .exactlinalg import kernel_basis
-from .minimality import (MinimalityReport, minimality_test,
-                         minimality_test_discrete)
+from .minimality import (MinimalityReport, _FiniteModel, _InfiniteModel,
+                         _minimality_test, _model)
 from .pwl import (DiscreteFunction, PiecewiseFunction, from_breakpoints_and_limits,
                   linear_combination)
-from .rational import common_denominator, to_rational
+from .rational import to_rational
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -230,144 +230,159 @@ def perturbation_from_vector(sym: SymbolicPerturbation, vec: Vector,
     return from_breakpoints_and_limits(sym.grid, triples, f=f, merge=True)
 
 
-def find_epsilon(fn: PiecewiseFunction, pert: PiecewiseFunction) -> Fraction:
+class _InfiniteExtremality(_InfiniteModel):
+    """The infinite model's side of the shared extremality test:
+    `system(f)` gives the covered components, the system (None when [0, 1]
+    is not covered) and the map from a kernel vector to the perturbation;
+    `slack_bounds(p)` the bounds of the first epsilon for the perturbation
+    model p; `plus(c, p, f)` the model of fn + c * p.fn."""
+
+    def system(self, f: Fraction):
+        covered = generate_covered_components(self.fn)
+        if covered.uncovered:
+            return covered, None, None
+        sym = generate_symbolic(self.fn, covered)
+        return (covered, build_equation_system(self.fn, sym, f),
+                partial(perturbation_from_vector, sym, f=f))
+
+    def slack_bounds(self, p: _InfiniteModel):
+        """(fn has a negative slack, smallest positive slack of fn or None,
+        largest absolute slack of p.fn) at fn's complex vertices, every
+        limit cone included."""
+        points, neg, _, min_pos, _ = scan_vertex_slacks(
+            self.fn, upper_triangle=True, with_limits=True)
+        return bool(neg), min_pos, max_abs_slack(p.fn, points)
+
+    def plus(self, c: Fraction, p: _InfiniteModel, f) -> _InfiniteExtremality:
+        return _InfiniteExtremality(linear_combination(1, self.fn, c, p.fn, f=f))
+
+
+class _FiniteExtremality(_FiniteModel):
+    """As `_InfiniteExtremality`, for the finite model."""
+
+    def system(self, f: Fraction):
+        """The unknowns are the q - 1 interior values of a perturbation; the
+        rows are the normalization at f, the symmetry relations and every
+        tight additivity, in first-seen order, deduplicated by their sparse
+        integer key ((column, coefficient), ...); the Fraction row and its
+        provenance are built only for the rows kept."""
+        fn = self.fn
+        q, f_idx = fn.q, int(f * fn.q) % fn.q
+        ncols = q - 1
+        kept: dict[tuple[tuple[int, int], ...], str] = {}
+
+        def put(terms, template, *idx):
+            coeffs: dict[int, int] = {}
+            for i, coeff in terms:
+                if i % q:
+                    coeffs[i % q - 1] = coeffs.get(i % q - 1, 0) + coeff
+            key = tuple(sorted((c, v) for c, v in coeffs.items() if v))
+            if key not in kept:
+                kept[key] = template.format(*(Fraction(i, q) for i in idx))
+
+        put(((f_idx, 1),), "normalization pi~({}) = 0", f_idx)
+        for a in range(q):
+            put(((a, 1), (f_idx - a, 1)), "symmetry pi~({}) + pi~({}) = 0",
+                a, (f_idx - a) % q)
+        for i, j, _ in self.scan[1]:
+            put(((i, 1), (j, 1), (i + j, -1)), "pi~({}) + pi~({}) = pi~({})",
+                i, j, (i + j) % q)
+        rows = []
+        for key in kept:
+            row = [ZERO] * ncols
+            for c, v in key:
+                row[c] = Fraction(v)
+            rows.append(tuple(row))
+        system = EquationSystem(tuple(rows), tuple(kept.values()), ncols)
+        return None, system, lambda vec: DiscreteFunction(
+            q, fn.points, (ZERO, *vec, ZERO), f)
+
+    def slack_bounds(self, p: _FiniteModel):
+        """As for the infinite model, over all group pairs."""
+        neg, _, min_pos = self.scan
+        q, V = self.fn.q, self.scaled[1]
+        pv, W = p.scaled
+        max_abs = max(abs(pv[i] + pv[j] - pv[i + j - q if i + j > q else i + j])
+                      for i in range(q + 1) for j in range(i, q + 1))
+        return bool(neg), Fraction(min_pos, V) if min_pos else None, \
+            Fraction(max_abs, W)
+
+    def plus(self, c: Fraction, p: _FiniteModel, f) -> _FiniteExtremality:
+        fn = self.fn
+        return _FiniteExtremality(DiscreteFunction(
+            fn.q, fn.points,
+            tuple(v + c * w for v, w in zip(fn.values, p.fn.values)), f))
+
+
+def _find_epsilon(m, p, f) -> Fraction:
     """Largest step of the form (minimum positive slack of fn) / (maximum
-    absolute slack of the perturbation over the same vertex/limit set),
-    halved until fn +- eps*pert both pass the minimality test."""
-    if all(v == 0 and r == 0 and l == 0 for v, r, l in pert.limits):
+    absolute slack of the perturbation p.fn over the same slack set),
+    halved until fn +- eps*pert both pass the minimality test at f.
+
+    In the finite model the first step always passes: every tight pair,
+    every symmetry pair and f are rows of the system, so the perturbation
+    keeps fn's zero slacks, its symmetry and its value at f, and each
+    positive slack of fn is at least min_pos >= eps * |slack of the
+    perturbation|; every slack of fn +- eps*pert stays non-negative.  The
+    range follows: on a finite group pi(0) = 0 and subadditivity give
+    pi >= 0, and symmetry then gives pi <= 1."""
+    if not any(v for _, t in p.table for v in t):
         raise ParameterError("perturbation must be nonzero")
-    points, neg, _, min_pos, _ = scan_vertex_slacks(
-        fn, upper_triangle=True, with_limits=True)
-    if neg:
+    has_neg, min_pos, max_abs = m.slack_bounds(p)
+    if has_neg:
         raise ParameterError("base function must be minimal valid")
-    _, _, _, max_abs = scan_points_slacks(pert, points, with_limits=True)
-    eps = ONE if max_abs == 0 else (min_pos if min_pos is not None else ONE) / max_abs
-    f = fn.f
+    eps = ONE if max_abs == 0 else (
+        min_pos if min_pos is not None else ONE) / max_abs
     for _ in range(64):
-        plus = linear_combination(1, fn, eps, pert, f=f)
-        minus = linear_combination(1, fn, -eps, pert, f=f)
-        if (minimality_test(plus, f=f).is_minimal
-                and minimality_test(minus, f=f).is_minimal):
+        if all(_minimality_test(m.plus(c, p, f), f, False).is_minimal
+               for c in (eps, -eps)):
             return eps
         eps = eps / 2
     raise InternalConsistencyError(
         "no epsilon makes both perturbed functions minimal valid")
 
 
-def extremality_test(fn: PiecewiseFunction, f=None) -> ExtremalityReport:
-    """Decide extremality: minimality first, then full coverage of [0, 1]
-    by the connected covered components, then triviality of the kernel of
-    the tight-relation system.  In the covered non-extreme case the report
-    carries a nonzero perturbation and a verified epsilon."""
-    rep = minimality_test(fn, f=f)
+def find_epsilon(fn: PiecewiseFunction | DiscreteFunction,
+                 pert: PiecewiseFunction | DiscreteFunction) -> Fraction:
+    """Certified epsilon for a nonzero perturbation of the minimal valid fn
+    in the same model: fn +- eps*pert are minimal valid, at fn.f when it is
+    set."""
+    m = _model(fn, _InfiniteExtremality, _FiniteExtremality)
+    if type(pert) is not type(fn):
+        raise ParameterError(f"perturbation must be a {type(fn).__name__}, "
+                             f"got {type(pert).__name__}")
+    return _find_epsilon(m, type(m)(pert), fn.f)
+
+
+def extremality_test(fn: PiecewiseFunction | DiscreteFunction,
+                     f=None) -> ExtremalityReport:
+    """Decide extremality in either model: minimality first, then (in the
+    infinite model) full coverage of [0, 1] by the connected covered
+    components, then triviality of the kernel of the tight-relation system.
+    In the covered non-extreme case the report carries a nonzero
+    perturbation and a verified epsilon."""
+    m = _model(fn, _InfiniteExtremality, _FiniteExtremality)
+    rep = _minimality_test(m, f, collect_all=True)
     if not rep.is_minimal:
         return ExtremalityReport(False, False, rep, None, None, None, None,
                                  None, ("not minimal valid",))
-    covered = generate_covered_components(fn)
-    if covered.uncovered:
+    covered, system, to_perturbation = m.system(rep.f_used)
+    if system is None:
         return ExtremalityReport(
             False, True, rep, covered, None, None, None, None,
             (f"uncovered intervals: {list(covered.uncovered)}",
              "perturbation unavailable: uncovered case"))
-    sym = generate_symbolic(fn, covered)
-    system = build_equation_system(fn, sym, rep.f_used)
     basis = kernel_basis(system.rows, system.ncols)
     dim = len(basis)
     if dim == 0:
         return ExtremalityReport(True, True, rep, covered, system, 0, None,
                                  None, ())
-    pert = perturbation_from_vector(sym, basis[0], f=rep.f_used)
-    eps = find_epsilon(fn, pert)
+    pert = to_perturbation(basis[0])
+    eps = _find_epsilon(m, type(m)(pert), rep.f_used)
     return ExtremalityReport(False, True, rep, covered, system, dim, pert,
                              eps, (f"kernel dimension {dim}",), tuple(basis))
 
 
-# -- finite group model -------------------------------------------------------
-
-def _discrete_system(fn: DiscreteFunction, f_idx: int):
-    """Rows in first-seen order, deduplicated by their sparse integer key
-    ((column, coefficient), ...); the Fraction row and its provenance are
-    built only for the rows kept."""
-    q = fn.q
-    ncols = q - 1
-    kept: dict[tuple[tuple[int, int], ...], str] = {}
-
-    def put(terms, template, *idx):
-        coeffs: dict[int, int] = {}
-        for i, coeff in terms:
-            if i % q:
-                coeffs[i % q - 1] = coeffs.get(i % q - 1, 0) + coeff
-        key = tuple(sorted((c, v) for c, v in coeffs.items() if v))
-        if key not in kept:
-            kept[key] = template.format(*(Fraction(i, q) for i in idx))
-
-    put(((f_idx, 1),), "normalization pi~({}) = 0", f_idx)
-    for a in range(q):
-        put(((a, 1), (f_idx - a, 1)), "symmetry pi~({}) + pi~({}) = 0",
-            a, (f_idx - a) % q)
-    V = common_denominator(fn.values)
-    scaled = [int(v * V) for v in fn.values]
-    _, zeros, _ = _scan.scan_discrete(scaled, q)
-    for i, j, _ in zeros:
-        put(((i, 1), (j, 1), (i + j, -1)), "pi~({}) + pi~({}) = pi~({})",
-            i, j, (i + j) % q)
-    rows = []
-    for key in kept:
-        row = [ZERO] * ncols
-        for c, v in key:
-            row[c] = Fraction(v)
-        rows.append(tuple(row))
-    return EquationSystem(tuple(rows), tuple(kept.values()), ncols)
-
-
-def find_epsilon_discrete(fn: DiscreteFunction, pert: DiscreteFunction) -> Fraction:
-    if all(v == 0 for v in pert.values):
-        raise ParameterError("perturbation must be nonzero")
-    V = common_denominator(fn.values)
-    scaled = [int(v * V) for v in fn.values]
-    neg, _, min_pos = _scan.scan_discrete(scaled, fn.q)
-    if neg:
-        raise ParameterError("base function must be minimal valid")
-    W = common_denominator(pert.values)
-    pscaled = [int(v * W) for v in pert.values]
-    q = fn.q
-    max_abs = Fraction(max(
-        abs(pscaled[i] + pscaled[j] - pscaled[i + j - q if i + j > q else i + j])
-        for i in range(q + 1) for j in range(i, q + 1)), W)
-    eps = ONE if max_abs == 0 else Fraction(min_pos if min_pos else V, V) / max_abs
-    f = fn.f
-    for _ in range(64):
-        plus = DiscreteFunction(fn.q, fn.points,
-                                tuple(v + eps * w for v, w in zip(fn.values, pert.values)), f)
-        minus = DiscreteFunction(fn.q, fn.points,
-                                 tuple(v - eps * w for v, w in zip(fn.values, pert.values)), f)
-        if (minimality_test_discrete(plus, f=f).is_minimal
-                and minimality_test_discrete(minus, f=f).is_minimal):
-            return eps
-        eps = eps / 2
-    raise InternalConsistencyError(
-        "no epsilon makes both perturbed discrete functions minimal valid")
-
-
-def extremality_test_discrete(fn: DiscreteFunction, f=None) -> ExtremalityReport:
-    """Extremality for the cyclic group model: the unknowns are the q - 1
-    interior values of a perturbation; the equations are the normalization
-    at f, the symmetry relations and every tight additivity; extreme iff
-    the kernel is trivial."""
-    rep = minimality_test_discrete(fn, f=f)
-    if not rep.is_minimal:
-        return ExtremalityReport(False, False, rep, None, None, None, None,
-                                 None, ("not minimal valid",))
-    q = fn.q
-    fi = int(rep.f_used * q) % q
-    system = _discrete_system(fn, fi)
-    basis = kernel_basis(system.rows, system.ncols)
-    dim = len(basis)
-    if dim == 0:
-        return ExtremalityReport(True, True, rep, None, system, 0, None, None, ())
-    vec = basis[0]
-    pert = DiscreteFunction(q, fn.points,
-                            (ZERO,) + tuple(vec) + (ZERO,), rep.f_used)
-    eps = find_epsilon_discrete(fn, pert)
-    return ExtremalityReport(False, True, rep, None, system, dim, pert, eps,
-                             (f"kernel dimension {dim}",), tuple(basis))
+# the finite model's former names
+extremality_test_discrete = extremality_test
+find_epsilon_discrete = find_epsilon

@@ -8,7 +8,9 @@ limits), symmetry on the breakpoints together with their mirror images
 (again with limits), and subadditivity at the vertices of the additivity
 complex, including every limit cone when the function is discontinuous.
 Subadditivity scanning is restricted to the triangle x <= y; the slack is
-symmetric in its arguments, so nothing is lost.
+symmetric in its arguments, so nothing is lost.  A function on the finite
+cyclic group (1/q)Z runs the same checks on its value table, with
+subadditivity over all group pairs.
 """
 
 from __future__ import annotations
@@ -16,19 +18,18 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from itertools import islice
 from math import lcm
 from typing import Optional
 
 from . import _scan
 from .complex2d import Face, grid_face, scan_vertex_slacks
-from .errors import ConstructionError, NoCandidateFError
+from .errors import ConstructionError, NoCandidateFError, ParameterError
 from .pwl import DiscreteFunction, PiecewiseFunction, _reduce_mod_one
-from .rational import to_rational
+from .rational import common_denominator, to_rational
 
-ZERO = Fraction(0)
-ONE = Fraction(1)
-
-SIDE_NAMES = {0: "value", 1: "right", -1: "left"}
+SIDE_NAMES = ("value", "right", "left")  # indexed by side 0, 1, -1
 
 
 @dataclass(frozen=True)
@@ -60,17 +61,6 @@ class MinimalityReport:
 
     def __bool__(self):
         return self.is_minimal
-
-
-def find_f(fn: PiecewiseFunction) -> Fraction:
-    """First breakpoint where the function value equals 1."""
-    for x, t in zip(fn.breakpoints, fn.limits):
-        if t[0] == 1:
-            return x
-    if any(t[1] == 1 or t[2] == 1 for t in fn.limits):
-        raise NoCandidateFError(
-            "no breakpoint value equals 1 (only a one-sided limit does)")
-    raise NoCandidateFError("no candidate f: no breakpoint value equals 1")
 
 
 def _interval_for(grid: list[int], t: int, side: int) -> tuple[int, int]:
@@ -105,81 +95,157 @@ def witness_face(fn: PiecewiseFunction, v, sides) -> Face:
                      _interval_for(ext, x + y, ss), D)
 
 
-def minimality_test(fn: PiecewiseFunction, f=None, collect_all: bool = True) -> MinimalityReport:
-    """Check the four minimality conditions, returning all violations (or
-    only the first, with collect_all=False).
+class _InfiniteModel:
+    """A PiecewiseFunction as the shared tests read it: `table` holds the
+    (x, limits) pairs at the breakpoints, the limits in the order of SIDES;
+    `mirror_pairs(f)` gives the limits at x and at f - x, the mirror's in
+    the order they pair with; `negative_slacks()` scans the slacks at the
+    complex vertices."""
 
-    When f is not given it is taken from the function, falling back to the
-    first breakpoint with value 1; if no candidate exists but violations
-    were already found, the symmetry check is skipped and the (negative)
-    verdict reported without f.
-    """
-    violations: list[Violation] = []
+    SIDES = SIDE_NAMES
 
-    def done() -> bool:
-        return bool(violations) and not collect_all
+    def __init__(self, fn: PiecewiseFunction):
+        self.fn = fn
+        self.table = tuple(zip(fn.breakpoints, fn.limits))
 
-    # pi(0) = 0
-    v0 = fn(0)
-    if v0 != 0:
-        violations.append(Violation("value-at-0", x=ZERO, slack=v0))
-
-    # range [0, 1] over breakpoint values and one-sided limits
-    if not done():
-        for x, triple in zip(fn.breakpoints, fn.limits):
-            for side, val in zip((0, 1, -1), triple):
-                if not (0 <= val <= 1):
-                    violations.append(Violation(
-                        "range", x=x, sides=SIDE_NAMES[side],
-                        slack=min(val, 1 - val)))
-                    if done():
-                        break
-            if done():
-                break
-
-    # symmetry pi(x) + pi(f - x) = 1 on the breakpoints and their mirrors,
-    # including one-sided limits
-    ff = None
-    if not done():
-        try:
-            ff = to_rational(f) if f is not None else (
-                fn.f if fn.f is not None else find_f(fn))
-        except NoCandidateFError:
-            if not violations:
-                raise
-        if ff is not None and not (0 < ff < 1):
-            raise ConstructionError(f"invalid f = {ff}, must lie in (0, 1)")
-    if ff is not None and not done():
-        grid = sorted({x for x in fn.breakpoints}
-                      | {_reduce_mod_one(ff - x) for x in fn.breakpoints}
-                      | {ONE})
-        for x in grid:
-            tx = fn.limits_at(x)
-            tm = fn.limits_at(ff - x)
+    def mirror_pairs(self, f: Fraction):
+        fn = self.fn
+        for x in sorted({*fn.breakpoints,
+                         *(_reduce_mod_one(f - x) for x in fn.breakpoints)}):
+            v, r, l = fn.limits_at(f - x)
             # value pairs with value, right with the mirror's left and
             # vice versa (the mirror map reverses orientation)
-            for side, s in ((0, tx[0] + tm[0]), (1, tx[1] + tm[2]),
-                            (-1, tx[2] + tm[1])):
-                if s != 1:
-                    violations.append(Violation(
-                        "symmetry", x=x, sides=SIDE_NAMES[side], slack=s - 1))
-                    if done():
-                        break
-            if done():
-                break
+            yield x, fn.limits_at(x), (v, l, r)
 
-    # subadditivity at the complex vertices with x <= y, including all
-    # limit cones in the discontinuous case
-    if not done():
-        _, neg, _, _, _ = scan_vertex_slacks(fn, upper_triangle=True)
-        for (pt, sides, slack) in neg:
-            violations.append(Violation(
-                "subadditivity", x=pt[0], y=pt[1], sides=sides, slack=slack,
-                face=witness_face(fn, pt, sides)))
-            if done():
-                break
+    def negative_slacks(self):
+        """(x, y, sides, slack, witness face) with x <= y, every limit cone
+        included when fn is discontinuous."""
+        for pt, sides, slack in scan_vertex_slacks(self.fn)[1]:
+            yield pt[0], pt[1], sides, slack, witness_face(self.fn, pt, sides)
 
+
+class _FiniteModel:
+    """A DiscreteFunction as the shared tests read it, with one value per
+    point and all group pairs scanned once on the values scaled to
+    integers; `mirror_pairs` refuses an f that is not a group point."""
+
+    SIDES = (None,)
+
+    def __init__(self, fn: DiscreteFunction):
+        self.fn = fn
+        self.table = tuple((p, (v,)) for p, v in zip(fn.points, fn.values))
+
+    @cached_property
+    def scaled(self) -> tuple[list[int], int]:
+        V = common_denominator(self.fn.values)
+        return [int(v * V) for v in self.fn.values], V
+
+    @cached_property
+    def scan(self):
+        """(neg, zero, min_pos) of `_scan.scan_discrete`, in units of 1/V."""
+        return _scan.scan_discrete(self.scaled[0], self.fn.q)
+
+    def mirror_pairs(self, f: Fraction):
+        q, points, values = self.fn.q, self.fn.points, self.fn.values
+        fi = f * q
+        if fi.denominator != 1:
+            raise ConstructionError(f"f = {f} is not a point of (1/{q})Z")
+        for a in range(q):
+            yield points[a], (values[a],), (values[(fi.numerator - a) % q],)
+
+    def negative_slacks(self):
+        q, V = self.fn.q, self.scaled[1]
+        for i, j, d in self.scan[0]:
+            yield Fraction(i, q), Fraction(j, q), None, Fraction(d, V), None
+
+
+def _model(fn, infinite=_InfiniteModel, finite=_FiniteModel):
+    """The model of fn's type: the one place the tests look at that type."""
+    if isinstance(fn, PiecewiseFunction):
+        return infinite(fn)
+    if isinstance(fn, DiscreteFunction):
+        return finite(fn)
+    raise ParameterError("expected a PiecewiseFunction or a DiscreteFunction, "
+                         f"got {type(fn).__name__}")
+
+
+def find_f(fn: PiecewiseFunction | DiscreteFunction) -> Fraction:
+    """First point of (0, 1) whose value is 1: a breakpoint, or a point of
+    the finite group."""
+    return _find_f(_model(fn))
+
+
+def _find_f(m) -> Fraction:
+    inner = m.table[1:-1]  # the points of (0, 1)
+    for x, t in inner:
+        if t[0] == 1:
+            return x
+    if any(v == 1 for _, t in inner for v in t[1:]):
+        raise NoCandidateFError(
+            "no value in (0, 1) equals 1 (only a one-sided limit does)")
+    raise NoCandidateFError("no candidate f: no value in (0, 1) equals 1")
+
+
+def _value_violations(m):
+    """pi(0) = 0, then the range [0, 1] of every value and limit."""
+    x0, (v0, *_) = m.table[0]
+    if v0 != 0:
+        yield Violation("value-at-0", x=x0, slack=v0)
+    for x, t in m.table:
+        for side, val in zip(m.SIDES, t):
+            if not 0 <= val <= 1:
+                yield Violation("range", x=x, sides=side,
+                                slack=min(val, 1 - val))
+
+
+def _pair_violations(m, f: Optional[Fraction]):
+    """Symmetry pi(x) + pi(f - x) = 1 when f is known, then
+    subadditivity."""
+    if f is not None:
+        for x, t, tm in m.mirror_pairs(f):
+            for side, a, b in zip(m.SIDES, t, tm):
+                if a + b != 1:
+                    yield Violation("symmetry", x=x, sides=side,
+                                    slack=a + b - 1)
+    for x, y, sides, slack, face in m.negative_slacks():
+        yield Violation("subadditivity", x=x, y=y, sides=sides, slack=slack,
+                        face=face)
+
+
+def _minimality_test(m, f, collect_all: bool) -> MinimalityReport:
+    """The one violation collector: the checks in order, all violations or
+    only the first; f is resolved only when the checks reach it."""
+    take = None if collect_all else 1
+    violations = list(islice(_value_violations(m), take))
+    if violations and not collect_all:
+        return MinimalityReport(False, None, tuple(violations))
+    try:
+        ff = to_rational(f) if f is not None else (
+            m.fn.f if m.fn.f is not None else _find_f(m))
+    except NoCandidateFError:
+        if not violations:
+            raise
+        ff = None
+    if ff is not None and not 0 < ff < 1:
+        raise ConstructionError(f"invalid f = {ff}, must lie in (0, 1)")
+    violations += islice(_pair_violations(m, ff), take)
     return MinimalityReport(not violations, ff, tuple(violations))
+
+
+def minimality_test(fn: PiecewiseFunction | DiscreteFunction, f=None,
+                    collect_all: bool = True) -> MinimalityReport:
+    """Check the four minimality conditions in either model, returning all
+    violations (or only the first, with collect_all=False).
+
+    When f is not given it is taken from the function, falling back to the
+    first point of (0, 1) with value 1; if no candidate exists but
+    violations were already found, the symmetry check is skipped and the
+    (negative) verdict reported without f.
+    """
+    return _minimality_test(_model(fn), f, collect_all)
+
+
+minimality_test_discrete = minimality_test  # the finite model's former name
 
 
 def detect_zero_period(fn: PiecewiseFunction) -> Optional[int]:
@@ -201,72 +267,3 @@ def detect_zero_period(fn: PiecewiseFunction) -> Optional[int]:
                 f"pi({b}) = 0 but pi is not 1/{q}-periodic; "
                 "input cannot be minimal valid")
     return q
-
-
-# -- finite group model -------------------------------------------------------
-
-def find_f_discrete(fn: DiscreteFunction) -> Fraction:
-    for p, v in zip(fn.points, fn.values):
-        if v == 1:
-            return p
-    raise NoCandidateFError("no candidate f: no grid value equals 1")
-
-
-def minimality_test_discrete(fn: DiscreteFunction, f=None,
-                             collect_all: bool = True) -> MinimalityReport:
-    """Minimality for the cyclic group model: pi(0) = 0, range, symmetry
-    pi(a) + pi(f - a) = 1 and subadditivity over all group pairs."""
-    violations: list[Violation] = []
-    q = fn.q
-
-    def done() -> bool:
-        return bool(violations) and not collect_all
-
-    if fn.values[0] != 0:
-        violations.append(Violation("value-at-0", x=ZERO, slack=fn.values[0]))
-
-    if not done():
-        for p, v in zip(fn.points, fn.values):
-            if not (0 <= v <= 1):
-                violations.append(Violation("range", x=p, slack=min(v, 1 - v)))
-                if done():
-                    break
-
-    ff = None
-    if not done():
-        try:
-            ff = to_rational(f) if f is not None else (
-                fn.f if fn.f is not None else find_f_discrete(fn))
-        except NoCandidateFError:
-            if not violations:
-                raise
-        if ff is not None and not (0 < ff < 1):
-            raise ConstructionError(f"invalid f = {ff}, must lie in (0, 1)")
-    if ff is not None:
-        fi = ff * q
-        if fi.denominator != 1:
-            raise ConstructionError(f"f = {ff} is not a point of (1/{q})Z")
-        fi = int(fi) % q
-    if ff is not None and not done():
-        for a in range(q):
-            s = fn.values[a] + fn.values[(fi - a) % q]
-            if s != 1:
-                violations.append(Violation(
-                    "symmetry", x=Fraction(a, q), slack=s - 1))
-                if done():
-                    break
-
-    if not done():
-        from .rational import common_denominator
-
-        V = common_denominator(fn.values)
-        scaled = [int(v * V) for v in fn.values]
-        neg, _, _ = _scan.scan_discrete(scaled, q)
-        for i, j, d in neg:
-            violations.append(Violation(
-                "subadditivity", x=Fraction(i, q), y=Fraction(j, q),
-                slack=Fraction(d, V)))
-            if done():
-                break
-
-    return MinimalityReport(not violations, ff, tuple(violations))

@@ -301,6 +301,14 @@ class TestDiscreteExtremality:
             want.append(tuple(vec))
         assert rep.kernel == tuple(want)
         assert rep.perturbation.values == (ZERO,) + want[0] + (ZERO,)
+        assert rep.epsilon == F(1, 15)
+
+    def test_find_epsilon_refuses_a_perturbation_of_the_other_model(self, drlm):
+        dfn = gc.restrict_to_finite_group(drlm, oversampling=3)
+        rep = gc.extremality_test(dfn)
+        assert gc.find_epsilon(dfn, rep.perturbation) == rep.epsilon
+        with pytest.raises(ParameterError):
+            gc.find_epsilon(drlm, rep.perturbation)
 
 
 class TestOversamplingBridge:

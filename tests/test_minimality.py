@@ -3,7 +3,8 @@ from fractions import Fraction as F
 import pytest
 
 import groupcut as gc
-from groupcut.errors import ConstructionError, NoCandidateFError
+from groupcut.errors import (ConstructionError, NoCandidateFError,
+                             ParameterError)
 
 
 class TestFindF:
@@ -141,3 +142,51 @@ class TestDiscreteMinimality:
         dfn = gc.restrict_to_finite_group(gmic45)
         with pytest.raises(ConstructionError):
             gc.minimality_test_discrete(dfn, f=f)
+
+
+class TestValueOneAtZero:
+    """Value 1 at 0 and no other 1: 0 is no candidate for f, so both models
+    report the value-at-0 violation instead of refusing f = 0."""
+
+    MAKERS = [gc.from_breakpoints_and_values, gc.discrete_from_points_and_values]
+
+    @pytest.mark.parametrize("make", MAKERS)
+    @pytest.mark.parametrize("collect_all", [True, False])
+    def test_reported_as_violation(self, make, collect_all):
+        fn = make([0, F(1, 2), 1], [1, 0, 1])
+        rep = gc.minimality_test(fn, collect_all=collect_all)
+        assert not rep.is_minimal and rep.f_used is None
+        kinds = [v.kind for v in rep.violations]
+        assert kinds[0] == "value-at-0" and kinds.count("value-at-0") == 1
+        assert rep.violations[0].slack == 1
+        if not collect_all:
+            assert kinds == ["value-at-0"]
+
+    @pytest.mark.parametrize("make", MAKERS)
+    def test_no_candidate_f(self, make):
+        fn = make([0, F(1, 2), 1], [1, 0, 1])
+        with pytest.raises(NoCandidateFError, match="no candidate f"):
+            gc.find_f(fn)
+        rep = gc.extremality_test(fn)
+        assert not rep.is_minimal and rep.notes == ("not minimal valid",)
+
+
+class TestEitherModel:
+    @pytest.mark.parametrize("bad", [3, "gmic", None, [0, 1]])
+    def test_other_arguments_refused(self, bad):
+        for test in (gc.minimality_test, gc.minimality_test_discrete,
+                     gc.extremality_test, gc.extremality_test_discrete,
+                     gc.find_f):
+            with pytest.raises(ParameterError):
+                test(bad)
+
+    def test_second_names_agree(self, gmic45):
+        d = gc.restrict_to_finite_group(gmic45, oversampling=3)
+        assert gc.minimality_test(d) == gc.minimality_test_discrete(d)
+        assert gc.minimality_test(d, collect_all=False) == \
+            gc.minimality_test_discrete(d, collect_all=False)
+        assert gc.extremality_test(d) == gc.extremality_test_discrete(d)
+        assert gc.extremality_test(d).is_extreme
+        # the former finite-model names take the infinite model too
+        assert gc.minimality_test_discrete(gmic45) == gc.minimality_test(gmic45)
+        assert gc.find_f(d) == F(4, 5)
