@@ -73,42 +73,32 @@ def delta_num_den(b, vals, rights, lefts, V, px, sx, py, sy, ss):
     return nx * dy * ds + ny * dx * ds - ns * dx * dy, dx * dy * ds
 
 
-def scan_slacks(b, vals, rights, lefts, V, xs, ys, with_limits):
-    """Classify slack signs at all query points.
+def scan_slacks(b, vals, rights, lefts, V, points, cones):
+    """Classify slack signs at the query points (x, y), approached per each
+    side triple of cones (SIDE_TRIPLES, or its first entry for the value).
 
     Returns (neg, zero, min_pos, max_abs) where neg collects
-    (k, sx, sy, ss, num, den) with negative slack, zero collects
-    (k, sx, sy, ss) with zero slack, min_pos is the smallest positive slack
+    (x, y, sides, num, den) with negative slack, zero collects
+    (x, y, sides) with zero slack, min_pos is the smallest positive slack
     as (num, den) (den == 0 when none was seen) and max_abs the largest
     absolute slack as (num, den).
     """
     neg = []
     zero = []
-    mp_num = 0
-    mp_den = 0
-    ma_num = 0
+    mp_num = mp_den = ma_num = 0
     ma_den = 1
-    triples = SIDE_TRIPLES if with_limits else SIDE_TRIPLES[:1]
-    n = len(xs)
-    for k in range(n):
-        px = xs[k]
-        py = ys[k]
-        for sx, sy, ss in triples:
-            num, den = delta_num_den(b, vals, rights, lefts, V, px, sx, py, sy, ss)
+    for px, py in points:
+        for sides in cones:
+            num, den = delta_num_den(b, vals, rights, lefts, V,
+                                     px, sides[0], py, sides[1], sides[2])
             if num < 0:
-                neg.append((k, sx, sy, ss, num, den))
-                a = -num
+                neg.append((px, py, sides, num, den))
             elif num == 0:
-                zero.append((k, sx, sy, ss))
-                a = 0
-            else:
-                if mp_den == 0 or num * mp_den < mp_num * den:
-                    mp_num = num
-                    mp_den = den
-                a = num
-            if a * ma_den > ma_num * den:
-                ma_num = a
-                ma_den = den
+                zero.append((px, py, sides))
+            elif mp_den == 0 or num * mp_den < mp_num * den:
+                mp_num, mp_den = num, den
+            if abs(num) * ma_den > ma_num * den:
+                ma_num, ma_den = abs(num), den
     return neg, zero, (mp_num, mp_den), (ma_num, ma_den)
 
 

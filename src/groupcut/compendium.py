@@ -16,6 +16,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
+from inspect import signature
 from typing import Callable, Optional
 
 from .errors import ParameterError, UnsourcedEntryError
@@ -137,6 +138,12 @@ class CompendiumEntry:
         if not self.sourced or self.builder is None:
             raise UnsourcedEntryError(
                 f"unsourced entry {self.name!r}: data not shipped; see {self.citation}")
+        accepted = signature(self.builder).parameters
+        unknown = sorted(set(kwargs) - set(accepted))
+        if unknown:
+            raise ParameterError(
+                f"{self.name} takes no parameter {', '.join(unknown)}; "
+                f"accepted: {', '.join(accepted) or 'none'}")
         return self.builder(**kwargs)
 
 

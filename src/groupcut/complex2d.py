@@ -7,13 +7,23 @@ breakpoint intervals of pi (K shifted into [0, 2]).  This module builds
 faces, enumerates the complex, computes directional limits of the slack,
 enumerates additive faces, and the merit index.
 
+The slack at the vertices of the complex, every limit cone included when
+the function is discontinuous, is scanned once per function:
+vertex_slacks(fn) is an integer record on the grid of fn.scaled_tables(),
+over the vertices with x <= y (the slack is symmetric), cached on fn next
+to those tables.  It holds the vertices, the negative cones with their
+slacks, the tight cones and the smallest positive slack.  Minimality, the
+subadditivity refusal of face enumeration, the limit test of the
+enumerator, the rows of the extremality system and the epsilon bounds all
+read it; scan_vertex_slacks is its Fraction view.
+
 Additive faces come from one enumerator, generate_additive_faces, for
 continuous and discontinuous functions alike: it applies the limit
-criterion (the slack vanishes in the limit from the face's interior) on
-the integer grid of fn.scaled_tables() and converts to Fraction faces only
-for the faces it returns.  faces_of_complex and face_from_triple build the
-same complex in Fractions; they serve callers and brute-force checks that
-need every face.
+criterion (the slack vanishes in the limit from the face's interior) as a
+lookup in the tight cones of the record and converts to Fraction faces
+only for the faces it returns.  faces_of_complex and face_from_triple
+build the same complex in Fractions; they serve callers and brute-force
+checks that need every face.
 """
 
 from __future__ import annotations
@@ -23,7 +33,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import islice
-from math import lcm
 from typing import Iterable, Optional, Sequence
 
 from . import _scan
@@ -223,79 +232,111 @@ def delta_pi_limit(fn: PiecewiseFunction, face: Face, v) -> Fraction:
 def enumerate_complex_vertices(fn: PiecewiseFunction,
                                upper_triangle_only: bool = False) -> list[Point]:
     """All vertices of the complex in [0,1]^2: pairwise intersections of the
-    grid lines x = x_i, y = x_j, x + y = x_k (+1), sorted and deduplicated.
-    With upper_triangle_only, restrict to x <= y."""
-    b, _, _, _, D, _ = fn.scaled_tables()
-    pts = _scan.complex_vertices(b)
-    out = [(Fraction(px, D), Fraction(py, D)) for px, py in pts]
-    if upper_triangle_only:
-        out = [p for p in out if p[0] <= p[1]]
-    return out
+    grid lines x = x_i, y = x_j, x + y = x_k (+1), sorted and deduplicated,
+    as fn's vertex slack record lists them.  With upper_triangle_only,
+    restrict to x <= y."""
+    return scan_vertex_slacks(fn, upper_triangle_only)[0]
 
 
-def scan_vertex_slacks(fn: PiecewiseFunction, upper_triangle: bool = True,
-                       with_limits: Optional[bool] = None):
-    """Kernel scan of the slack at every complex vertex (value plus, for
-    discontinuous functions, every limit cone).
+@dataclass(frozen=True)
+class VertexSlacks:
+    """The slack of a function at its complex vertices (x, y) with x <= y,
+    on the integer grid of fn.scaled_tables(): x and y are integers over D
+    and each slack is an integer pair (num, den).  Every limit cone is
+    scanned when the function is discontinuous, the value alone otherwise.
 
-    Returns (points, neg, zero, min_pos, max_abs): points is the scanned
-    vertex list; neg has entries (point, sides, slack) with negative slack;
-    zero has (point, sides); min_pos is the smallest positive slack seen
-    (None when none) and max_abs the largest absolute slack.
+    points   the scanned vertices, sorted
+    neg      (x, y, sides, num, den) for each cone with negative slack
+    tight    the cones (x, y, sides) with zero slack, in scan order (a dict
+             used as an ordered set)
+    min_pos  the smallest positive slack, None when there is none
+    max_abs  the largest absolute slack
     """
-    if with_limits is None:
-        with_limits = not fn.is_continuous
-    b, vals, rights, lefts, D, V = fn.scaled_tables()
-    raw = _scan.complex_vertices(b)
-    if upper_triangle:
-        raw = [p for p in raw if p[0] <= p[1]]
-    xs = [p[0] for p in raw]
-    ys = [p[1] for p in raw]
-    neg, zero, mp, ma = _scan.scan_slacks(
-        b, vals, rights, lefts, V, xs, ys, with_limits)
-    points = [(Fraction(px, D), Fraction(py, D)) for px, py in raw]
-    neg_out = [(points[k], (sx, sy, ss), Fraction(num, den))
-               for k, sx, sy, ss, num, den in neg]
-    zero_out = [(points[k], (sx, sy, ss)) for k, sx, sy, ss in zero]
-    min_pos = Fraction(mp[0], mp[1]) if mp[1] else None
-    max_abs = Fraction(ma[0], ma[1])
-    return points, neg_out, zero_out, min_pos, max_abs
+
+    D: int
+    points: list
+    neg: list
+    tight: dict
+    min_pos: Optional[Fraction]
+    max_abs: Fraction
+
+    def is_tight(self, x: int, y: int, sides) -> bool:
+        """Zero slack at (x, y) approached per sides; the slack is
+        symmetric, so x > y reads the mirror cone (y, x, (sy, sx, ss))."""
+        if x > y:
+            x, y, sides = y, x, (sides[1], sides[0], sides[2])
+        return (x, y, sides) in self.tight
 
 
-def max_abs_slack(fn: PiecewiseFunction, points: Sequence[Point]) -> Fraction:
-    """Largest absolute slack of fn, every limit cone included, at points
-    taken from another function's vertex set (to bound a perturbation)."""
-    extra = 1
-    for x, y in points:
-        extra = lcm(extra, x.denominator, y.denominator)
-    b, vals, rights, lefts, D, V = fn.scaled_tables(extra_denominator=extra)
-    xs = [int(x * D) for x, _ in points]
-    ys = [int(y * D) for _, y in points]
-    num, den = _scan.scan_slacks(b, vals, rights, lefts, V, xs, ys, True)[3]
-    return Fraction(num, den)
+def vertex_slacks(fn: PiecewiseFunction) -> VertexSlacks:
+    """The one slack scan of fn, cached on fn next to its scaled tables:
+    minimality, face enumeration (its subadditivity refusal and its limit
+    test), the system rows and the epsilon bounds all read it."""
+    rec = fn._cache.get("vertex_slacks")
+    if rec is None:
+        b, vals, rights, lefts, D, V = fn.scaled_tables()
+        points = [p for p in _scan.complex_vertices(b) if p[0] <= p[1]]
+        # a continuous function has every limit equal to the value
+        cones = _scan.SIDE_TRIPLES[:1 if fn.is_continuous else None]
+        neg, zero, mp, ma = _scan.scan_slacks(b, vals, rights, lefts, V,
+                                              points, cones)
+        rec = fn._cache["vertex_slacks"] = VertexSlacks(
+            D, points, neg, dict.fromkeys(zero),
+            Fraction(*mp) if mp[1] else None, Fraction(*ma))
+    return rec
 
 
-def _cells(fn: PiecewiseFunction) -> list[Interval]:
-    b = fn.breakpoints
-    return [(b[i], b[i + 1]) for i in range(len(b) - 1)]
+def scan_vertex_slacks(fn: PiecewiseFunction, upper_triangle: bool = True):
+    """Fraction view of vertex_slacks(fn): the slack at every complex
+    vertex (value plus, for discontinuous functions, every limit cone),
+    over x <= y or, without upper_triangle, the whole square with the
+    mirror cones read off the same record.
+
+    Returns (points, neg, zero, min_pos, max_abs): points is the vertex
+    list; neg has entries (point, sides, slack) with negative slack, zero
+    has (point, sides), both in the order of points and then of
+    _scan.SIDE_TRIPLES; min_pos is the smallest positive slack (None when
+    none) and max_abs the largest absolute slack.
+    """
+    rec = vertex_slacks(fn)
+    points, neg, zero = rec.points, rec.neg, list(rec.tight)
+    if not upper_triangle:
+        def full(entries):
+            entries = entries + [(y, x, (s[1], s[0], s[2]), *rest)
+                                 for x, y, s, *rest in entries if x < y]
+            return sorted(entries, key=lambda e: (
+                e[0], e[1], _scan.SIDE_TRIPLES.index(e[2])))
+        points = sorted(points + [(y, x) for x, y in points if x < y])
+        neg, zero = full(neg), full(zero)
+
+    def pt(x, y):
+        return Fraction(x, rec.D), Fraction(y, rec.D)
+
+    return ([pt(*p) for p in points],
+            [(pt(x, y), s, Fraction(num, den)) for x, y, s, num, den in neg],
+            [(pt(x, y), s) for x, y, s in zero], rec.min_pos, rec.max_abs)
 
 
-def _ext_cells(fn: PiecewiseFunction) -> list[Interval]:
-    cells = _cells(fn)
-    return cells + [(lo + 1, hi + 1) for lo, hi in cells]
-
-
-def _ext_points(fn: PiecewiseFunction) -> list[Interval]:
-    b = list(fn.breakpoints) + [x + 1 for x in fn.breakpoints[1:]]
-    return [(x, x) for x in b]
+def max_abs_slack(fn: PiecewiseFunction, points: Sequence[tuple[int, int]],
+                  D: int) -> Fraction:
+    """Largest absolute slack of fn, every limit cone included, at the
+    points (x, y) / D of another function's vertex record (to bound a
+    perturbation)."""
+    b, vals, rights, lefts, E, V = fn.scaled_tables(extra_denominator=D)
+    m = E // D
+    return Fraction(*_scan.scan_slacks(b, vals, rights, lefts, V,
+                                       [(x * m, y * m) for x, y in points],
+                                       _scan.SIDE_TRIPLES)[3])
 
 
 def faces_of_complex(fn: PiecewiseFunction, dims: Iterable[int] = (0, 1, 2)) -> list[Face]:
     """All distinct faces of the complex (deduplicated across the many
     (I, J, K) representations), lexicographically ordered by projections."""
     dims = set(dims)
-    pieces = _cells(fn) + _points(fn)
-    kpieces = _ext_cells(fn) + _ext_points(fn)
+    b = fn.breakpoints
+    ext = b + tuple(x + 1 for x in b[1:])
+    pieces = list(zip(b, b[1:])) + [(x, x) for x in b]
+    kpieces = list(zip(ext, ext[1:])) + [(x, x) for x in ext]
     seen: dict = {}
     for I in pieces:
         for J in pieces:
@@ -308,10 +349,6 @@ def faces_of_complex(fn: PiecewiseFunction, dims: Iterable[int] = (0, 1, 2)) -> 
                     continue
                 seen.setdefault(face.key(), face)
     return [seen[k] for k in sorted(seen)]
-
-
-def _points(fn: PiecewiseFunction) -> list[Interval]:
-    return [(x, x) for x in fn.breakpoints]
 
 
 @dataclass(frozen=True)
@@ -332,13 +369,17 @@ class AdditiveFaceSet:
         return len(self.faces)
 
 
-def _require_subadditive(fn: PiecewiseFunction):
-    _, neg, _, _, _ = scan_vertex_slacks(fn, upper_triangle=True)
-    if neg:
-        (pt, sides, slack) = neg[0]
+def _require_subadditive(fn: PiecewiseFunction) -> VertexSlacks:
+    """vertex_slacks(fn), refused with NotSubadditiveError when a slack is
+    negative."""
+    rec = vertex_slacks(fn)
+    if rec.neg:
+        x, y, sides, num, den = rec.neg[0]
+        pt = (Fraction(x, rec.D), Fraction(y, rec.D))
         raise NotSubadditiveError(
-            f"slack {slack} < 0 at {pt} (sides {sides}); "
+            f"slack {Fraction(num, den)} < 0 at {pt} (sides {sides}); "
             "additive-face enumeration requires subadditivity")
+    return rec
 
 
 def _grid_faces(b: Sequence[int], two_dim: bool):
@@ -387,21 +428,12 @@ def _grid_additive_faces(fn: PiecewiseFunction) -> tuple[int, dict]:
     candidate 2-faces and its additive superfaces.  Only additive faces are
     kept.
     """
-    _require_subadditive(fn)
-    b, vals, rights, lefts, D, V = fn.scaled_tables()
+    rec = _require_subadditive(fn)
+    b = fn.scaled_tables()[0]
     continuous = fn.is_continuous
-    zero_memo: dict = {}
 
     def zero(v, sides) -> bool:
-        if continuous:
-            sides = (0, 0, 0)
-        z = zero_memo.get((v, sides))
-        if z is None:
-            num, _ = _scan.delta_num_den(b, vals, rights, lefts, V,
-                                         v[0], sides[0], v[1], sides[1],
-                                         sides[2])
-            z = zero_memo[(v, sides)] = num == 0
-        return z
+        return rec.is_tight(v[0], v[1], (0, 0, 0) if continuous else sides)
 
     def zero_from(key, v) -> bool:
         """Limit slack at v approached from the interior of face key."""
@@ -434,7 +466,7 @@ def _grid_additive_faces(fn: PiecewiseFunction) -> tuple[int, dict]:
     for key, verts in vertices:
         additive[key] = (verts, verts[0] not in in_larger)
 
-    return D, additive
+    return rec.D, additive
 
 
 def _fraction_face_set(D: int, additive: dict) -> AdditiveFaceSet:

@@ -23,7 +23,7 @@ from fractions import Fraction
 from functools import cache, partial
 from typing import Optional
 
-from .complex2d import max_abs_slack, scan_vertex_slacks
+from .complex2d import max_abs_slack, vertex_slacks
 from .covering import CoveredComponentSet, generate_covered_components
 from .errors import (ConstructionError, InternalConsistencyError,
                      ParameterError)
@@ -183,8 +183,9 @@ def _g_limit(sym: SymbolicPerturbation, t: Fraction, side: int) -> Vector:
 
 def build_equation_system(fn: PiecewiseFunction, sym: SymbolicPerturbation,
                           f: Fraction) -> EquationSystem:
-    """Normalization rows plus one row per tight (limit) slack at the
-    complex vertices; duplicates are removed keeping the first provenance."""
+    """Normalization rows plus one row per tight cone of fn's vertex slack
+    record, in its scan order; duplicates are removed keeping the first
+    provenance."""
     rows: dict[Vector, str] = {}
 
     def put(vec: Vector, why: str):
@@ -194,12 +195,11 @@ def build_equation_system(fn: PiecewiseFunction, sym: SymbolicPerturbation,
     put(sym.value(f), f"normalization pi~({f}) = 0")
     put(sym.value(1), "normalization pi~(1) = 0")
 
-    _, _, zeros, _, _ = scan_vertex_slacks(
-        fn, upper_triangle=True, with_limits=not fn.is_continuous)
+    rec = vertex_slacks(fn)
     side_sym = {0: "", 1: "+", -1: "-"}
     g_limit = cache(partial(_g_limit, sym))  # points recur across cones
-    for (pt, (sx, sy, ss)) in zeros:
-        x, y = pt
+    for x, y, (sx, sy, ss) in rec.tight:
+        x, y = Fraction(x, rec.D), Fraction(y, rec.D)
         row = tuple(
             a + b - c
             for a, b, c in zip(g_limit(x, sx), g_limit(y, sy),
@@ -247,11 +247,11 @@ class _InfiniteExtremality(_InfiniteModel):
 
     def slack_bounds(self, p: _InfiniteModel):
         """(fn has a negative slack, smallest positive slack of fn or None,
-        largest absolute slack of p.fn) at fn's complex vertices, every
-        limit cone included."""
-        points, neg, _, min_pos, _ = scan_vertex_slacks(
-            self.fn, upper_triangle=True, with_limits=True)
-        return bool(neg), min_pos, max_abs_slack(p.fn, points)
+        largest absolute slack of p.fn) at fn's complex vertices: fn's from
+        its vertex slack record, p.fn's over every limit cone."""
+        rec = vertex_slacks(self.fn)
+        return bool(rec.neg), rec.min_pos, max_abs_slack(p.fn, rec.points,
+                                                         rec.D)
 
     def plus(self, c: Fraction, p: _InfiniteModel, f) -> _InfiniteExtremality:
         return _InfiniteExtremality(linear_combination(1, self.fn, c, p.fn, f=f))

@@ -44,6 +44,9 @@ def function_to_dict(fn: FunctionLike) -> dict:
 
 
 def function_from_dict(data: dict) -> FunctionLike:
+    if not isinstance(data, dict):
+        raise ConstructionError(
+            f"a function document is a JSON object, got {type(data).__name__}")
     kind = data.get("kind")
     f = parse_rational(data["f"]) if data.get("f") else None
     if kind == "piecewise":

@@ -8,7 +8,9 @@ limits), symmetry on the breakpoints together with their mirror images
 (again with limits), and subadditivity at the vertices of the additivity
 complex, including every limit cone when the function is discontinuous.
 Subadditivity scanning is restricted to the triangle x <= y; the slack is
-symmetric in its arguments, so nothing is lost.  A function on the finite
+symmetric in its arguments, so nothing is lost.  The scan is the
+function's vertex slack record (complex2d.vertex_slacks), which the later
+phases of an extremality verdict read again.  A function on the finite
 cyclic group (1/q)Z runs the same checks on its value table, with
 subadditivity over all group pairs.
 """
@@ -24,7 +26,7 @@ from math import lcm
 from typing import Optional
 
 from . import _scan
-from .complex2d import Face, grid_face, scan_vertex_slacks
+from .complex2d import Face, grid_face, vertex_slacks
 from .errors import ConstructionError, NoCandidateFError, ParameterError
 from .pwl import DiscreteFunction, PiecewiseFunction, _reduce_mod_one
 from .rational import common_denominator, to_rational
@@ -80,16 +82,17 @@ def witness_face(fn: PiecewiseFunction, v, sides) -> Face:
     """
     x, y = to_rational(v[0]), to_rational(v[1])
     b, _, _, _, D, _ = fn.scaled_tables(lcm(x.denominator, y.denominator))
-    x, y = int(x * D), int(y * D)
+    return _grid_witness_face(b, D, int(x * D), int(y * D), sides)
+
+
+def _grid_witness_face(b: list[int], D: int, x: int, y: int, sides) -> Face:
+    """witness_face at the point (x, y) / D of the breakpoint grid b / D."""
     sx, sy, ss = sides
-    if sx > 0 and x == D:
-        x = 0
-    if sx < 0 and x == 0:
-        x = D
-    if sy > 0 and y == D:
-        y = 0
-    if sy < 0 and y == 0:
-        y = D
+    # a cone leaving the square at 1 (at 0) is the cone at 0 (at 1)
+    if sx and x == (D if sx > 0 else 0):
+        x = D - x
+    if sy and y == (D if sy > 0 else 0):
+        y = D - y
     ext = b + [t + D for t in b[1:]]
     return grid_face(_interval_for(b, x, sx), _interval_for(b, y, sy),
                      _interval_for(ext, x + y, ss), D)
@@ -99,8 +102,8 @@ class _InfiniteModel:
     """A PiecewiseFunction as the shared tests read it: `table` holds the
     (x, limits) pairs at the breakpoints, the limits in the order of SIDES;
     `mirror_pairs(f)` gives the limits at x and at f - x, the mirror's in
-    the order they pair with; `negative_slacks()` scans the slacks at the
-    complex vertices."""
+    the order they pair with; `negative_slacks()` reads the negative cones
+    of the vertex slack record."""
 
     SIDES = SIDE_NAMES
 
@@ -119,9 +122,12 @@ class _InfiniteModel:
 
     def negative_slacks(self):
         """(x, y, sides, slack, witness face) with x <= y, every limit cone
-        included when fn is discontinuous."""
-        for pt, sides, slack in scan_vertex_slacks(self.fn)[1]:
-            yield pt[0], pt[1], sides, slack, witness_face(self.fn, pt, sides)
+        included when fn is discontinuous, from the vertex slack record."""
+        rec, b = vertex_slacks(self.fn), self.fn.scaled_tables()[0]
+        for x, y, sides, num, den in rec.neg:
+            yield (Fraction(x, rec.D), Fraction(y, rec.D), sides,
+                   Fraction(num, den),
+                   _grid_witness_face(b, rec.D, x, y, sides))
 
 
 class _FiniteModel:

@@ -133,6 +133,23 @@ class TestDataVerbs:
                            "--param", "lam=1/3", "--x", "3/5")
         assert code == 0 and out.strip() == "1"
 
+    def test_unknown_param_is_refused(self, capsys):
+        code, out, err = run(capsys, "extremality", "gmic",
+                             "--param", "bogus=1/2")
+        assert code == 2 and not out
+        assert "bogus" in err and "accepted: f, conditioncheck" in err
+        # accepted by the builders without being listed as a parameter
+        code, _, _ = run(capsys, "extremality", "gmic",
+                         "--param", "conditioncheck=true")
+        assert code == 0
+
+    def test_function_file_must_be_an_object(self, capsys, tmp_path):
+        path = tmp_path / "list.json"
+        path.write_text("[1, 2]")
+        code, out, err = run(capsys, "extremality", str(path))
+        assert code == 2 and not out
+        assert "JSON object" in err
+
 
 class TestPlotVerb:
     def test_plot_writes_svg(self, capsys, tmp_path):

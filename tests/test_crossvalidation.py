@@ -107,15 +107,19 @@ def test_three_way_maximal_face_agreement_on_finer_grids():
 
 
 def test_additive_faces_match_limit_oracle_on_discontinuous_functions():
-    # every additive face with its maximal flag, non-maximal faces included
+    # every additive face with its maximal flag, non-maximal faces included;
+    # continuous inputs too, whose slack record holds only the value cone
     from conftest import oracle_additive_faces, random_minimal_functions
 
-    fns = [gc.multiplicative_homomorphism(gc.hildebrand_discont_3_slope_1(), 2)]
+    hom = gc.multiplicative_homomorphism
+    fns = [hom(gc.hildebrand_discont_3_slope_1(), 2), hom(gc.gj_2_slope(), 2)]
     for grid in (4, 5):
         minimal = random_minimal_functions(20, xgrid=grid, ygrid=grid,
                                            proba=F(1, 2))
         fns += [fn for fn in minimal if not fn.is_continuous][:5]
-    assert len(fns) == 11
+    fns += random_minimal_functions(4, xgrid=5, ygrid=5, proba=1)
+    assert len(fns) == 16
+    assert sum(fn.is_continuous for fn in fns) == 5
     for fn in fns:
         got = gc.generate_additive_faces(fn)
         assert [(f.key(), m) for f, m in zip(got.faces, got.maximal)] == \

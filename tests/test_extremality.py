@@ -329,3 +329,36 @@ class TestOversamplingBridge:
         # continuous member of the pair
         dfn = gc.restrict_to_finite_group(gmic45)
         assert gc.extremality_test_discrete(dfn).is_extreme
+
+
+def test_one_vertex_scan_per_verdict(monkeypatch):
+    # minimality, the subadditivity refusal, face enumeration and the
+    # system rows all read the function's one vertex slack record: one
+    # kernel scan per verdict and no slack evaluated outside it
+    from groupcut import _scan
+
+    scan, delta = _scan.scan_slacks, _scan.delta_num_den
+    calls = {"scan": 0, "outside": 0}
+    inside = []
+
+    def counting_scan(*args):
+        calls["scan"] += 1
+        inside.append(True)
+        try:
+            return scan(*args)
+        finally:
+            inside.pop()
+
+    def counting_delta(*args):
+        if not inside:
+            calls["outside"] += 1
+        return delta(*args)
+
+    monkeypatch.setattr(_scan, "scan_slacks", counting_scan)
+    monkeypatch.setattr(_scan, "delta_num_den", counting_delta)
+    hom = gc.multiplicative_homomorphism
+    for fn in (hom(gc.hildebrand_discont_3_slope_1(), 2),
+               hom(gc.gj_2_slope(), 2)):
+        calls.update(scan=0, outside=0)
+        assert gc.extremality_test(fn).is_extreme
+        assert calls == {"scan": 1, "outside": 0}

@@ -40,6 +40,10 @@ class TestFunctionFormat:
         with pytest.raises(ConstructionError):
             function_from_dict({"kind": "spline"})
 
+    def test_document_must_be_an_object(self):
+        with pytest.raises(ConstructionError):
+            loads_function("[1, 2]")
+
     def test_file_round_trip(self, tmp_path, hildebrand):
         from groupcut.jsonio import load_function, save_function
 
