@@ -1,12 +1,17 @@
 """Exact Gauss-Jordan elimination on integer rows.
 
-Rows are scaled once to primitive integer rows {column: nonzero int} and
-zero rows are dropped.  A step clears the pivot column of a row with
-a*row - b*pivot_row and divides out the content (gcd of the entries).
-Columns go left to right; the pivot is the first remaining row, in input
-order, with a nonzero entry.  The reduced row echelon form is unique, so
-each pivot row ends as a primitive multiple of its reduced row; Fractions
-are built only for the results.
+The elimination takes sparse integer rows ((column, coefficient), ...), the
+row format of both extremality systems; integer_kernel_basis is its entry
+for them.  The Fraction entries rref, matrix_rank and kernel_basis check
+the row lengths and scale each row to integers first.
+
+Each row is divided once by its content (the gcd of its entries), so a row
+and any positive multiple of it reduce alike, and zero rows are dropped.  A
+step clears the pivot column of a row with a*row - b*pivot_row and divides
+out the content again.  Columns go left to right; the pivot is the first
+remaining row, in input order, with a nonzero entry.  The reduced row
+echelon form is unique, so each pivot row ends as a primitive multiple of
+its reduced row; Fractions are built only for the results.
 """
 
 from __future__ import annotations
@@ -28,17 +33,13 @@ def _clear(row: dict, p: dict, c: int) -> dict:
     return {j: x // g for j, x in new.items()} if g > 1 else new
 
 
-def _reduce(rows: Sequence[Sequence[Fraction]], ncols: int):
-    """Primitive integer reduced rows and their pivot columns."""
+def _reduce(rows, ncols: int):
+    """Primitive integer reduced rows and their pivot columns, from sparse
+    integer rows ((column, coefficient), ...) over columns 0..ncols-1."""
     rest, done, pivots = [], [], []
     for row in rows:
-        if len(row) != ncols:
-            raise ParameterError(f"row of length {len(row)}, expected {ncols}")
-        nz = {j: e for j, e in enumerate(row) if e}
-        den = lcm(*(e.denominator for e in nz.values()))
-        ints = {j: e.numerator * (den // e.denominator) for j, e in nz.items()}
-        if g := gcd(*ints.values()):
-            rest.append({j: x // g for j, x in ints.items()})
+        if g := gcd(*(v for _, v in row)):
+            rest.append({j: v // g for j, v in row})
     for c in range(ncols):
         k = next((i for i, row in enumerate(rest) if c in row), None)
         if k is None:
@@ -50,22 +51,37 @@ def _reduce(rows: Sequence[Sequence[Fraction]], ncols: int):
     return done, pivots
 
 
+def _integer_rows(rows: Sequence[Sequence[Fraction]], ncols: int):
+    """Each Fraction row as a sparse integer multiple of itself."""
+    for row in rows:
+        if len(row) != ncols:
+            raise ParameterError(f"row of length {len(row)}, expected {ncols}")
+        den = lcm(*(e.denominator for e in row))
+        yield [(j, e.numerator * (den // e.denominator))
+               for j, e in enumerate(row) if e]
+
+
 def rref(rows: Sequence[Sequence[Fraction]]):
     """Reduced row echelon form.  Returns (reduced rows, pivot columns)."""
     if not rows:
         return [], []
-    reduced, pivots = _reduce(rows, len(rows[0]))
+    reduced, pivots = _reduce(_integer_rows(rows, len(rows[0])), len(rows[0]))
     return [[Fraction(row.get(j, 0), row[c]) for j in range(len(rows[0]))]
             for row, c in zip(reduced, pivots)], pivots
 
 
 def matrix_rank(rows: Sequence[Sequence[Fraction]]) -> int:
-    return len(_reduce(rows, len(rows[0]))[1]) if rows else 0
+    return len(rref(rows)[1])
 
 
 def kernel_basis(rows: Sequence[Sequence[Fraction]], ncols: int) -> list[tuple[Fraction, ...]]:
     """Basis of {v : rows . v = 0}: per free column, the primitive integer
     vector that is positive there and zero in the other free columns."""
+    return integer_kernel_basis(_integer_rows(rows, ncols), ncols)
+
+
+def integer_kernel_basis(rows, ncols: int) -> list[tuple[Fraction, ...]]:
+    """kernel_basis of sparse integer rows ((column, coefficient), ...)."""
     reduced, pivots = _reduce(rows, ncols)
     basis = []
     for fc in sorted(set(range(ncols)) - set(pivots)):

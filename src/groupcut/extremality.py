@@ -13,6 +13,15 @@ trivial exactly when the function is extreme.  Uncovered intervals mean
 non-extreme immediately; the equivariant perturbation witnessing that case
 is not constructed here.  In the finite cyclic group model the unknowns
 are the interior values of a perturbation; the rest of the test is shared.
+
+Both systems are held in one row format, the sparse integer row
+((column, coefficient), ...).  On the grid 1/D of g (the breakpoints and
+the component endpoints), D*g is an integer vector at every grid point: a
+slope entry is a grid length, a jump entry is D.  Each tight cone of the
+function's vertex slack record gives D times its relation, summed from
+these vectors; the finite rows are integer already.  The elimination takes
+the integer rows as they are; EquationSystem.rows, SymbolicPerturbation's
+limit and value and the perturbation are the Fraction views.
 """
 
 from __future__ import annotations
@@ -20,19 +29,19 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache, partial
+from functools import cached_property, partial
 from typing import Optional
 
 from .complex2d import max_abs_slack, vertex_slacks
 from .covering import CoveredComponentSet, generate_covered_components
 from .errors import (ConstructionError, InternalConsistencyError,
                      ParameterError)
-from .exactlinalg import kernel_basis
+from .exactlinalg import integer_kernel_basis
 from .minimality import (MinimalityReport, _FiniteModel, _InfiniteModel,
                          _minimality_test, _model)
 from .pwl import (DiscreteFunction, PiecewiseFunction, from_breakpoints_and_limits,
                   linear_combination)
-from .rational import to_rational
+from .rational import common_denominator, to_rational
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -50,17 +59,36 @@ class SymbolicPerturbation:
     jump is pi~(x) - pi~(x-), a right jump pi~(x+) - pi~(x)).  g(0) is the
     zero vector and on the i-th component the vector slope of g is the i-th
     unit vector.
+
+    g is held as D*g on the integer grid: the grid points are ticks / D;
+    triples holds the integer vectors D*g (value, right, left) at each grid
+    point and slopes the component of each piece between them.  `limit`
+    and `value` are the Fraction view.
     """
 
     k: int
     m: int
     jump_points: tuple[tuple[Fraction, str], ...]
     grid: tuple[Fraction, ...]
-    vtriples: tuple[tuple[Vector, Vector, Vector], ...]
+    D: int
+    ticks: tuple[int, ...]
+    triples: tuple[tuple[tuple[int, ...], ...], ...]
+    slopes: tuple[int, ...]
 
     @property
     def dim(self) -> int:
         return self.k + self.m
+
+    def scaled(self, t, side: int) -> tuple:
+        """D*g at t / D for t in [0, D], approached from the given side;
+        integer entries when t is an integer."""
+        i = bisect_right(self.ticks, t) - 1
+        v, r, l = self.triples[i]
+        if self.ticks[i] == t:
+            return v if side == 0 else (r if side > 0 else l)
+        out = list(r)
+        out[self.slopes[i]] += t - self.ticks[i]
+        return tuple(out)
 
     def limit(self, x, side: int = 0) -> Vector:
         """g at x in [0, 1], approached from the given side (no periodic
@@ -68,15 +96,7 @@ class SymbolicPerturbation:
         x = to_rational(x)
         if not (0 <= x <= 1):
             raise ConstructionError(f"{x} outside [0, 1]")
-        i = bisect_right(self.grid, x) - 1
-        if self.grid[i] == x:
-            vv, vr, vl = self.vtriples[i]
-            return vv if side == 0 else (vr if side > 0 else vl)
-        u, w = self.grid[i], self.grid[i + 1]
-        start = self.vtriples[i][1]
-        end = self.vtriples[i + 1][2]
-        t = (x - u) / (w - u)
-        return tuple(a + (b - a) * t for a, b in zip(start, end))
+        return tuple(Fraction(a, self.D) for a in self.scaled(x * self.D, side))
 
     def value(self, x) -> Vector:
         return self.limit(x, 0)
@@ -84,14 +104,23 @@ class SymbolicPerturbation:
 
 @dataclass(frozen=True)
 class EquationSystem:
-    """Exact linear system with one provenance string per row."""
+    """Exact linear system with one provenance string per row.  The rows
+    are held as sparse integer rows ((column, coefficient), ...) over one
+    denominator; `rows` is their dense Fraction view, built on first read."""
 
-    rows: tuple[Vector, ...]
+    integer_rows: tuple[tuple[tuple[int, int], ...], ...]
+    denominator: int
     provenance: tuple[str, ...]
     ncols: int
 
+    @cached_property
+    def rows(self) -> tuple[Vector, ...]:
+        return tuple(tuple(Fraction(r[c], self.denominator) if c in r else ZERO
+                           for c in range(self.ncols))
+                     for r in map(dict, self.integer_rows))
+
     def __len__(self):
-        return len(self.rows)
+        return len(self.integer_rows)
 
 
 @dataclass(frozen=True)
@@ -111,18 +140,6 @@ class ExtremalityReport:
         return self.is_extreme
 
 
-def _unit(n: int, i: int) -> Vector:
-    return tuple(ONE if j == i else ZERO for j in range(n))
-
-
-def _vadd(a: Vector, b: Vector) -> Vector:
-    return tuple(x + y for x, y in zip(a, b))
-
-
-def _vscale(a: Vector, s: Fraction) -> Vector:
-    return tuple(x * s for x in a)
-
-
 def generate_symbolic(fn: PiecewiseFunction,
                       components: CoveredComponentSet) -> SymbolicPerturbation:
     """Build g for a function whose covered components exhaust [0, 1]."""
@@ -138,89 +155,91 @@ def generate_symbolic(fn: PiecewiseFunction,
             jumps.append((x, "left"))
         if i < n and r != v:
             jumps.append((x, "right"))
-    m = len(jumps)
-    N = k + m
     jump_col = {pt: k + j for j, pt in enumerate(jumps)}
 
     grid = sorted({x for x in fn.breakpoints}
                   | {e for comp in components.components for iv in comp for e in iv})
     if grid[0] != 0 or grid[-1] != 1:
         raise InternalConsistencyError("component endpoints escape [0, 1]")
+    D = common_denominator(grid)
+    ticks = [int(x * D) for x in grid]
 
-    zero = tuple(ZERO for _ in range(N))
-    vtriples: list[tuple[Vector, Vector, Vector]] = []
-    value = zero
-    right = _vadd(value, _unit(N, jump_col[(ZERO, "right")])) \
-        if (ZERO, "right") in jump_col else value
-    vtriples.append((value, right, value))
-    for i in range(len(grid) - 1):
-        u, w = grid[i], grid[i + 1]
-        mid = (u + w) / 2
-        comp = components.component_of(mid)
-        if comp is None:
-            raise InternalConsistencyError(
-                f"piece ({u}, {w}) not inside any covered component")
-        left = _vadd(vtriples[i][1], _vscale(_unit(N, comp), w - u))
-        value = _vadd(left, _unit(N, jump_col[(w, "left")])) \
-            if (w, "left") in jump_col else left
-        right = _vadd(value, _unit(N, jump_col[(w, "right")])) \
-            if (w, "right") in jump_col else value
-        vtriples.append((value, right, left))
+    # walk the grid: each piece adds its length to its component's column
+    # and each jump adds D to its own column
+    vec, triples, slopes = [0] * (k + len(jumps)), [], []
+    for i, x in enumerate(grid):
+        if i:
+            comp = components.component_of((grid[i - 1] + x) / 2)
+            if comp is None:
+                raise InternalConsistencyError(
+                    f"piece ({grid[i - 1]}, {x}) not inside any covered component")
+            slopes.append(comp)
+            vec[comp] += ticks[i] - ticks[i - 1]
+        left = tuple(vec)
+        if (x, "left") in jump_col:
+            vec[jump_col[x, "left"]] += D
+        value = tuple(vec)
+        if (x, "right") in jump_col:
+            vec[jump_col[x, "right"]] += D
+        triples.append((value, tuple(vec), left))
 
-    return SymbolicPerturbation(k, m, tuple(jumps), tuple(grid), tuple(vtriples))
-
-
-def _g_limit(sym: SymbolicPerturbation, t: Fraction, side: int) -> Vector:
-    """g-limit with sums in [0, 2] folded into the domain interval."""
-    if t > 1:
-        t = t - 1
-    if t == 1 and side > 0:
-        t = ZERO
-    elif t == 0 and side < 0:
-        t = ONE
-    return sym.limit(t, side)
+    return SymbolicPerturbation(k, len(jumps), tuple(jumps), tuple(grid), D,
+                                tuple(ticks), tuple(triples), tuple(slopes))
 
 
 def build_equation_system(fn: PiecewiseFunction, sym: SymbolicPerturbation,
                           f: Fraction) -> EquationSystem:
     """Normalization rows plus one row per tight cone of fn's vertex slack
     record, in its scan order; duplicates are removed keeping the first
-    provenance."""
-    rows: dict[Vector, str] = {}
+    provenance.  Each row is D times the relation over the grid 1/D of g,
+    summed from the integer vectors D*g; the provenance string is built
+    only for the rows kept."""
+    D = sym.D
+    fD = to_rational(f) * D
+    if fD.denominator != 1 or not 0 <= fD <= D:
+        raise ParameterError(f"f = {f} is not on the grid 1/{D} in [0, 1]")
+    rows: dict[tuple[int, ...], str] = {}
+    for t, x in ((0, 0), (int(fD), f), (D, 1)):
+        rows.setdefault(sym.scaled(t, 0), f"normalization pi~({x}) = 0")
 
-    def put(vec: Vector, why: str):
-        rows.setdefault(vec, why)
-
-    put(sym.value(0), "normalization pi~(0) = 0")
-    put(sym.value(f), f"normalization pi~({f}) = 0")
-    put(sym.value(1), "normalization pi~(1) = 0")
+    def g(t: int, side: int):
+        # sums lie in [0, 2D]: fold into [0, D], then 1+ is 0+ and 0- is 1-
+        if t > D:
+            t -= D
+        if t == D and side > 0:
+            t = 0
+        elif t == 0 and side < 0:
+            t = D
+        return sym.scaled(t, side)
 
     rec = vertex_slacks(fn)
+    scale = D // rec.D
     side_sym = {0: "", 1: "+", -1: "-"}
-    g_limit = cache(partial(_g_limit, sym))  # points recur across cones
     for x, y, (sx, sy, ss) in rec.tight:
-        x, y = Fraction(x, rec.D), Fraction(y, rec.D)
-        row = tuple(
-            a + b - c
-            for a, b, c in zip(g_limit(x, sx), g_limit(y, sy),
-                               g_limit(x + y, ss)))
-        put(row, (f"pi~({x}{side_sym[sx]}) + pi~({y}{side_sym[sy]}) "
-                  f"= pi~({x + y}{side_sym[ss]})"))
-
-    items = list(rows.items())
-    return EquationSystem(tuple(r for r, _ in items),
-                          tuple(w for _, w in items), sym.dim)
+        x, y = x * scale, y * scale
+        row = tuple(a + b - c for a, b, c in
+                    zip(g(x, sx), g(y, sy), g(x + y, ss)))
+        if row not in rows:
+            rows[row] = (f"pi~({Fraction(x, D)}{side_sym[sx]}) + "
+                         f"pi~({Fraction(y, D)}{side_sym[sy]}) = "
+                         f"pi~({Fraction(x + y, D)}{side_sym[ss]})")
+    return EquationSystem(
+        tuple(tuple((c, v) for c, v in enumerate(row) if v) for row in rows),
+        D, tuple(rows.values()), sym.dim)
 
 
 def perturbation_from_vector(sym: SymbolicPerturbation, vec: Vector,
                              f=None) -> PiecewiseFunction:
     """Materialize pi~ = g . vec as a periodic piecewise function.  vec must
     satisfy the normalization rows so that pi~(0) = pi~(1) = 0."""
+    if len(vec) != sym.dim:
+        raise ParameterError(
+            f"vector of length {len(vec)}, expected {sym.dim}")
 
-    def dot(v: Vector) -> Fraction:
-        return sum((a * b for a, b in zip(v, vec)), ZERO)
+    def dot(v) -> Fraction:
+        return sum((a * b for a, b in zip(v, vec)), ZERO) / sym.D
 
-    triples = [tuple(dot(part) for part in t) for t in sym.vtriples]
+    triples = [tuple(dot(part) for part in t) for t in sym.triples]
     v0, r0, _ = triples[0]
     v1, _, l1 = triples[-1]
     if v0 != 0 or v1 != 0:
@@ -264,11 +283,10 @@ class _FiniteExtremality(_FiniteModel):
         """The unknowns are the q - 1 interior values of a perturbation; the
         rows are the normalization at f, the symmetry relations and every
         tight additivity, in first-seen order, deduplicated by their sparse
-        integer key ((column, coefficient), ...); the Fraction row and its
-        provenance are built only for the rows kept."""
+        integer key ((column, coefficient), ...), which is the row the
+        system keeps; the provenance is built only for the rows kept."""
         fn = self.fn
         q, f_idx = fn.q, int(f * fn.q) % fn.q
-        ncols = q - 1
         kept: dict[tuple[tuple[int, int], ...], str] = {}
 
         def put(terms, template, *idx):
@@ -287,13 +305,7 @@ class _FiniteExtremality(_FiniteModel):
         for i, j, _ in self.scan[1]:
             put(((i, 1), (j, 1), (i + j, -1)), "pi~({}) + pi~({}) = pi~({})",
                 i, j, (i + j) % q)
-        rows = []
-        for key in kept:
-            row = [ZERO] * ncols
-            for c, v in key:
-                row[c] = Fraction(v)
-            rows.append(tuple(row))
-        system = EquationSystem(tuple(rows), tuple(kept.values()), ncols)
+        system = EquationSystem(tuple(kept), 1, tuple(kept.values()), q - 1)
         return None, system, lambda vec: DiscreteFunction(
             q, fn.points, (ZERO, *vec, ZERO), f)
 
@@ -372,7 +384,7 @@ def extremality_test(fn: PiecewiseFunction | DiscreteFunction,
             False, True, rep, covered, None, None, None, None,
             (f"uncovered intervals: {list(covered.uncovered)}",
              "perturbation unavailable: uncovered case"))
-    basis = kernel_basis(system.rows, system.ncols)
+    basis = integer_kernel_basis(system.integer_rows, system.ncols)
     dim = len(basis)
     if dim == 0:
         return ExtremalityReport(True, True, rep, covered, system, 0, None,

@@ -17,7 +17,11 @@ _RAT_RE = re.compile(r"^([+-]?\d+)(?:/([1-9]\d*))?$")
 
 
 def parse_rational(text: str) -> Fraction:
-    """Parse a 'p' or 'p/q' string.  Decimal notation is rejected."""
+    """Parse a 'p' or 'p/q' string.  Decimal notation and non-strings (a
+    JSON number, say) are rejected."""
+    if not isinstance(text, str):
+        raise ValueError(f"not a rational literal (use a 'p' or 'p/q' "
+                         f"string): {text!r}")
     m = _RAT_RE.match(text.strip())
     if not m:
         raise ValueError(f"not a rational literal (use p or p/q): {text!r}")

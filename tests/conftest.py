@@ -6,7 +6,8 @@ from math import lcm
 import pytest
 
 import groupcut as gc
-from groupcut.complex2d import delta_pi, face_area, faces_of_complex
+from groupcut.complex2d import (delta_pi, face_area, faces_of_complex,
+                                scan_vertex_slacks)
 
 
 @pytest.fixture(scope="session")
@@ -141,6 +142,66 @@ def oracle_kernel_dimension(rows, ncols):
         return ncols
     m = sympy.Matrix([[sympy.Rational(e) for e in row] for row in rows])
     return ncols - m.rank()
+
+
+def oracle_equation_system(fn):
+    """(rows, provenance, ncols) of the extremality system of a minimal fn
+    whose covered components exhaust [0, 1] (any minimal function in the
+    finite model), built in dense Fraction rows and deduplicated by
+    Fraction tuple, independently of the integer row builder.
+
+    Infinite model: the normalizations at 0, f and 1, then g's limits
+    (sym.limit) summed at every tight cone of scan_vertex_slacks(fn), in
+    its order, with sums in [0, 2] folded in two steps: t > 1 becomes
+    t - 1, then 1 approached from the right is 0+ and 0 from the left 1-.
+    Finite model: the normalization at f, the symmetry pairs, then every
+    pair (i, j), i <= j, of zero slack, found by evaluating the values."""
+    f = gc.minimality_test(fn).f_used
+    rows = {}
+    if isinstance(fn, gc.DiscreteFunction):
+        q, fi = fn.q, int(f * fn.q) % fn.q
+        ncols = q - 1
+
+        def put(terms, template, *idx):
+            row = [F(0)] * ncols
+            for i, coeff in terms:
+                if i % q:
+                    row[i % q - 1] += coeff
+            rows.setdefault(tuple(row), template.format(
+                *(F(i % q, q) for i in idx)))
+
+        put(((fi, 1),), "normalization pi~({}) = 0", fi)
+        for a in range(q):
+            put(((a, 1), (fi - a, 1)), "symmetry pi~({}) + pi~({}) = 0",
+                a, fi - a)
+        v = fn.values
+        for i in range(q + 1):
+            for j in range(i, q + 1):
+                if v[i] + v[j] == v[(i + j) % q]:
+                    put(((i, 1), (j, 1), (i + j, -1)),
+                        "pi~({}) + pi~({}) = pi~({})", i, j, i + j)
+        return list(rows), list(rows.values()), ncols
+
+    sym = gc.generate_symbolic(fn, gc.generate_covered_components(fn))
+
+    def g(t, side):
+        if t > 1:
+            t -= 1
+        if t == 1 and side > 0:
+            t = F(0)
+        elif t == 0 and side < 0:
+            t = F(1)
+        return sym.limit(t, side)
+
+    for x in (F(0), f, F(1)):
+        rows.setdefault(sym.value(x), f"normalization pi~({x}) = 0")
+    mark = {0: "", 1: "+", -1: "-"}
+    for (x, y), (sx, sy, ss) in scan_vertex_slacks(fn)[2]:
+        row = tuple(a + b - c for a, b, c in
+                    zip(g(x, sx), g(y, sy), g(x + y, ss)))
+        rows.setdefault(row, f"pi~({x}{mark[sx]}) + pi~({y}{mark[sy]}) "
+                             f"= pi~({x + y}{mark[ss]})")
+    return list(rows), list(rows.values()), sym.dim
 
 
 def random_minimal_functions(count, xgrid=4, ygrid=4, proba=1, start_seed=1,

@@ -150,6 +150,18 @@ class TestDataVerbs:
         assert code == 2 and not out
         assert "JSON object" in err
 
+    def test_json_numbers_in_a_function_file_are_refused(self, capsys,
+                                                         tmp_path):
+        # exit 2 (error), not 1 (not minimal)
+        doc = {"kind": "piecewise", "f": "1/2", "breakpoints": ["0", "1"],
+               "limits": [["0", "0", "0"], ["0", "0", "0"]]}
+        for key, number in (("breakpoints", [0, 1]), ("f", 0.5)):
+            path = tmp_path / f"{key}.json"
+            path.write_text(json.dumps({**doc, key: number}))
+            code, out, err = run(capsys, "minimality", str(path))
+            assert code == 2 and not out
+            assert "not a rational literal" in err
+
 
 class TestPlotVerb:
     def test_plot_writes_svg(self, capsys, tmp_path):

@@ -19,6 +19,13 @@ def test_parse_rejects(bad):
         parse_rational(bad)
 
 
+@pytest.mark.parametrize("bad", [0, 1, 0.5, None, ["1/2"]])
+def test_parse_rejects_non_strings(bad):
+    # a JSON number where a "p/q" string belongs is malformed input
+    with pytest.raises(ValueError, match="not a rational literal"):
+        parse_rational(bad)
+
+
 def test_to_rational_rejects_floats():
     with pytest.raises(TypeError):
         to_rational(0.5)
