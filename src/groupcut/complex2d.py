@@ -18,21 +18,22 @@ enumerator, the rows of the extremality system and the epsilon bounds all
 read it; scan_vertex_slacks is its Fraction view.
 
 Additive faces come from one enumerator, generate_additive_faces, for
-continuous and discontinuous functions alike: it applies the limit
+continuous and discontinuous functions alike.  It applies the limit
 criterion (the slack vanishes in the limit from the face's interior) as a
-lookup in the tight cones of the record and converts to Fraction faces
-only for the faces it returns.  faces_of_complex and face_from_triple
-build the same complex in Fractions; they serve callers and brute-force
-checks that need every face.
+lookup in the tight cones of the record, and it builds only the faces it
+can reach from the tight vertices, the vertices with a cone of zero
+slack: an additive face has zero limit slack at each of its vertices.
+It converts to Fraction faces only for the faces it returns.
+faces_of_complex and face_from_triple build every face of the complex in
+Fractions; they are the brute-force reference that checks need.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import islice
 from typing import Iterable, Optional, Sequence
 
 from . import _scan
@@ -375,98 +376,104 @@ def _require_subadditive(fn: PiecewiseFunction) -> VertexSlacks:
     rec = vertex_slacks(fn)
     if rec.neg:
         x, y, sides, num, den = rec.neg[0]
-        pt = (Fraction(x, rec.D), Fraction(y, rec.D))
         raise NotSubadditiveError(
-            f"slack {Fraction(num, den)} < 0 at {pt} (sides {sides}); "
+            f"slack {Fraction(num, den)} < 0 at ({Fraction(x, rec.D)}, "
+            f"{Fraction(y, rec.D)}) (sides {sides}); "
             "additive-face enumeration requires subadditivity")
     return rec
 
 
-def _grid_faces(b: Sequence[int], two_dim: bool):
-    """Yield (projection key, vertices, dimension) once for every face
-    F(I, J, K) of the complex on the integer grid b (b[0] = 0, b[-1] = D):
-    the two-dimensional faces with two_dim, the others without.
+def _pieces_at(grid: Sequence[int], t: int) -> list:
+    """The pieces of the integer grid approached at t, indexed by side 0
+    (t itself), 1 (from the right) and -1 (from the left): the cell around
+    t from every side when t is no grid point; None for a side that leaves
+    the grid."""
+    i, j = bisect_left(grid, t), bisect_right(grid, t)
+    if i == j:
+        return [(grid[i - 1], grid[i])] * 3
+    return [(t, t), (t, grid[j]) if j < len(grid) else None,
+            (grid[i - 1], t) if i else None]
 
-    I and J run over the breakpoints and cells of b, K over those of b
-    extended to [0, 2D]; two-dimensional faces come from triples of cells
-    alone.  A face is yielded from the triple of the smallest pieces that
-    contain its projections, so each face once.
-    """
-    D = b[-1]
-    ext = list(b) + [x + D for x in b[1:]]
-    pieces, kpieces = list(zip(b, b[1:])), list(zip(ext, ext[1:]))
-    if not two_dim:
-        pieces = sorted(pieces + [(x, x) for x in b])
-        kpieces = sorted(kpieces + [(s, s) for s in ext])
-    khi = [k[1] for k in kpieces]
-    for I in pieces:
-        for J in pieces:
-            lo, hi = I[0] + J[0], I[1] + J[1]
-            for K in islice(kpieces, bisect_left(khi, lo), None):
-                if K[0] > hi:
-                    break
-                if not two_dim and I[0] < I[1] and J[0] < J[1] and K[0] < K[1]:
-                    continue  # a 2-face, or a corner the points give
-                verts = _basic_vertices(I, J, K)
-                if not verts:
-                    continue
-                key = tuple((min(c), max(c)) for c in zip(
-                    *((x, y, x + y) for x, y in verts)))
-                if any(c[0] < c[1] and p[0] == p[1] and p[0] in c
-                       for c, p in zip((I, J, K), key)):
-                    continue  # the smaller piece (p[0], p[0]) gives it
-                singles = sum(p[0] == p[1] for p in key)
-                yield key, verts, {0: 2, 1: 1, 3: 0}[singles]
+
+# The cones that the walk of _grid_additive_faces follows from a tight
+# vertex: the six sectors, which reach every 2-face at the vertex, and the
+# three rays toward larger x, or larger y at equal x.  An edge is a
+# candidate only when both its ends are tight, and a ray from its lower
+# end reaches it.
+_WALK_CONES = [s for s in _scan.SIDE_TRIPLES if all(s) or s > (0, 0, 0)]
 
 
 def _grid_additive_faces(fn: PiecewiseFunction) -> tuple[int, dict]:
     """The additive faces of generate_additive_faces on the integer grid of
     fn.scaled_tables(): (D, {key: (vertices, maximal)}).
 
-    The two-dimensional faces are walked first; each vertex then lists the
-    2-faces whose limit slack vanishes at it, which gives every edge its
-    candidate 2-faces and its additive superfaces.  Only additive faces are
-    kept.
+    Only the tight vertices, those with a cone of zero slack, are walked:
+    each cone of _WALK_CONES there that stays in the square enters the
+    face F(I, J, K) of the pieces it approaches.  A 2-face is tested once,
+    from the first vertex reached where its limit slack vanishes, and each
+    vertex lists the 2-faces whose limit slack vanishes at it; that gives
+    every edge its candidate 2-faces and its additive superfaces.  Edges
+    are candidates only when both ends are tight, and the additive
+    vertices are the tight ones.
     """
     rec = _require_subadditive(fn)
-    b = fn.scaled_tables()[0]
+    b, D = fn.scaled_tables()[0], rec.D
+    ext = b + [t + D for t in b[1:]]
     continuous = fn.is_continuous
-
-    def zero(v, sides) -> bool:
-        return rec.is_tight(v[0], v[1], (0, 0, 0) if continuous else sides)
+    tight = {(x, y) for x, y, _ in rec.tight}
+    tight.update([(y, x) for x, y in tight])
 
     def zero_from(key, v) -> bool:
         """Limit slack at v approached from the interior of face key."""
-        return zero(v, tuple(_approach_side(iv, t)
-                             for iv, t in zip(key, (v[0], v[1], v[0] + v[1]))))
+        return v in tight if continuous else rec.is_tight(*v, tuple(
+            _approach_side(iv, t)
+            for iv, t in zip(key, (v[0], v[1], v[0] + v[1]))))
 
     additive: dict = {}  # key -> (vertices, maximal)
     zero_2faces_at: dict = {}  # vertex -> 2-faces with zero limit there
-    for key, verts, _ in _grid_faces(b, True):
-        ok = True
-        for v in verts:
-            if zero_from(key, v):
-                zero_2faces_at.setdefault(v, []).append(key)
-            else:
-                ok = False
-        if ok:
-            additive[key] = (verts, True)
+    edges: dict = {}  # key -> vertices, for edges with both ends tight
+    seen = set()  # the 2-faces tested, by the lower ends of their cells
+    for x, y in tight:
+        px, py, ps = _pieces_at(b, x), _pieces_at(b, y), _pieces_at(ext, x + y)
+        for sides in _WALK_CONES:
+            triple = (px[sides[0]], py[sides[1]], ps[sides[2]])
+            if None in triple:
+                continue  # the cone leaves the square
+            (i0, i1), (j0, j1), (k0, k1) = triple
+            cells = i0 < i1 and j0 < j1 and k0 < k1
+            if cells and ((i0, j0, k0) in seen or not (
+                    continuous or rec.is_tight(x, y, sides))):
+                continue  # tested already, or nonzero limit slack here
+            # the projections of F(I, J, K), the face's key
+            key = ((max(i0, k0 - j1), min(i1, k1 - j0)),
+                   (max(j0, k0 - i1), min(j1, k1 - i0)),
+                   (max(k0, i0 + j0), min(k1, i1 + j1)))
+            if not cells:
+                # a ray along a grid line: the edge from (x, y) to w
+                w = (key[0][1], key[2][1] - key[0][1])
+                if w in tight:
+                    edges[key] = ((x, y), w)
+                continue
+            seen.add((i0, j0, k0))
+            verts = _basic_vertices(*triple)
+            zeros = [u for u in verts if zero_from(key, u)]
+            for u in zeros:
+                zero_2faces_at.setdefault(u, []).append(key)
+            if len(zeros) == len(verts):
+                additive[key] = (verts, True)
 
-    vertices = []
-    for key, verts, dim in _grid_faces(b, False):
-        if dim == 1:
-            v1, v2 = verts
-            around2 = zero_2faces_at.get(v2, ())
-            both = [g for g in zero_2faces_at.get(v1, ()) if g in around2]
-            if both or (zero_from(key, v1) and zero_from(key, v2)):
-                additive[key] = (verts, not any(g in additive for g in both))
-        elif any(zero(verts[0], t) for t in _scan.SIDE_TRIPLES):
-            vertices.append((key, verts))
+    for key, verts in edges.items():
+        v1, v2 = verts
+        around2 = zero_2faces_at.get(v2, ())
+        both = [g for g in zero_2faces_at.get(v1, ()) if g in around2]
+        if both or (zero_from(key, v1) and zero_from(key, v2)):
+            additive[key] = (verts, not any(g in additive for g in both))
     in_larger = {v for verts, _ in additive.values() for v in verts}
-    for key, verts in vertices:
-        additive[key] = (verts, verts[0] not in in_larger)
+    for x, y in tight:
+        additive[(x, x), (y, y), (x + y, x + y)] = (((x, y),),
+                                                   (x, y) not in in_larger)
 
-    return rec.D, additive
+    return D, additive
 
 
 def _fraction_face_set(D: int, additive: dict) -> AdditiveFaceSet:

@@ -10,15 +10,17 @@ complex, including every limit cone when the function is discontinuous.
 Subadditivity scanning is restricted to the triangle x <= y; the slack is
 symmetric in its arguments, so nothing is lost.  The scan is the
 function's vertex slack record (complex2d.vertex_slacks), which the later
-phases of an extremality verdict read again.  A function on the finite
+phases of an extremality verdict read again.  A subadditivity violation
+keeps its witness as an integer key on that record's grid and builds its
+Fraction witness face only when Violation.face is first read, so a
+verdict that reads no face builds none.  A function on the finite
 cyclic group (1/q)Z runs the same checks on its value table, with
 subadditivity over all group pairs.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import islice
@@ -26,7 +28,7 @@ from math import lcm
 from typing import Optional
 
 from . import _scan
-from .complex2d import Face, grid_face, vertex_slacks
+from .complex2d import Face, _pieces_at, grid_face, vertex_slacks
 from .errors import ConstructionError, NoCandidateFError, ParameterError
 from .pwl import DiscreteFunction, PiecewiseFunction, _reduce_mod_one
 from .rational import common_denominator, to_rational
@@ -36,14 +38,28 @@ SIDE_NAMES = ("value", "right", "left")  # indexed by side 0, 1, -1
 
 @dataclass(frozen=True)
 class Violation:
-    """One failed condition: what failed, where, by how much."""
+    """One failed condition: what failed, where, by how much.
+
+    A subadditivity violation of a PiecewiseFunction keeps its witness as
+    integers, (b, D, x, y, sides) for the point (x, y) / D of the
+    breakpoint grid b / D; its Fraction face is built on the first read of
+    `face` and is None for the other kinds.
+    """
 
     kind: str  # value-at-0 | range | symmetry | subadditivity
     x: Optional[Fraction] = None
     y: Optional[Fraction] = None
     sides: Optional[tuple] = None
     slack: Optional[Fraction] = None
-    face: Optional[Face] = None
+    witness: Optional[tuple] = field(default=None, repr=False, compare=False)
+    face: Optional[Face] = field(init=False)  # set by __getattr__
+
+    def __getattr__(self, name):
+        if name != "face":
+            raise AttributeError(name)
+        face = self.witness and _grid_witness_face(*self.witness)
+        object.__setattr__(self, "face", face)
+        return face
 
     def describe(self) -> str:
         where = f"x={self.x}" if self.y is None else f"({self.x}, {self.y})"
@@ -63,14 +79,6 @@ class MinimalityReport:
 
     def __bool__(self):
         return self.is_minimal
-
-
-def _interval_for(grid: list[int], t: int, side: int) -> tuple[int, int]:
-    """Breakpoint-grid piece approached at t from the given side: the cell
-    around t when t is no breakpoint, from any side."""
-    i, j = bisect_left(grid, t), bisect_right(grid, t)
-    return (grid[i - 1] if i == j or side < 0 else t,
-            grid[j] if i == j or side > 0 else t)
 
 
 def witness_face(fn: PiecewiseFunction, v, sides) -> Face:
@@ -94,8 +102,8 @@ def _grid_witness_face(b: list[int], D: int, x: int, y: int, sides) -> Face:
     if sy and y == (D if sy > 0 else 0):
         y = D - y
     ext = b + [t + D for t in b[1:]]
-    return grid_face(_interval_for(b, x, sx), _interval_for(b, y, sy),
-                     _interval_for(ext, x + y, ss), D)
+    return grid_face(_pieces_at(b, x)[sx], _pieces_at(b, y)[sy],
+                     _pieces_at(ext, x + y)[ss], D)
 
 
 class _InfiniteModel:
@@ -121,13 +129,13 @@ class _InfiniteModel:
             yield x, fn.limits_at(x), (v, l, r)
 
     def negative_slacks(self):
-        """(x, y, sides, slack, witness face) with x <= y, every limit cone
-        included when fn is discontinuous, from the vertex slack record."""
+        """(x, y, sides, slack, witness) with x <= y, every limit cone
+        included when fn is discontinuous, from the vertex slack record;
+        the witness is the integer key of Violation.witness."""
         rec, b = vertex_slacks(self.fn), self.fn.scaled_tables()[0]
         for x, y, sides, num, den in rec.neg:
             yield (Fraction(x, rec.D), Fraction(y, rec.D), sides,
-                   Fraction(num, den),
-                   _grid_witness_face(b, rec.D, x, y, sides))
+                   Fraction(num, den), (b, rec.D, x, y, sides))
 
 
 class _FiniteModel:
@@ -213,9 +221,9 @@ def _pair_violations(m, f: Optional[Fraction]):
                 if a + b != 1:
                     yield Violation("symmetry", x=x, sides=side,
                                     slack=a + b - 1)
-    for x, y, sides, slack, face in m.negative_slacks():
+    for x, y, sides, slack, witness in m.negative_slacks():
         yield Violation("subadditivity", x=x, y=y, sides=sides, slack=slack,
-                        face=face)
+                        witness=witness)
 
 
 def _minimality_test(m, f, collect_all: bool) -> MinimalityReport:

@@ -94,6 +94,12 @@ class TestDataVerbs:
         data = json.loads(out)
         assert any(f["dimension"] == 2 for f in data)
 
+    def test_faces_of_a_non_subadditive_function_are_refused(self, capsys):
+        code, out, err = run(capsys, "faces", "equiv5_random_discont_1")
+        assert code == 2 and out == ""
+        assert err == ("error: slack -2/5 < 0 at (0, 2/5) (sides (1, -1, 0)); "
+                       "additive-face enumeration requires subadditivity\n")
+
     def test_restrict_and_interpolate_round_trip(self, capsys, tmp_path):
         code, out, _ = run(capsys, "restrict", "gmic", "--f", "4/5")
         assert code == 0

@@ -3,6 +3,7 @@ from fractions import Fraction as F
 import pytest
 
 import groupcut as gc
+from groupcut import complex2d
 from groupcut.complex2d import (face_area, face_from_triple, faces_of_complex,
                                 generate_additive_faces_discontinuous,
                                 mirror_face)
@@ -191,6 +192,22 @@ class TestAdditiveFaces:
         faces = generate_additive_faces_discontinuous(hildebrand)
         vertex_keys = {f.vertices[0] for f in faces.faces if f.dimension == 0}
         assert (F(3, 8), F(1, 8)) in vertex_keys
+
+    @pytest.mark.parametrize("make, lam", [
+        (gc.gj_2_slope, 6), (gc.hildebrand_discont_3_slope_1, 2)])
+    def test_faces_are_built_from_tight_vertices_only(self, monkeypatch,
+                                                      make, lam):
+        # every face the enumerator builds has a vertex with a tight cone:
+        # at most one per cone (13) of each tight vertex of the record
+        fn = gc.multiplicative_homomorphism(make(), lam)
+        calls = []
+        basic = complex2d._basic_vertices
+        monkeypatch.setattr(complex2d, "_basic_vertices",
+                            lambda *t: calls.append(t) or basic(*t))
+        faces = gc.generate_additive_faces(fn)
+        tight = {(x, y) for x, y, _ in complex2d.vertex_slacks(fn).tight}
+        assert len(faces) and calls
+        assert len(calls) <= 13 * len(tight)
 
 
 class TestMeritIndex:

@@ -4,7 +4,8 @@ against theorem-backed equivalences."""
 from fractions import Fraction as F
 
 import groupcut as gc
-from groupcut.complex2d import faces_of_complex, scan_vertex_slacks
+from groupcut.complex2d import (faces_of_complex, scan_vertex_slacks,
+                                vertex_slacks)
 from groupcut.minimality import witness_face
 
 from conftest import oracle_delta_pi_limit
@@ -121,6 +122,34 @@ def test_additive_faces_match_limit_oracle_on_discontinuous_functions():
     assert len(fns) == 16
     assert sum(fn.is_continuous for fn in fns) == 5
     for fn in fns:
+        got = gc.generate_additive_faces(fn)
+        assert [(f.key(), m) for f, m in zip(got.faces, got.maximal)] == \
+            oracle_additive_faces(fn)
+
+
+def test_additive_faces_match_limit_oracle_where_the_walk_could_go_wrong():
+    # the enumerator walks only the tight vertices and skips the cones that
+    # leave the square: every vertex tight (the zero function), tight
+    # vertices on the diagonal (gmic(1/2)), a subadditive function that is
+    # not symmetric and jumps at 0, and a minimal one with tight cones at
+    # x = 0 and x = 1 that leave the square
+    from conftest import oracle_additive_faces
+
+    third = [0, F(1, 3), F(2, 3), 1]
+    not_symmetric = gc.from_breakpoints_and_limits(
+        third, [(0, F(1, 4), F(3, 4)), (1, 1, 1), (1, 1, 1),
+                (0, F(1, 4), F(3, 4))])
+    boundary = gc.from_breakpoints_and_limits(
+        third, [(0, F(2, 3), 0), (F(1, 2), F(2, 3), F(1, 3)), (1, 1, F(1, 3)),
+                (0, F(2, 3), 0)])
+    kinds = {v.kind for v in gc.minimality_test(not_symmetric).violations}
+    assert kinds == {"symmetry"}
+    assert gc.minimality_test(boundary).is_minimal
+    rec = vertex_slacks(boundary)
+    assert any(sx and x == (rec.D if sx > 0 else 0)
+               for x, _, (sx, _, _) in rec.tight)
+    for fn in (gc.from_breakpoints_and_values([0, 1], [0, 0]),
+               gc.gmic(F(1, 2)), not_symmetric, boundary):
         got = gc.generate_additive_faces(fn)
         assert [(f.key(), m) for f, m in zip(got.faces, got.maximal)] == \
             oracle_additive_faces(fn)

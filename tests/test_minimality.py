@@ -48,6 +48,23 @@ class TestMinimalityTest:
         assert hits[0].face.key() == gc.face_from_triple(
             (F(1, 5), F(2, 5)), F(4, 5), (1, F(6, 5))).key()
 
+    def test_witness_faces_are_built_on_first_read(self, monkeypatch):
+        from groupcut import minimality
+
+        calls = []
+        grid_face = minimality.grid_face
+        monkeypatch.setattr(minimality, "grid_face",
+                            lambda *a: calls.append(a) or grid_face(*a))
+        fn = gc.equiv5_random_discont_1()
+        rep = gc.extremality_test(fn)
+        assert not rep.is_minimal and calls == []
+        witnessed = [v for v in rep.minimality.violations
+                     if v.kind == "subadditivity"]
+        assert len(witnessed) > 10
+        for v in witnessed:
+            assert v.face == minimality.witness_face(fn, (v.x, v.y), v.sides)
+        assert len(calls) == 2 * len(witnessed)
+
     def test_compendium_minimal_functions(self, gj, drlm, hildebrand, gmic15):
         for fn in (gj, drlm, hildebrand, gmic15):
             rep = gc.minimality_test(fn)
