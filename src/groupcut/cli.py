@@ -3,7 +3,8 @@
 Inputs are compendium names (with --param name=p/q constructor arguments)
 or paths to JSON function files.  Rationals on the command line are p/q
 strings; decimals are rejected.  Verdict verbs exit 0 on the positive
-verdict, 1 on the negative one and 2 on errors.
+verdict, 1 on the negative one and 2 on errors; every verb exits 141, with
+no traceback, when its output pipe is closed early.
 """
 
 from __future__ import annotations
@@ -383,10 +384,17 @@ def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
     try:
-        return _COMMANDS[args.verb](args)
+        code = _COMMANDS[args.verb](args)
+        sys.stdout.flush()  # a closed pipe shows here, not at exit
     except (GroupCutError, KeyError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # the reader stopped early (groupcut ... | head): exit as SIGPIPE
+        # would, and keep the exit-time flush off the closed pipe
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
+    return code
 
 
 if __name__ == "__main__":

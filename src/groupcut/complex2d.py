@@ -22,7 +22,8 @@ continuous and discontinuous functions alike.  It applies the limit
 criterion (the slack vanishes in the limit from the face's interior) as a
 lookup in the tight cones of the record, and it builds only the faces it
 can reach from the tight vertices, the vertices with a cone of zero
-slack: an additive face has zero limit slack at each of its vertices.
+slack that stays in the square: an additive face has zero limit slack at
+each of its vertices.
 It converts to Fraction faces only for the faces it returns.
 faces_of_complex and face_from_triple build every face of the complex in
 Fractions; they are the brute-force reference that checks need.
@@ -407,20 +408,26 @@ def _grid_additive_faces(fn: PiecewiseFunction) -> tuple[int, dict]:
     """The additive faces of generate_additive_faces on the integer grid of
     fn.scaled_tables(): (D, {key: (vertices, maximal)}).
 
-    Only the tight vertices, those with a cone of zero slack, are walked:
-    each cone of _WALK_CONES there that stays in the square enters the
-    face F(I, J, K) of the pieces it approaches.  A 2-face is tested once,
-    from the first vertex reached where its limit slack vanishes, and each
-    vertex lists the 2-faces whose limit slack vanishes at it; that gives
-    every edge its candidate 2-faces and its additive superfaces.  Edges
-    are candidates only when both ends are tight, and the additive
-    vertices are the tight ones.
+    Only the tight vertices, those with a cone of zero slack that stays in
+    the square, are walked: each cone of _WALK_CONES there that stays in
+    the square enters the face F(I, J, K) of the pieces it approaches.  A
+    2-face is tested once, from the first vertex reached where its limit
+    slack vanishes, and each vertex lists the 2-faces whose limit slack
+    vanishes at it; that gives every edge its candidate 2-faces and its
+    additive superfaces.  Edges are candidates only when both ends are
+    tight, and the additive vertices are the tight ones.
     """
     rec = _require_subadditive(fn)
     b, D = fn.scaled_tables()[0], rec.D
     ext = b + [t + D for t in b[1:]]
     continuous = fn.is_continuous
-    tight = {(x, y) for x, y, _ in rec.tight}
+    # the vertices with a cone of zero slack that stays in the square: no
+    # side points below 0 or above D (2D for x + y), which only a cone on
+    # x = 0 or y = D (x <= y in the record) can do
+    tight = {(x, y) for x, y, sides in rec.tight
+             if 0 < x and y < D or not any(
+                 s and t == (e if s > 0 else 0) for s, t, e in
+                 zip(sides, (x, y, x + y), (D, D, 2 * D)))}
     tight.update([(y, x) for x, y in tight])
 
     def zero_from(key, v) -> bool:

@@ -5,13 +5,19 @@ row format of both extremality systems; integer_kernel_basis is its entry
 for them.  The Fraction entries rref, matrix_rank and kernel_basis check
 the row lengths and scale each row to integers first.
 
-Each row is divided once by its content (the gcd of its entries), so a row
-and any positive multiple of it reduce alike, and zero rows are dropped.  A
-step clears the pivot column of a row with a*row - b*pivot_row and divides
-out the content again.  Columns go left to right; the pivot is the first
-remaining row, in input order, with a nonzero entry.  The reduced row
-echelon form is unique, so each pivot row ends as a primitive multiple of
-its reduced row; Fractions are built only for the results.
+The rows are read once, in input order, against a running reduced basis:
+one primitive integer row per pivot column, zero in every other pivot
+column.  A row is divided by its content (the gcd of its entries), then
+each pivot column it holds is cleared by that pivot's row.  A step clears
+a column with a*row - b*pivot_row and divides out the content again; as
+the basis rows are reduced, a step fills in only non-pivot columns, so one
+pass suffices.  A row that ends empty is dependent and dropped; otherwise
+its smallest column becomes a new pivot, which is cleared from the basis
+rows that hold it.  The basis is then the reduced row echelon form of the
+rows read so far, up to a factor per row.  That form is unique, so the
+order of the rows does not change the result, and each pivot row ends as
+a primitive multiple of its reduced row; Fractions are built only for the
+results.
 """
 
 from __future__ import annotations
@@ -36,19 +42,21 @@ def _clear(row: dict, p: dict, c: int) -> dict:
 def _reduce(rows, ncols: int):
     """Primitive integer reduced rows and their pivot columns, from sparse
     integer rows ((column, coefficient), ...) over columns 0..ncols-1."""
-    rest, done, pivots = [], [], []
+    basis = {}
     for row in rows:
-        if g := gcd(*(v for _, v in row)):
-            rest.append({j: v // g for j, v in row})
-    for c in range(ncols):
-        k = next((i for i, row in enumerate(rest) if c in row), None)
-        if k is None:
+        if not (g := gcd(*(v for _, v in row))):
             continue
-        p = rest.pop(k)
-        done = [_clear(row, p, c) if c in row else row for row in done] + [p]
-        rest = [r for r in (_clear(row, p, c) if c in row else row for row in rest) if r]
-        pivots.append(c)
-    return done, pivots
+        row = {j: v // g for j, v in row}
+        for c in [c for c in row if c in basis]:
+            row = _clear(row, basis[c], c)
+        if row:
+            c = min(row)
+            for k, p in basis.items():
+                if c in p:
+                    basis[k] = _clear(p, row, c)
+            basis[c] = row
+    pivots = sorted(basis)
+    return [basis[c] for c in pivots], pivots
 
 
 def _integer_rows(rows: Sequence[Sequence[Fraction]], ncols: int):

@@ -9,6 +9,32 @@ def run(capsys, *argv):
     return code, out.out, out.err
 
 
+def test_closed_output_pipe_exits_141_without_traceback(tmp_path):
+    # the --json report of the q = 90 restriction of gj_2_slope is about
+    # 1 MB, far more than a pipe holds, so the writer meets the closed pipe
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import groupcut as gc
+    from groupcut.jsonio import dumps_function
+
+    fn = tmp_path / "gj_2_slope_q90.json"
+    fn.write_text(dumps_function(
+        gc.restrict_to_finite_group(gc.gj_2_slope(), oversampling=3)))
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "groupcut.cli", "extremality", str(fn),
+         "--json"], stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    assert proc.stdout.readline() == b"{\n"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait(timeout=60) == 141
+    assert err == b""
+
+
 class TestVerdictVerbs:
     def test_minimality_gmic(self, capsys):
         code, out, _ = run(capsys, "minimality", "gmic", "--f", "4/5")

@@ -132,7 +132,8 @@ def test_additive_faces_match_limit_oracle_where_the_walk_could_go_wrong():
     # leave the square: every vertex tight (the zero function), tight
     # vertices on the diagonal (gmic(1/2)), a subadditive function that is
     # not symmetric and jumps at 0, and a minimal one with tight cones at
-    # x = 0 and x = 1 that leave the square
+    # x = 0 and x = 1 that leave the square, and one whose boundary vertices
+    # are tight only through such cones
     from conftest import oracle_additive_faces
 
     third = [0, F(1, 3), F(2, 3), 1]
@@ -142,6 +143,11 @@ def test_additive_faces_match_limit_oracle_where_the_walk_could_go_wrong():
     boundary = gc.from_breakpoints_and_limits(
         third, [(0, F(2, 3), 0), (F(1, 2), F(2, 3), F(1, 3)), (1, 1, F(1, 3)),
                 (0, F(2, 3), 0)])
+    # pi(0) > 0 and every tight cone at (0, 1/2) and (1/2, 0) leaves the
+    # square, so neither vertex is additive
+    outside = gc.from_breakpoints_and_limits(
+        [0, F(1, 2), 1], [(F(1, 4), 1, F(1, 4)), (1, F(3, 4), F(1, 4)),
+                          (F(1, 4), 1, F(1, 4))])
     kinds = {v.kind for v in gc.minimality_test(not_symmetric).violations}
     assert kinds == {"symmetry"}
     assert gc.minimality_test(boundary).is_minimal
@@ -149,7 +155,7 @@ def test_additive_faces_match_limit_oracle_where_the_walk_could_go_wrong():
     assert any(sx and x == (rec.D if sx > 0 else 0)
                for x, _, (sx, _, _) in rec.tight)
     for fn in (gc.from_breakpoints_and_values([0, 1], [0, 0]),
-               gc.gmic(F(1, 2)), not_symmetric, boundary):
+               gc.gmic(F(1, 2)), not_symmetric, boundary, outside):
         got = gc.generate_additive_faces(fn)
         assert [(f.key(), m) for f, m in zip(got.faces, got.maximal)] == \
             oracle_additive_faces(fn)

@@ -58,6 +58,23 @@ class TestExactLinalg:
             rows.append(list(rng.choice(rows)))
             rows.append([F(-3, 2) * e for e in rng.choice(rows)])
             cases.append((rows, ncols))
+        # tall, sparse and redundant, as the extremality systems are: 2 or 3
+        # nonzeros per row, many more rows than columns, repeated multiples
+        # and sums of earlier rows
+        for _ in range(20):
+            ncols = rng.randrange(4, 11)
+            rows = []
+            for _ in range(rng.randrange(3 * ncols, 5 * ncols)):
+                if len(rows) > 2 and rng.random() < 0.3:
+                    a, b = rng.sample(rows, 2)
+                    rows.append([F(rng.choice((-2, 1, 3))) * x + y
+                                 for x, y in zip(a, b)])
+                    continue
+                row = [ZERO] * ncols
+                for j in rng.sample(range(ncols), rng.choice((2, 3))):
+                    row[j] = F(rng.choice((-3, -1, 1, 2, 5)), rng.randrange(1, 4))
+                rows.append(row)
+            cases.append((rows, ncols))
         for rows, ncols in cases:
             m = sympy.Matrix(len(rows), ncols,
                              [sympy.Rational(e.numerator, e.denominator)
@@ -76,6 +93,40 @@ class TestExactLinalg:
                 g = gcd(*ints)
                 want_basis.append(tuple(F(e // g) for e in ints))
             assert kernel_basis(rows, ncols) == want_basis
+
+    @pytest.mark.parametrize("fn, kernel_dim", [
+        (gc.restrict_to_finite_group(gc.drlm_backward_3_slope(),
+                                     oversampling=3), 4),
+        (gc.restrict_to_finite_group(gc.gj_2_slope(), oversampling=2), 0)],
+        ids=["drlm:os=3", "gj_2_slope:os=2"])
+    def test_rref_and_kernel_do_not_depend_on_the_row_order(self, fn,
+                                                            kernel_dim):
+        import random
+
+        system = gc.extremality_test(fn).system
+        rows, ncols = list(system.rows), system.ncols
+        want = rref(rows), kernel_basis(rows, ncols)
+        assert len(want[1]) == kernel_dim
+        rng = random.Random(5)
+        for _ in range(4):
+            rng.shuffle(rows)
+            assert (rref(rows), kernel_basis(rows, ncols)) == want
+
+    def test_each_row_is_reduced_in_a_few_steps(self, monkeypatch):
+        # every basis row is reduced, so a row is cleared once per pivot
+        # column it holds and the new pivot once per basis row holding it:
+        # 2455 steps on the q = 90 restriction of gj_2_slope (838 rows, 89
+        # columns)
+        from groupcut import exactlinalg
+
+        calls = []
+        clear = exactlinalg._clear
+        monkeypatch.setattr(exactlinalg, "_clear",
+                            lambda *a: calls.append(1) or clear(*a))
+        fn = gc.restrict_to_finite_group(gc.gj_2_slope(), oversampling=3)
+        system = gc.extremality_test(fn).system
+        assert (len(system), system.ncols) == (838, 89)
+        assert 0 < len(calls) <= 3 * len(system)
 
     def test_rows_of_the_wrong_length_are_refused(self):
         with pytest.raises(ParameterError):
