@@ -19,7 +19,7 @@ from . import __version__
 from .compendium import REGISTRY, construct
 from .complex2d import (delta_pi, generate_additive_faces,
                         generate_maximal_additive_faces, merit_index)
-from .covering import generate_covered_components
+from .covering import format_intervals, generate_covered_components
 from .errors import GroupCutError
 from .extremality import extremality_test
 from .jsonio import (components_to_dict, dumps_function,
@@ -161,8 +161,8 @@ def cmd_extremality(args) -> int:
             print(f"All intervals are covered (or connected-to-covered). "
                   f"{len(rep.covered.components)} components.")
         else:
-            ivs = ", ".join(f"({a}, {b})" for a, b in rep.covered.uncovered)
-            print(f"Uncovered intervals: [{ivs}]")
+            print(f"Uncovered intervals: "
+                  f"[{format_intervals(rep.covered.uncovered)}]")
     if rep.kernel_dimension is not None:
         print(f"Finite dimensional test: Solution space has dimension "
               f"{rep.kernel_dimension}")
@@ -184,8 +184,7 @@ def cmd_covered(args) -> int:
                              for a, b in comp)
             print(f"component {i + 1}: {ivs}")
         if cc.uncovered:
-            ivs = ", ".join(f"({a}, {b})" for a, b in cc.uncovered)
-            print(f"uncovered: {ivs}")
+            print(f"uncovered: {format_intervals(cc.uncovered)}")
         else:
             print("all intervals are covered")
     if args.frames:

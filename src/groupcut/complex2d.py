@@ -24,7 +24,10 @@ lookup in the tight cones of the record, and it builds only the faces it
 can reach from the tight vertices, the vertices with a cone of zero
 slack that stays in the square: an additive face has zero limit slack at
 each of its vertices.
-It converts to Fraction faces only for the faces it returns.
+It works on the integer grid 1/D of fn.scaled_tables(): covering reads its
+maximal faces there as {integer key: vertices}, and the public
+generate_*_additive_faces convert to Fraction faces only for the faces
+they return.
 faces_of_complex and face_from_triple build every face of the complex in
 Fractions; they are the brute-force reference that checks need.
 """
@@ -148,8 +151,13 @@ def face_from_triple(I, J, K) -> Face:
 def grid_face(I, J, K, D: int) -> Face:
     """Face F(I, J, K) for intervals of integers over D: the vertices are
     found on the integers and converted to Fractions once."""
+    return grid_vertices_face(_basic_vertices(I, J, K), D)
+
+
+def grid_vertices_face(verts, D: int) -> Face:
+    """The face with the integer vertices verts over D, in their order."""
     return _face_from_vertices([(_grid_fraction(x, D), _grid_fraction(y, D))
-                                for x, y in _basic_vertices(I, J, K)])
+                                for x, y in verts])
 
 
 def _basic_vertices(I, J, K) -> tuple:
@@ -487,9 +495,7 @@ def _fraction_face_set(D: int, additive: dict) -> AdditiveFaceSet:
     """Fraction faces of {key: (vertices, maximal)} on the grid 1/D, in key
     order (integer keys sort as the Fraction keys do)."""
     keys = sorted(additive)
-    faces = tuple(_face_from_vertices(
-        [(_grid_fraction(x, D), _grid_fraction(y, D))
-         for x, y in additive[k][0]]) for k in keys)
+    faces = tuple(grid_vertices_face(additive[k][0], D) for k in keys)
     return AdditiveFaceSet(faces, tuple(additive[k][1] for k in keys))
 
 

@@ -9,20 +9,25 @@ additive face connects its two proper projections through a translation
 subinterval of one projection is covered, its image becomes covered in the
 same component.
 
-Both phases work on one sorted integer grid P: the projection and window
-endpoints of the faces, scaled by their common denominator D, closed under
-the edge maps (the images of the points of P inside a window are added
-until none is new, which ends because P stays in {0, ..., D}).  The points
-and open cells of P are the elements of one union-find (Tarjan 1975); a
-component is a class of covered elements, and an uncovered element is a
-class of its own.  Phase one joins the elements inside the projections of
-each 2-face.  Phase two passes over the edges in key order and joins each
-maximal covered run of a source window with its image, logged as an
-EdgeMove, until a pass changes nothing; every change joins two classes, so
-there are at most as many passes as elements.  Components are read off as runs of
-one class: open intervals end at a point outside the class, closed ones
-(continuous functions) join when they touch.  Fractions are built only for
-the returned intervals and moves.
+Both phases work on one sorted integer grid P on the grid 1/D of the
+function.  The maximal additive faces come from the tight-vertex walk of
+complex2d as {integer key: vertices} over fn's D; the single points of a
+key give the face's dimension and edge kind.  P holds the projection and
+window endpoints of the faces, closed under the edge maps (the images of
+the points of P inside a window are added until none is new, which ends
+because P stays in {0, ..., D}).  The points and open cells of P are the
+elements of one union-find (Tarjan 1975); a component is a class of
+covered elements, and an uncovered element is a class of its own.  Phase
+one joins the elements inside the projections of each 2-face.  Phase two
+passes over the edges in key order and joins each maximal covered run of a
+source window with its image, logged as an EdgeMove, until a pass changes
+nothing; every change joins two classes, so there are at most as many
+passes as elements.  Components are read off as runs of one class: open
+intervals end at a point outside the class, closed ones (continuous
+functions) join when they touch.  Fractions appear only for the returned
+intervals, the logged moves (an EdgeMove's face is built from the edge's
+integer vertices) and the additive= argument, an AdditiveFaceSet that is
+scaled once into the same integer form on the grid of its vertices.
 """
 
 from __future__ import annotations
@@ -33,12 +38,17 @@ from fractions import Fraction
 from math import lcm
 from typing import Optional
 
-from .complex2d import (AdditiveFaceSet, Face,
-                         generate_maximal_additive_faces)
+from .complex2d import (AdditiveFaceSet, Face, _grid_additive_faces,
+                         grid_vertices_face)
 from .errors import UnsupportedCaseError
 from .pwl import PiecewiseFunction
 
 Interval = tuple[Fraction, Fraction]
+
+
+def format_intervals(intervals) -> str:
+    """Intervals as "(5/12, 2/3), (3/4, 1)"."""
+    return ", ".join(f"({a}, {b})" for a, b in intervals)
 
 
 @dataclass(frozen=True)
@@ -80,18 +90,21 @@ class CoveredComponentSet:
         return None
 
 
-def _scaled(iv: Interval, D: int) -> tuple[int, int]:
-    return tuple(x.numerator * (D // x.denominator) for x in iv)
+def _mod_one(iv: tuple[int, int], D: int) -> tuple[int, int]:
+    """Projection 3 of a face on the grid 1/D reduced into [0, D] (faces
+    never straddle D)."""
+    return (iv[0] - D, iv[1] - D) if iv[0] >= D else iv
 
 
-def _edge_maps(edge: Face, D: int):
-    """Both propagation maps of an additive edge, scaled by D: (kind,
-    source window, image window); a reflection reverses the order."""
-    p1, p2, p3 = (_scaled(iv, D) for iv in edge.key())
-    if edge.edge_kind == "diagonal":
+def _edge_maps(key, D: int):
+    """Both propagation maps of an additive edge with the integer key
+    (proj1, proj2, proj3) on the grid 1/D: (kind, source window, image
+    window); a reflection reverses the order."""
+    p1, p2, p3 = key
+    if p3[0] == p3[1]:  # diagonal
         return [("reflection", p1, p2), ("reflection", p2, p1)]
-    src = p2 if edge.edge_kind == "vertical" else p1
-    dst = (p3[0] - D, p3[1] - D) if p3[0] >= D else p3
+    src = p2 if p1[0] == p1[1] else p1  # vertical, else horizontal
+    dst = _mod_one(p3, D)
     return [("translation", src, dst), ("translation", dst, src)]
 
 
@@ -173,16 +186,30 @@ class _Classes:
             moves, self.closed)
 
 
-def _cover_directly(fn: PiecewiseFunction, additive: AdditiveFaceSet):
-    """Phase one on the grid P closed under the edge maps: the classes and
-    the maps (edge, kind, source window, image window) in edge key order."""
-    two = [f for f in additive.faces if f.dimension == 2]
-    edges = sorted((f for f in additive.faces if f.dimension == 1),
-                   key=Face.key)
-    D = lcm(*(x.denominator for f in two + edges for iv in f.key() for x in iv))
-    maps = [(edge, *m) for edge in edges for m in _edge_maps(edge, D)]
-    windows = [[_scaled(iv, D) for iv in (f.proj1, f.proj2,
-                                          f.proj3_mod_1())] for f in two]
+def _scaled_faces(additive: AdditiveFaceSet) -> tuple[int, dict]:
+    """The faces of an AdditiveFaceSet as (D, {key: vertices}) on the grid
+    1/D of their vertices, keyed by their integer projections."""
+    D = lcm(*{x.denominator for f in additive.faces
+              for v in f.vertices for x in v})
+
+    def scaled(pairs):
+        return tuple((a.numerator * (D // a.denominator),
+                      b.numerator * (D // b.denominator)) for a, b in pairs)
+
+    return D, {scaled(f.key()): scaled(f.vertices) for f in additive.faces}
+
+
+def _cover_directly(fn: PiecewiseFunction, D: int, faces: dict):
+    """Phase one on the grid P closed under the edge maps, for the faces
+    {key: vertices} on the grid 1/D: the classes and the maps (edge key,
+    kind, source window, image window) in edge key order.  A key's single
+    points give the face's dimension: none for a 2-face, one for an
+    edge."""
+    singles = {key: sum(lo == hi for lo, hi in key) for key in faces}
+    windows = [(p1, p2, _mod_one(p3, D))
+               for (p1, p2, p3), n in singles.items() if not n]
+    edges = sorted(key for key, n in singles.items() if n == 1)
+    maps = [(key, *m) for key in edges for m in _edge_maps(key, D)]
     points = {0, D}.union(*(iv for w in windows for iv in w),
                           *(m[2] for m in maps))
     classes = _Classes(_closed_grid(points, maps), D, fn.is_continuous)
@@ -196,7 +223,7 @@ def directly_covered_components(fn: PiecewiseFunction,
                                 additive: AdditiveFaceSet) -> CoveredComponentSet:
     """Phase one: the three projections of each two-dimensional additive
     face (the third reduced mod 1), components merged where they overlap."""
-    return _cover_directly(fn, additive)[0].result(())
+    return _cover_directly(fn, *_scaled_faces(additive))[0].result(())
 
 
 def generate_covered_components(fn: PiecewiseFunction,
@@ -216,8 +243,12 @@ def generate_covered_components(fn: PiecewiseFunction,
         # maximal faces suffice: a subface of an additive face has all its
         # projections nested in the container's, so it can neither extend
         # nor merge components
-        additive = generate_maximal_additive_faces(fn)
-    classes, maps = _cover_directly(fn, additive)
+        D, faces = _grid_additive_faces(fn)
+        faces = {key: verts for key, (verts, maximal) in faces.items()
+                 if maximal}
+    else:
+        D, faces = _scaled_faces(additive)
+    classes, maps = _cover_directly(fn, D, faces)
     index, step = classes.index, classes.step
     moves: list[EdgeMove] = []
     changed = True
@@ -233,8 +264,8 @@ def generate_covered_components(fn: PiecewiseFunction,
                 lo, hi = sorted((base + sign * first, base + sign * last))
                 if root is not None and classes.join(
                         range(lo, hi + 1, step), classes.find(first)):
-                    moves.append(EdgeMove(edge, kind,
-                                          classes.interval(first, last),
+                    moves.append(EdgeMove(grid_vertices_face(faces[edge], D),
+                                          kind, classes.interval(first, last),
                                           classes.interval(lo, hi)))
                     changed = True
     return classes.result(tuple(moves))

@@ -27,13 +27,14 @@ limit and value and the perturbation are the Fraction views.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, partial
 from typing import Optional
 
 from .complex2d import max_abs_slack, vertex_slacks
-from .covering import CoveredComponentSet, generate_covered_components
+from .covering import (CoveredComponentSet, format_intervals,
+                       generate_covered_components)
 from .errors import (ConstructionError, InternalConsistencyError,
                      ParameterError)
 from .exactlinalg import integer_kernel_basis
@@ -106,12 +107,25 @@ class SymbolicPerturbation:
 class EquationSystem:
     """Exact linear system with one provenance string per row.  The rows
     are held as sparse integer rows ((column, coefficient), ...) over one
-    denominator; `rows` is their dense Fraction view, built on first read."""
+    denominator; `rows` is their dense Fraction view, built on first read.
+    The provenance is held as sources (grid, ((template, t, ...), ...)),
+    one format template per row with the integer points t / grid it names;
+    its strings are built on the first read of `provenance`."""
 
     integer_rows: tuple[tuple[tuple[int, int], ...], ...]
     denominator: int
-    provenance: tuple[str, ...]
+    provenance: tuple[str, ...] = field(init=False)  # set by __getattr__
     ncols: int
+    sources: tuple = field(repr=False, compare=False)
+
+    def __getattr__(self, name):
+        if name != "provenance":
+            raise AttributeError(name)
+        grid, rows = self.sources
+        provenance = tuple(template.format(*(Fraction(t, grid) for t in ts))
+                           for template, *ts in rows)
+        object.__setattr__(self, "provenance", provenance)
+        return provenance
 
     @cached_property
     def rows(self) -> tuple[Vector, ...]:
@@ -145,7 +159,8 @@ def generate_symbolic(fn: PiecewiseFunction,
     """Build g for a function whose covered components exhaust [0, 1]."""
     if components.uncovered:
         raise ConstructionError(
-            f"uncovered intervals present: {list(components.uncovered)}")
+            "uncovered intervals present: "
+            f"[{format_intervals(components.uncovered)}]")
     k = len(components.components)
     n = len(fn.breakpoints) - 1
 
@@ -192,15 +207,15 @@ def build_equation_system(fn: PiecewiseFunction, sym: SymbolicPerturbation,
     """Normalization rows plus one row per tight cone of fn's vertex slack
     record, in its scan order; duplicates are removed keeping the first
     provenance.  Each row is D times the relation over the grid 1/D of g,
-    summed from the integer vectors D*g; the provenance string is built
-    only for the rows kept."""
+    summed from the integer vectors D*g; each kept row keeps its
+    provenance template and grid points."""
     D = sym.D
     fD = to_rational(f) * D
     if fD.denominator != 1 or not 0 <= fD <= D:
         raise ParameterError(f"f = {f} is not on the grid 1/{D} in [0, 1]")
-    rows: dict[tuple[int, ...], str] = {}
-    for t, x in ((0, 0), (int(fD), f), (D, 1)):
-        rows.setdefault(sym.scaled(t, 0), f"normalization pi~({x}) = 0")
+    rows: dict[tuple[int, ...], tuple] = {}
+    for t in (0, int(fD), D):
+        rows.setdefault(sym.scaled(t, 0), ("normalization pi~({}) = 0", t))
 
     def g(t: int, side: int):
         # sums lie in [0, 2D]: fold into [0, D], then 1+ is 0+ and 0- is 1-
@@ -220,12 +235,11 @@ def build_equation_system(fn: PiecewiseFunction, sym: SymbolicPerturbation,
         row = tuple(a + b - c for a, b, c in
                     zip(g(x, sx), g(y, sy), g(x + y, ss)))
         if row not in rows:
-            rows[row] = (f"pi~({Fraction(x, D)}{side_sym[sx]}) + "
-                         f"pi~({Fraction(y, D)}{side_sym[sy]}) = "
-                         f"pi~({Fraction(x + y, D)}{side_sym[ss]})")
+            rows[row] = ("pi~({}%s) + pi~({}%s) = pi~({}%s)" % (
+                side_sym[sx], side_sym[sy], side_sym[ss]), x, y, x + y)
     return EquationSystem(
         tuple(tuple((c, v) for c, v in enumerate(row) if v) for row in rows),
-        D, tuple(rows.values()), sym.dim)
+        D, sym.dim, (D, tuple(rows.values())))
 
 
 def perturbation_from_vector(sym: SymbolicPerturbation, vec: Vector,
@@ -284,10 +298,11 @@ class _FiniteExtremality(_FiniteModel):
         rows are the normalization at f, the symmetry relations and every
         tight additivity, in first-seen order, deduplicated by their sparse
         integer key ((column, coefficient), ...), which is the row the
-        system keeps; the provenance is built only for the rows kept."""
+        system keeps; each kept row keeps its provenance template and
+        group indices."""
         fn = self.fn
         q, f_idx = fn.q, int(f * fn.q) % fn.q
-        kept: dict[tuple[tuple[int, int], ...], str] = {}
+        kept: dict[tuple[tuple[int, int], ...], tuple] = {}
 
         def put(terms, template, *idx):
             coeffs: dict[int, int] = {}
@@ -296,7 +311,7 @@ class _FiniteExtremality(_FiniteModel):
                     coeffs[i % q - 1] = coeffs.get(i % q - 1, 0) + coeff
             key = tuple(sorted((c, v) for c, v in coeffs.items() if v))
             if key not in kept:
-                kept[key] = template.format(*(Fraction(i, q) for i in idx))
+                kept[key] = (template, *idx)
 
         put(((f_idx, 1),), "normalization pi~({}) = 0", f_idx)
         for a in range(q):
@@ -305,7 +320,8 @@ class _FiniteExtremality(_FiniteModel):
         for i, j, _ in self.scan[1]:
             put(((i, 1), (j, 1), (i + j, -1)), "pi~({}) + pi~({}) = pi~({})",
                 i, j, (i + j) % q)
-        system = EquationSystem(tuple(kept), 1, tuple(kept.values()), q - 1)
+        system = EquationSystem(tuple(kept), 1, q - 1,
+                                (q, tuple(kept.values())))
         return None, system, lambda vec: DiscreteFunction(
             q, fn.points, (ZERO, *vec, ZERO), f)
 
@@ -382,7 +398,7 @@ def extremality_test(fn: PiecewiseFunction | DiscreteFunction,
     if system is None:
         return ExtremalityReport(
             False, True, rep, covered, None, None, None, None,
-            (f"uncovered intervals: {list(covered.uncovered)}",
+            (f"uncovered intervals: [{format_intervals(covered.uncovered)}]",
              "perturbation unavailable: uncovered case"))
     basis = integer_kernel_basis(system.integer_rows, system.ncols)
     dim = len(basis)

@@ -68,6 +68,14 @@ class TestVerdictVerbs:
         data = json.loads(out)
         assert data["kernel_dimension"] == 0 and data["is_extreme"]
 
+    def test_extremality_json_uncovered_note(self, capsys):
+        code, out, _ = run(capsys, "extremality", "drlm_backward_3_slope",
+                           "--json")
+        assert code == 1
+        assert json.loads(out)["notes"] == [
+            "uncovered intervals: [(5/12, 2/3)]",
+            "perturbation unavailable: uncovered case"]
+
     def test_cli_matches_library_verdicts(self, capsys):
         import groupcut as gc
 

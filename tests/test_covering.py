@@ -3,7 +3,7 @@ from fractions import Fraction as F
 import pytest
 
 import groupcut as gc
-from groupcut.complex2d import (generate_additive_faces,
+from groupcut.complex2d import (Face, generate_additive_faces,
                                 generate_maximal_additive_faces)
 from groupcut.covering import directly_covered_components
 from groupcut.errors import UnsupportedCaseError
@@ -249,3 +249,67 @@ def test_hildebrand_moves_replay(hildebrand, lam):
         covered.append(mv.moved)
     for x in _probes((F(0), F(1)), ends, final.closed):
         assert _inside(x, covered) == _inside(x, final.all_intervals())
+
+
+def _built_faces(monkeypatch) -> list:
+    """A list that grows by one entry per Face constructed from now on."""
+    built = []
+    init = Face.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Face, "__init__", counting_init)
+    return built
+
+
+def test_verdict_builds_no_fraction_face(monkeypatch):
+    # covering reads the walk's integer faces; a Fraction face is built
+    # only for a logged edge move
+    fn = gc.multiplicative_homomorphism(gc.gj_2_slope(), 6)
+    built = _built_faces(monkeypatch)
+    assert gc.extremality_test(fn).is_extreme
+    assert built == []
+
+
+def test_verdict_builds_one_face_per_edge_move(monkeypatch):
+    fn = gc.multiplicative_homomorphism(gc.hildebrand_discont_3_slope_1(), 2)
+    built = _built_faces(monkeypatch)
+    moves = gc.extremality_test(fn).covered.edges_used
+    assert moves and len(built) <= len(moves)
+
+
+def _covering(cover, fn, *args):
+    """The covering result, or the type of the error it raised."""
+    try:
+        return cover(fn, *args)
+    except gc.GroupCutError as exc:
+        return type(exc)
+
+
+def _agreement_inputs():
+    hom = gc.multiplicative_homomorphism
+    fns = [gc.gmic(F(4, 5))]
+    fns += [hom(make(), lam) for make in (gc.hildebrand_discont_3_slope_1,
+                                          gc.gj_2_slope,
+                                          gc.drlm_backward_3_slope)
+            for lam in (1, 2, 3)]
+    fns += random_minimal_functions(8, start_seed=7)
+    fns += random_minimal_functions(8, proba=F(1, 2), start_seed=7)
+    return fns
+
+
+def test_integer_faces_and_additive_argument_agree():
+    # the integer faces of the walk and both public face sets, scaled to
+    # their own grid, give the same components, uncovered intervals and
+    # moves (faces included)
+    for fn in _agreement_inputs():
+        walk = _covering(gc.generate_covered_components, fn)
+        every, maximal = (generate_additive_faces(fn),
+                          generate_maximal_additive_faces(fn))
+        for additive in (every, maximal):
+            assert _covering(gc.generate_covered_components, fn,
+                             additive) == walk
+        assert _covering(directly_covered_components, fn, every) == \
+            _covering(directly_covered_components, fn, maximal)

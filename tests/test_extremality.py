@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction as F
 
 import pytest
@@ -162,7 +163,8 @@ class TestGenerateSymbolic:
 
     def test_uncovered_rejected(self, drlm):
         cc = gc.generate_covered_components(drlm)
-        with pytest.raises(ConstructionError):
+        with pytest.raises(ConstructionError, match=re.escape(
+                "uncovered intervals present: [(5/12, 2/3)]")):
             gc.generate_symbolic(drlm, cc)
 
     def test_function_reproduces_itself(self, hildebrand, gmic45, gj):
@@ -207,6 +209,17 @@ class TestEquationSystem:
         rep = gc.extremality_test(hildebrand)
         assert any(p.startswith("normalization") for p in rep.system.provenance)
         assert len(rep.system.provenance) == len(rep.system.rows)
+
+    def test_provenance_built_on_first_read(self, hildebrand, gj):
+        # a verdict keeps each row's template and grid points; the strings
+        # are built when a report reader first asks for them
+        restricted = gc.restrict_to_finite_group(gj, oversampling=1)
+        for fn, first in ((hildebrand, "normalization pi~(0) = 0"),
+                          (restricted, "normalization pi~(3/5) = 0")):
+            system = gc.extremality_test(fn).system
+            assert "provenance" not in vars(system)
+            assert system.provenance[0] == first
+            assert vars(system)["provenance"] is system.provenance
 
     def test_kernel_dim_invariant_under_permutation_and_duplication(self, hildebrand):
         import random
