@@ -17,10 +17,23 @@ The tables are periodic: entry 0 and entry n describe the same point of the
 circle, so lefts[0] is the left limit at 1 and rights[-1] the right limit
 at 0.  Query points are ints on the D-grid; sums up to 2*D are reduced here.
 
+A scan evaluates the function once per distinct coordinate, not once per
+cone: limit_table fills, for each coordinate p that the scan meets (x, y
+and x + y), the triple (value, right limit, left limit) at p mod D, all on
+one common denominator W = V * lcm(piece lengths).  An interior point's
+value, interpolated over a piece of length span, is an integer over
+V * span and so over W.  The triple is indexed by side 0, 1 and -1, and a
+cone's slack is tx[sx] + ty[sy] - ts[ss], a sum of plain integers over W.
+The coordinates take O(n^2) distinct values mod D for n breakpoints, while
+the vertices number O(n^2) with up to 13 cones each.  The symmetry check
+of minimality reads the same kind of table at the breakpoints and their
+mirror images.
+
 This module has no package dependencies.
 """
 
 from bisect import bisect_right
+from math import lcm
 
 # Approach directions (side of x, side of y, side of x+y) for the value and
 # the up-to-12 limit cones at a vertex: 6 rays along grid lines, 6 open
@@ -44,33 +57,34 @@ SIDE_TRIPLES = (
 )
 
 
-def one_sided(b, vals, rights, lefts, V, p, side):
-    """Value or one-sided limit at the grid point p/D, as (num, den).
+def limit_table(b, vals, rights, lefts, V, coords):
+    """The limits of the function at the grid points coords, once each.
 
-    side: 0 value, 1 right limit, -1 left limit.  p is reduced mod D, which
-    is what makes the periodic tables at 0/1 behave: the left limit at 0
-    reads lefts[0], stored as the left limit at 1.
+    Returns (table, W): table[p] is the triple (value, right limit, left
+    limit) at (p mod D) / D for each p of coords, each an integer over
+    W = V * lcm(piece lengths), so it is indexed by side 0, 1 and -1.
+    Keys are the points as given, so p and p + D are both keys when both
+    are met.  Reducing p mod D is what makes the periodic tables at 0/1
+    behave: the left limit at 0 reads lefts[0], stored as the left limit
+    at 1.
     """
     D = b[-1]
-    p = p % D
-    i = bisect_right(b, p) - 1
-    if b[i] == p:
-        if side == 0:
-            return vals[i], V
-        if side > 0:
-            return rights[i], V
-        return lefts[i], V
-    span = b[i + 1] - b[i]
-    num = rights[i] * span + (lefts[i + 1] - rights[i]) * (p - b[i])
-    return num, V * span
-
-
-def delta_num_den(b, vals, rights, lefts, V, px, sx, py, sy, ss):
-    """Slack pi(x)+pi(y)-pi(x+y) at (px/D, py/D) approached per the sides."""
-    nx, dx = one_sided(b, vals, rights, lefts, V, px, sx)
-    ny, dy = one_sided(b, vals, rights, lefts, V, py, sy)
-    ns, ds = one_sided(b, vals, rights, lefts, V, px + py, ss)
-    return nx * dy * ds + ny * dx * ds - ns * dx * dy, dx * dy * ds
+    L = lcm(*(hi - lo for lo, hi in zip(b, b[1:])))
+    at = {p: (vals[i] * L, rights[i] * L, lefts[i] * L)
+          for i, p in enumerate(b[:-1])}
+    table = {}
+    for p in coords:
+        r = p % D
+        t = at.get(r)
+        if t is None:
+            # interior: interpolate from right(b[i]) to left(b[i + 1])
+            i = bisect_right(b, r) - 1
+            lo, span = b[i], b[i + 1] - b[i]
+            v = ((rights[i] * span + (lefts[i + 1] - rights[i]) * (r - lo))
+                 * (L // span))
+            t = (v, v, v)
+        table[p] = t
+    return table, V * L
 
 
 def scan_slacks(b, vals, rights, lefts, V, points, cones):
@@ -81,25 +95,30 @@ def scan_slacks(b, vals, rights, lefts, V, points, cones):
     (x, y, sides, num, den) with negative slack, zero collects
     (x, y, sides) with zero slack, min_pos is the smallest positive slack
     as (num, den) (den == 0 when none was seen) and max_abs the largest
-    absolute slack as (num, den).
+    absolute slack as (num, den).  Every den is the W of limit_table.
     """
+    table, W = limit_table(b, vals, rights, lefts, V,
+                           {c for x, y in points for c in (x, y, x + y)})
     neg = []
     zero = []
-    mp_num = mp_den = ma_num = 0
-    ma_den = 1
+    mp = ma = 0
     for px, py in points:
+        tx, ty, ts = table[px], table[py], table[px + py]
         for sides in cones:
-            num, den = delta_num_den(b, vals, rights, lefts, V,
-                                     px, sides[0], py, sides[1], sides[2])
-            if num < 0:
-                neg.append((px, py, sides, num, den))
-            elif num == 0:
+            sx, sy, ss = sides
+            d = tx[sx] + ty[sy] - ts[ss]
+            if d < 0:
+                neg.append((px, py, sides, d, W))
+                if -d > ma:
+                    ma = -d
+            elif d == 0:
                 zero.append((px, py, sides))
-            elif mp_den == 0 or num * mp_den < mp_num * den:
-                mp_num, mp_den = num, den
-            if abs(num) * ma_den > ma_num * den:
-                ma_num, ma_den = abs(num), den
-    return neg, zero, (mp_num, mp_den), (ma_num, ma_den)
+            else:
+                if mp == 0 or d < mp:
+                    mp = d
+                if d > ma:
+                    ma = d
+    return neg, zero, (mp, W if mp else 0), (ma, W)
 
 
 def complex_vertices(b):

@@ -17,7 +17,9 @@ rows that hold it.  The basis is then the reduced row echelon form of the
 rows read so far, up to a factor per row.  That form is unique, so the
 order of the rows does not change the result, and each pivot row ends as
 a primitive multiple of its reduced row; Fractions are built only for the
-results.
+results.  Once the basis holds a pivot in every column the form is the
+identity, so the rows not yet read are left unread; the Fraction entries
+still check every row's length first.
 """
 
 from __future__ import annotations
@@ -55,18 +57,23 @@ def _reduce(rows, ncols: int):
                 if c in p:
                     basis[k] = _clear(p, row, c)
             basis[c] = row
+            if len(basis) == ncols:
+                break  # full rank: every later row is dependent
     pivots = sorted(basis)
     return [basis[c] for c in pivots], pivots
 
 
 def _integer_rows(rows: Sequence[Sequence[Fraction]], ncols: int):
-    """Each Fraction row as a sparse integer multiple of itself."""
+    """Each Fraction row as a sparse integer multiple of itself, every
+    row's length checked before the elimination reads any."""
+    out = []
     for row in rows:
         if len(row) != ncols:
             raise ParameterError(f"row of length {len(row)}, expected {ncols}")
         den = lcm(*(e.denominator for e in row))
-        yield [(j, e.numerator * (den // e.denominator))
-               for j, e in enumerate(row) if e]
+        out.append([(j, e.numerator * (den // e.denominator))
+                    for j, e in enumerate(row) if e])
+    return out
 
 
 def rref(rows: Sequence[Sequence[Fraction]]):

@@ -7,13 +7,15 @@ finitely checkable: the value conditions on the breakpoints (with one-sided
 limits), symmetry on the breakpoints together with their mirror images
 (again with limits), and subadditivity at the vertices of the additivity
 complex, including every limit cone when the function is discontinuous.
-Subadditivity scanning is restricted to the triangle x <= y; the slack is
-symmetric in its arguments, so nothing is lost.  The scan is the
-function's vertex slack record (complex2d.vertex_slacks), which the later
-phases of an extremality verdict read again.  A subadditivity violation
-keeps its witness as an integer key on that record's grid and builds its
-Fraction witness face only when Violation.face is first read, so a
-verdict that reads no face builds none.  A function on the finite
+Symmetry is checked in integers, on the limit table of the scan kernel
+(_scan.limit_table).  Subadditivity scanning is restricted to the triangle
+x <= y; the slack is symmetric in its arguments, so nothing is lost.  The
+scan is the function's vertex slack record (complex2d.vertex_slacks),
+which the later phases of an extremality verdict read again.  A
+subadditivity violation keeps its witness as an integer key on that
+record's grid and builds its point, its slack and its Fraction witness
+face only when they are first read, so a verdict that reads none of them
+builds no Fraction for it.  A function on the finite
 cyclic group (1/q)Z runs the same checks on its value table, with
 subadditivity over all group pairs.
 """
@@ -34,32 +36,61 @@ from .pwl import DiscreteFunction, PiecewiseFunction, _reduce_mod_one
 from .rational import common_denominator, to_rational
 
 SIDE_NAMES = ("value", "right", "left")  # indexed by side 0, 1, -1
+_LAZY_FIELDS = frozenset(("x", "y", "slack", "face"))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Violation:
     """One failed condition: what failed, where, by how much.
 
-    A subadditivity violation of a PiecewiseFunction keeps its witness as
-    integers, (b, D, x, y, sides) for the point (x, y) / D of the
-    breakpoint grid b / D; its Fraction face is built on the first read of
-    `face` and is None for the other kinds.
+    A subadditivity violation of a PiecewiseFunction found by the vertex
+    scan keeps its witness as integers, (b, D, x, y, sides, num, den) for
+    the point (x, y) / D of the breakpoint grid b / D and the slack
+    num / den; its x, y, slack and Fraction face are built on their first
+    read.  `face` is None for the other kinds.
     """
 
     kind: str  # value-at-0 | range | symmetry | subadditivity
-    x: Optional[Fraction] = None
-    y: Optional[Fraction] = None
-    sides: Optional[tuple] = None
-    slack: Optional[Fraction] = None
-    witness: Optional[tuple] = field(default=None, repr=False, compare=False)
+    x: Optional[Fraction]
+    y: Optional[Fraction]
+    sides: Optional[tuple]
+    slack: Optional[Fraction]
+    witness: Optional[tuple] = field(repr=False, compare=False)
     face: Optional[Face] = field(init=False)  # set by __getattr__
 
+    def __init__(self, kind: str, x: Optional[Fraction] = None,
+                 y: Optional[Fraction] = None, sides: Optional[tuple] = None,
+                 slack: Optional[Fraction] = None,
+                 witness: Optional[tuple] = None):
+        for name, value in (("kind", kind), ("x", x), ("y", y),
+                            ("sides", sides), ("slack", slack),
+                            ("witness", witness)):
+            object.__setattr__(self, name, value)
+
+    @classmethod
+    def _on_grid(cls, b, D, x, y, sides, num, den) -> "Violation":
+        """The subadditivity violation of slack num / den at (x, y) / D,
+        approached per sides, with x, y, slack and face left to be built
+        on first read."""
+        v = object.__new__(cls)
+        object.__setattr__(v, "kind", "subadditivity")
+        object.__setattr__(v, "sides", sides)
+        object.__setattr__(v, "witness", (b, D, x, y, sides, num, den))
+        return v
+
     def __getattr__(self, name):
-        if name != "face":
+        # only the lazy fields get here; the others are set at construction
+        if name not in _LAZY_FIELDS:
             raise AttributeError(name)
-        face = self.witness and _grid_witness_face(*self.witness)
-        object.__setattr__(self, "face", face)
-        return face
+        w = self.witness
+        if name == "face":
+            value = w and _grid_witness_face(*w[:5])
+        else:
+            _, D, x, y, _, num, den = w
+            value = Fraction(num, den) if name == "slack" else \
+                Fraction(x if name == "x" else y, D)
+        object.__setattr__(self, name, value)
+        return value
 
     def describe(self) -> str:
         where = f"x={self.x}" if self.y is None else f"({self.x}, {self.y})"
@@ -109,9 +140,9 @@ def _grid_witness_face(b: list[int], D: int, x: int, y: int, sides) -> Face:
 class _InfiniteModel:
     """A PiecewiseFunction as the shared tests read it: `table` holds the
     (x, limits) pairs at the breakpoints, the limits in the order of SIDES;
-    `mirror_pairs(f)` gives the limits at x and at f - x, the mirror's in
-    the order they pair with; `negative_slacks()` reads the negative cones
-    of the vertex slack record."""
+    `symmetry_violations(f)` checks the breakpoints and their mirrors
+    f - x; `subadditivity_violations()` reads the negative cones of the
+    vertex slack record."""
 
     SIDES = SIDE_NAMES
 
@@ -119,29 +150,43 @@ class _InfiniteModel:
         self.fn = fn
         self.table = tuple(zip(fn.breakpoints, fn.limits))
 
-    def mirror_pairs(self, f: Fraction):
+    def symmetry_violations(self, f: Fraction):
+        """pi(x) + pi(f - x) = 1 with every limit, at x in the breakpoints
+        and their mirrors f - x, in increasing order of x, checked on the
+        integer limit table of a grid that holds f; Fractions are built
+        only for a failing pair."""
         fn = self.fn
-        for x in sorted({*fn.breakpoints,
-                         *(_reduce_mod_one(f - x) for x in fn.breakpoints)}):
-            v, r, l = fn.limits_at(f - x)
+        tables = fn.scaled_tables()
+        if (f * tables[4]).denominator != 1:
+            tables = fn.scaled_tables(f.denominator)
+        b, vals, rights, lefts, D, V = tables
+        fD = int(f * D)
+        grid = sorted({*b, *((fD - p) % D for p in b)})
+        lim, W = _scan.limit_table(b, vals, rights, lefts, V,
+                                   {*grid, *(fD - p for p in grid)})
+        for p in grid:
+            t, m = lim[p], lim[fD - p]
             # value pairs with value, right with the mirror's left and
             # vice versa (the mirror map reverses orientation)
-            yield x, fn.limits_at(x), (v, l, r)
+            for side, a, c in zip(SIDE_NAMES, t, (m[0], m[2], m[1])):
+                if a + c != W:
+                    yield Violation("symmetry", x=Fraction(p, D), sides=side,
+                                    slack=Fraction(a + c - W, W))
 
-    def negative_slacks(self):
-        """(x, y, sides, slack, witness) with x <= y, every limit cone
-        included when fn is discontinuous, from the vertex slack record;
-        the witness is the integer key of Violation.witness."""
+    def subadditivity_violations(self):
+        """One violation per negative cone (x <= y, every limit cone
+        included when fn is discontinuous) of the vertex slack record,
+        kept on its integer grid."""
         rec, b = vertex_slacks(self.fn), self.fn.scaled_tables()[0]
         for x, y, sides, num, den in rec.neg:
-            yield (Fraction(x, rec.D), Fraction(y, rec.D), sides,
-                   Fraction(num, den), (b, rec.D, x, y, sides))
+            yield Violation._on_grid(b, rec.D, x, y, sides, num, den)
 
 
 class _FiniteModel:
     """A DiscreteFunction as the shared tests read it, with one value per
     point and all group pairs scanned once on the values scaled to
-    integers; `mirror_pairs` refuses an f that is not a group point."""
+    integers; `symmetry_violations` refuses an f that is not a group
+    point."""
 
     SIDES = (None,)
 
@@ -159,18 +204,21 @@ class _FiniteModel:
         """(neg, zero, min_pos) of `_scan.scan_discrete`, in units of 1/V."""
         return _scan.scan_discrete(self.scaled[0], self.fn.q)
 
-    def mirror_pairs(self, f: Fraction):
+    def symmetry_violations(self, f: Fraction):
         q, points, values = self.fn.q, self.fn.points, self.fn.values
         fi = f * q
         if fi.denominator != 1:
             raise ConstructionError(f"f = {f} is not a point of (1/{q})Z")
         for a in range(q):
-            yield points[a], (values[a],), (values[(fi.numerator - a) % q],)
+            s = values[a] + values[(fi.numerator - a) % q]
+            if s != 1:
+                yield Violation("symmetry", x=points[a], slack=s - 1)
 
-    def negative_slacks(self):
+    def subadditivity_violations(self):
         q, V = self.fn.q, self.scaled[1]
         for i, j, d in self.scan[0]:
-            yield Fraction(i, q), Fraction(j, q), None, Fraction(d, V), None
+            yield Violation("subadditivity", x=Fraction(i, q),
+                            y=Fraction(j, q), slack=Fraction(d, V))
 
 
 def _model(fn, infinite=_InfiniteModel, finite=_FiniteModel):
@@ -216,14 +264,8 @@ def _pair_violations(m, f: Optional[Fraction]):
     """Symmetry pi(x) + pi(f - x) = 1 when f is known, then
     subadditivity."""
     if f is not None:
-        for x, t, tm in m.mirror_pairs(f):
-            for side, a, b in zip(m.SIDES, t, tm):
-                if a + b != 1:
-                    yield Violation("symmetry", x=x, sides=side,
-                                    slack=a + b - 1)
-    for x, y, sides, slack, witness in m.negative_slacks():
-        yield Violation("subadditivity", x=x, y=y, sides=sides, slack=slack,
-                        witness=witness)
+        yield from m.symmetry_violations(f)
+    yield from m.subadditivity_violations()
 
 
 def _minimality_test(m, f, collect_all: bool) -> MinimalityReport:

@@ -178,3 +178,99 @@ def test_slope_coherence_on_random_discontinuous_functions():
         if found >= 10:
             break
     assert found >= 10
+
+
+def _grid_function(rng, continuous):
+    """A function with pi(0) = 0 and breakpoints on k/2 .. k/12, so that its
+    piece lengths have a large lcm; values and limits on (1/6)Z."""
+    inner = rng.sample(sorted({F(k, m) for m in range(2, 13)
+                               for k in range(1, m)}), rng.randrange(2, 6))
+    bkpt = [F(0), *sorted(inner), F(1)]
+
+    def val():
+        return F(rng.randrange(7), 6)
+
+    limits = [(v, v, v) for v in (val() for _ in inner)] if continuous else \
+        [(val(), val(), val()) for _ in inner]
+    ends = (0, 0, 0) if continuous else (0, val(), val())
+    return gc.from_breakpoints_and_limits(bkpt, [ends, *limits, ends])
+
+
+def _grid_functions(count):
+    import random
+
+    rng = random.Random(2024)
+    return [_grid_function(rng, i % 2 == 0) for i in range(count)]
+
+
+def test_limit_table_scan_matches_fraction_limits():
+    # the tabulated kernel against slacks from fn.limit in Fractions, at
+    # every complex vertex (x <= y) and every cone the record scans, and
+    # max_abs_slack of another function at the same vertices
+    from groupcut._scan import SIDE_TRIPLES
+    from groupcut.complex2d import max_abs_slack
+
+    fns = _grid_functions(24)
+    fns += [gc.random_piecewise_function(x, 6, F(1, 2), True, seed=s)
+            for x, s in ((5, 1), (7, 2), (9, 3), (10, 4))]
+    for fn, other in zip(fns, fns[1:] + fns[:1]):
+        rec = vertex_slacks(fn)
+        bk = fn.breakpoints
+        lines = {*bk, *(b + 1 for b in bk[1:])}
+        want_points = sorted(
+            {(x, y) for x in bk for y in bk}
+            | {p for x in bk for s in lines if 0 <= s - x <= 1
+               for p in ((x, s - x), (s - x, x))})
+        D = rec.D
+        points = [(F(x, D), F(y, D)) for x, y in rec.points]
+        assert points == [p for p in want_points if p[0] <= p[1]]
+        cones = SIDE_TRIPLES[:1 if fn.is_continuous else None]
+        neg, tight, pos, other_abs = [], [], [], []
+        for (x, y), (X, Y) in zip(rec.points, points):
+            for s in cones:
+                d = fn.limit(X, s[0]) + fn.limit(Y, s[1]) - fn.limit(X + Y, s[2])
+                if d < 0:
+                    neg.append((x, y, s, d))
+                elif d == 0:
+                    tight.append((x, y, s))
+                else:
+                    pos.append(d)
+            other_abs += [abs(other.limit(X, s[0]) + other.limit(Y, s[1])
+                              - other.limit(X + Y, s[2])) for s in SIDE_TRIPLES]
+        assert [(x, y, s, F(n, d)) for x, y, s, n, d in rec.neg] == neg
+        assert list(rec.tight) == tight
+        assert rec.min_pos == min(pos, default=None)
+        assert rec.max_abs == max([abs(e[3]) for e in neg] + pos + [F(0)])
+        assert max_abs_slack(other, rec.points, D) == max(other_abs)
+
+
+def test_integer_symmetry_check_matches_fraction_limits():
+    # symmetry violations against limits_at, at f a breakpoint, f given
+    # explicitly off the breakpoint grid, and f of a symmetric function
+    from groupcut.minimality import SIDE_NAMES, Violation
+
+    def reference(fn, f):
+        out = []
+        for x in sorted({*fn.breakpoints, *((f - b) % 1 for b in fn.breakpoints)}):
+            v, r, l = fn.limits_at(f - x)
+            for side, a, b in zip(SIDE_NAMES, fn.limits_at(x), (v, l, r)):
+                if a + b != 1:
+                    out.append(Violation("symmetry", x=x, sides=side,
+                                         slack=a + b - 1))
+        return out
+
+    fns = _grid_functions(12)
+    fns += [gc.random_piecewise_function(6, 6, F(1, 2), True, seed=s)
+            for s in range(6)]
+    checked = failing = 0
+    for fn in fns:
+        for f in (fn.breakpoints[1], F(5, 13), F(7, 17), fn.f):
+            if f is None:
+                continue
+            got = [v for v in gc.minimality_test(fn, f=f).violations
+                   if v.kind == "symmetry"]
+            want = reference(fn, f)
+            assert got == want and repr(got) == repr(want)
+            checked += 1
+            failing += bool(want)
+    assert checked > 40 and 0 < failing < checked

@@ -1,4 +1,6 @@
 import re
+import sys
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
@@ -129,6 +131,28 @@ class TestExactLinalg:
         assert (len(system), system.ncols) == (838, 89)
         assert 0 < len(calls) <= 3 * len(system)
 
+    def test_elimination_stops_at_full_rank(self, monkeypatch):
+        # hildebrand under lambda = 6 has a 401 x 27 system that reaches
+        # full rank at row 50; the rows after it are left unread, which
+        # takes the elimination from 6289 steps to 426
+        from groupcut import exactlinalg
+
+        calls = []
+        clear = exactlinalg._clear
+        monkeypatch.setattr(exactlinalg, "_clear",
+                            lambda *a: calls.append(1) or clear(*a))
+        fn = gc.multiplicative_homomorphism(gc.hildebrand_discont_3_slope_1(),
+                                            6)
+        rep = gc.extremality_test(fn)
+        system = rep.system
+        assert (len(system), system.ncols) == (401, 27)
+        assert len(calls) == 426
+        # the kernel of all 401 rows is still trivial, and so is the report
+        assert oracle_kernel_dimension(list(system.rows), system.ncols) == 0
+        assert rep.is_extreme and rep.kernel_dimension == 0
+        assert (rep.perturbation, rep.epsilon, rep.notes) == (None, None, ())
+        assert len(rref(list(system.rows))[1]) == 27
+
     def test_rows_of_the_wrong_length_are_refused(self):
         with pytest.raises(ParameterError):
             kernel_basis([(F(1), F(2), F(3))], 2)
@@ -138,6 +162,11 @@ class TestExactLinalg:
             rref([(F(1), F(2)), (F(1),)])
         with pytest.raises(ParameterError):
             matrix_rank([(F(1),), (F(1), F(2))])
+        # a full-rank prefix does not skip the check of the rows after it
+        with pytest.raises(ParameterError):
+            kernel_basis([(F(1), F(0)), (F(0), F(1)), (F(1),)], 2)
+        with pytest.raises(ParameterError):
+            rref([(F(1), F(0)), (F(0), F(1)), (F(1), F(2), F(3))])
 
 
 class TestGenerateSymbolic:
@@ -494,31 +523,22 @@ class TestOversamplingBridge:
 def test_one_vertex_scan_per_verdict(monkeypatch):
     # minimality, the subadditivity refusal, face enumeration and the
     # system rows all read the function's one vertex slack record: one
-    # kernel scan per verdict and no slack evaluated outside it
+    # kernel scan per verdict, and no limit table, so no slack, evaluated
+    # outside it; the symmetry check reads a table of its own, at the
+    # breakpoints and their mirrors
     from groupcut import _scan
 
-    scan, delta = _scan.scan_slacks, _scan.delta_num_den
-    calls = {"scan": 0, "outside": 0}
-    inside = []
+    table = _scan.limit_table
+    callers = Counter()
 
-    def counting_scan(*args):
-        calls["scan"] += 1
-        inside.append(True)
-        try:
-            return scan(*args)
-        finally:
-            inside.pop()
+    def counting_table(*args):
+        callers[sys._getframe(1).f_code.co_name] += 1
+        return table(*args)
 
-    def counting_delta(*args):
-        if not inside:
-            calls["outside"] += 1
-        return delta(*args)
-
-    monkeypatch.setattr(_scan, "scan_slacks", counting_scan)
-    monkeypatch.setattr(_scan, "delta_num_den", counting_delta)
+    monkeypatch.setattr(_scan, "limit_table", counting_table)
     hom = gc.multiplicative_homomorphism
     for fn in (hom(gc.hildebrand_discont_3_slope_1(), 2),
                hom(gc.gj_2_slope(), 2)):
-        calls.update(scan=0, outside=0)
+        callers.clear()
         assert gc.extremality_test(fn).is_extreme
-        assert calls == {"scan": 1, "outside": 0}
+        assert callers == {"scan_slacks": 1, "symmetry_violations": 1}

@@ -1,18 +1,21 @@
 """The integer slack-scan kernel on hand-checked tables."""
 
+from fractions import Fraction as F
+
 from groupcut import _scan, kernels
 
 
-def test_one_sided_periodic_tables():
+def test_limit_table_periodic_tables():
     b, vals, rights, lefts, V = [0, 20, 60], [0, 5, 0], [1, 6, 1], [7, 4, 7], 12
+    t, W = _scan.limit_table(b, vals, rights, lefts, V, [0, 10, 60, 80])
+    assert W == 12 * 40  # V * lcm(20, 40)
     # left limit at 0 reads the table entry stored for 1
-    assert _scan.one_sided(b, vals, rights, lefts, V, 0, -1) == (7, 12)
-    assert _scan.one_sided(b, vals, rights, lefts, V, 60, -1) == (7, 12)
-    assert _scan.one_sided(b, vals, rights, lefts, V, 60, 1) == (1, 12)
-    assert _scan.one_sided(b, vals, rights, lefts, V, 80, 0) == (5, 12)
+    assert F(t[0][-1], W) == F(7, 12)
+    assert F(t[60][-1], W) == F(7, 12)
+    assert F(t[60][1], W) == F(1, 12)
+    assert F(t[80][0], W) == F(5, 12)
     # interior interpolation between right(0)=1 and left(20)=4
-    num, den = _scan.one_sided(b, vals, rights, lefts, V, 10, 0)
-    assert num * 24 == den * 5  # value 5/24
+    assert F(t[10][0], W) == F(5, 24)
 
 
 def test_complex_vertices_square():

@@ -1,3 +1,4 @@
+import dataclasses
 from fractions import Fraction as F
 
 import pytest
@@ -64,6 +65,50 @@ class TestMinimalityTest:
         for v in witnessed:
             assert v.face == minimality.witness_face(fn, (v.x, v.y), v.sides)
         assert len(calls) == 2 * len(witnessed)
+
+    def test_violation_fields_are_built_on_first_read(self):
+        # a verdict builds no point, slack or face of a subadditivity
+        # violation; reading them gives the violation the public
+        # constructor makes from the same data, and so does a copy or a
+        # pickle of an unread one
+        import copy
+        import pickle
+
+        from groupcut.jsonio import minimality_report_to_dict
+
+        rep = gc.extremality_test(gc.equiv5_random_discont_1()).minimality
+        lazy = [v for v in rep.violations if v.kind == "subadditivity"]
+        assert len(lazy) > 10
+        assert not any({"x", "y", "slack", "face"} & vars(v).keys()
+                       for v in lazy)
+        copies = [copy.copy(v) for v in lazy]
+        pickles = [pickle.loads(pickle.dumps(v)) for v in lazy]
+        for v, c, p in zip(lazy, copies, pickles):
+            eager = gc.Violation(v.kind, x=v.x, y=v.y, sides=v.sides,
+                                 slack=v.slack, witness=v.witness)
+            assert all(type(e) is F for e in (v.x, v.y, v.slack))
+            for other in (eager, c, p):
+                assert other == v and repr(other) == repr(v)
+                assert hash(other) == hash(v)
+                assert other.describe() == v.describe()
+        again = gc.MinimalityReport(rep.is_minimal, rep.f_used, tuple(
+            gc.Violation(v.kind, x=v.x, y=v.y, sides=v.sides, slack=v.slack,
+                         witness=v.witness) for v in rep.violations))
+        assert minimality_report_to_dict(again) == \
+            minimality_report_to_dict(rep)
+
+    def test_public_violation_constructor(self):
+        v = gc.Violation("range", x=F(1, 2), slack=F(-1, 3))
+        assert (v.y, v.sides, v.face, v.witness) == (None, None, None, None)
+        assert repr(v) == ("Violation(kind='range', x=Fraction(1, 2), "
+                           "y=None, sides=None, slack=Fraction(-1, 3), "
+                           "face=None)")
+        assert v == gc.Violation("range", F(1, 2), None, None, F(-1, 3))
+        assert v.describe() == "range at x=1/2, slack -1/3"
+        with pytest.raises(AttributeError):
+            v.missing
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            v.x = 0
 
     def test_compendium_minimal_functions(self, gj, drlm, hildebrand, gmic15):
         for fn in (gj, drlm, hildebrand, gmic15):
