@@ -161,11 +161,11 @@ class _InfiniteModel:
             tables = fn.scaled_tables(f.denominator)
         b, vals, rights, lefts, D, V = tables
         fD = int(f * D)
+        # the mirror of a point of grid is a point of grid, mod D
         grid = sorted({*b, *((fD - p) % D for p in b)})
-        lim, W = _scan.limit_table(b, vals, rights, lefts, V,
-                                   {*grid, *(fD - p for p in grid)})
+        lim, W = _scan.limit_table(b, vals, rights, lefts, V, grid)
         for p in grid:
-            t, m = lim[p], lim[fD - p]
+            t, m = lim[p], lim[(fD - p) % D]
             # value pairs with value, right with the mirror's left and
             # vice versa (the mirror map reverses orientation)
             for side, a, c in zip(SIDE_NAMES, t, (m[0], m[2], m[1])):
