@@ -32,7 +32,7 @@ mirror images.
 This module has no package dependencies.
 """
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from math import lcm
 
 # Approach directions (side of x, side of y, side of x+y) for the value and
@@ -122,25 +122,27 @@ def scan_slacks(b, vals, rights, lefts, V, points, cones):
 
 
 def complex_vertices(b):
-    """All vertices of the additivity complex inside [0, D]^2.
+    """The vertices (x, y) with x <= y of the additivity complex inside
+    [0, D]^2, sorted; the slack is symmetric, so they are all a scan needs.
 
     Vertices are pairwise intersections of the grid lines x = b[i],
-    y = b[j], x + y = b[k] or b[k] + D.  Sorted and deduplicated.
+    y = b[j], x + y = c for c = b[k] or b[k] + D.  Each lies on a line
+    x = b[i] or y = b[j], so every column x collects its y values: those
+    of the grid and of the diagonals on x = b[i], and b[j] itself on
+    y = b[j] where the diagonal c meets it at x = c - b[j] <= b[j].
     """
     D = b[-1]
-    n = len(b)
-    pts = set()
-    for i in range(n):
-        bi = b[i]
-        for j in range(n):
-            pts.add((bi, b[j]))
-        for k in range(n):
-            for c in (b[k], b[k] + D):
-                t = c - bi
-                if 0 <= t <= D:
-                    pts.add((bi, t))
-                    pts.add((t, bi))
-    return sorted(pts)
+    diag = b + [c + D for c in b[1:]]
+    cols = {}
+    for i, x in enumerate(b):
+        ys = cols.setdefault(x, set())
+        ys.update(b[i:])
+        ys.update(c - x for c in
+                  diag[bisect_left(diag, 2 * x):bisect_right(diag, x + D)])
+    for y in b:
+        for c in diag[bisect_left(diag, y):bisect_right(diag, 2 * y)]:
+            cols.setdefault(c - y, set()).add(y)
+    return [(x, y) for x in sorted(cols) for y in sorted(cols[x])]
 
 
 def scan_discrete(v, q):

@@ -20,16 +20,20 @@ read it; scan_vertex_slacks is its Fraction view.
 Additive faces come from one enumerator, generate_additive_faces, for
 continuous and discontinuous functions alike.  It applies the limit
 criterion (the slack vanishes in the limit from the face's interior) as a
-lookup in the tight cones of the record, and it builds only the faces it
-can reach from the tight vertices, the vertices with a cone of zero
-slack that stays in the square: an additive face has zero limit slack at
-each of its vertices.
+lookup in the tight cones of the record.  An additive face has zero limit
+slack at each of its vertices, so the enumerator walks only the tight
+vertices, the vertices with a cone of zero slack that stays in the
+square, and counts for each 2-face the vertices where its limit vanishes;
+it builds the vertices of a 2-face only when that count can make it
+additive.
 It works on the integer grid 1/D of fn.scaled_tables(): covering reads its
 maximal faces there as {integer key: vertices}, and the public
 generate_*_additive_faces convert to Fraction faces only for the faces
 they return.
-faces_of_complex and face_from_triple build every face of the complex in
-Fractions; they are the brute-force reference that checks need.
+One closed-form routine gives the vertices of a face F(I, J, K) from its
+projections, for the enumerator, for face_from_triple and grid_face, and
+for faces_of_complex, which lists every face of the complex, the
+brute-force reference that checks need.
 """
 
 from __future__ import annotations
@@ -140,18 +144,16 @@ _grid_fraction = lru_cache(maxsize=4096)(Fraction)
 
 def face_from_triple(I, J, K) -> Face:
     """Face F(I, J, K) from intervals (or single points) I, J in [0, 1] and
-    K in [0, 2].  The basic solutions, where two of x, y, x+y are fixed to
-    interval endpoints, are filtered for feasibility; an empty face (no
-    feasible basic solution) is allowed."""
-    return _face_from_vertices(_basic_vertices(_coerce_interval(I, ZERO, ONE),
-                                               _coerce_interval(J, ZERO, ONE),
-                                               _coerce_interval(K, ZERO, TWO)))
+    K in [0, 2]; an empty face is allowed."""
+    return _face_from_vertices(_face_vertices(_projections(
+        _coerce_interval(I, ZERO, ONE), _coerce_interval(J, ZERO, ONE),
+        _coerce_interval(K, ZERO, TWO))))
 
 
 def grid_face(I, J, K, D: int) -> Face:
     """Face F(I, J, K) for intervals of integers over D: the vertices are
     found on the integers and converted to Fractions once."""
-    return grid_vertices_face(_basic_vertices(I, J, K), D)
+    return grid_vertices_face(_face_vertices(_projections(I, J, K)), D)
 
 
 def grid_vertices_face(verts, D: int) -> Face:
@@ -160,16 +162,29 @@ def grid_vertices_face(verts, D: int) -> Face:
                                 for x, y in verts])
 
 
-def _basic_vertices(I, J, K) -> tuple:
-    """Sorted vertices of {x in I, y in J, x + y in K} for closed intervals
-    of exact numbers: the basic solutions, where two of x, y, x + y sit at
-    interval endpoints, that are feasible."""
-    cand = {(x, y) for x in I for y in J}
-    cand.update((x, s - x) for x in I for s in K)
-    cand.update((s - y, y) for y in J for s in K)
-    return tuple(sorted(
-        (x, y) for x, y in cand
-        if I[0] <= x <= I[1] and J[0] <= y <= J[1] and K[0] <= x + y <= K[1]))
+def _projections(I, J, K) -> tuple:
+    """The projections of F(I, J, K) onto x, y and x + y, the face's key,
+    for closed intervals of exact numbers; each is lo > hi when the face
+    is empty."""
+    (i0, i1), (j0, j1), (k0, k1) = I, J, K
+    return ((max(i0, k0 - j1), min(i1, k1 - j0)),
+            (max(j0, k0 - i1), min(j1, k1 - i0)),
+            (max(k0, i0 + j0), min(k1, i1 + j1)))
+
+
+def _face_vertices(key) -> tuple:
+    """Sorted vertices of the face with the projections key, () when the
+    face is empty.  Every vertex lies on a line x = x0, x = x1, y = y0 or
+    y = y1 of the projections, so the vertices are the ends of the face's
+    slices there."""
+    (x0, x1), (y0, y1), (s0, s1) = key
+    if x0 > x1 or y0 > y1 or s0 > s1:
+        return ()
+    return tuple(sorted({
+        (x0, max(y0, s0 - x0)), (x0, min(y1, s1 - x0)),
+        (x1, max(y0, s0 - x1)), (x1, min(y1, s1 - x1)),
+        (max(x0, s0 - y0), y0), (min(x1, s1 - y0), y0),
+        (max(x0, s0 - y1), y1), (min(x1, s1 - y1), y1)}))
 
 
 def _face_from_vertices(verts: Sequence[Point]) -> Face:
@@ -285,7 +300,7 @@ def vertex_slacks(fn: PiecewiseFunction) -> VertexSlacks:
     rec = fn._cache.get("vertex_slacks")
     if rec is None:
         b, vals, rights, lefts, D, V = fn.scaled_tables()
-        points = [p for p in _scan.complex_vertices(b) if p[0] <= p[1]]
+        points = _scan.complex_vertices(b)
         # a continuous function has every limit equal to the value
         cones = _scan.SIDE_TRIPLES[:1 if fn.is_continuous else None]
         neg, zero, mp, ma = _scan.scan_slacks(b, vals, rights, lefts, V,
@@ -341,10 +356,12 @@ def max_abs_slack(fn: PiecewiseFunction, points: Sequence[tuple[int, int]],
 
 def faces_of_complex(fn: PiecewiseFunction, dims: Iterable[int] = (0, 1, 2)) -> list[Face]:
     """All distinct faces of the complex (deduplicated across the many
-    (I, J, K) representations), lexicographically ordered by projections."""
+    (I, J, K) representations), lexicographically ordered by projections.
+    The faces are found on the integer grid of fn.scaled_tables() and
+    converted to Fractions once each."""
     dims = set(dims)
-    b = fn.breakpoints
-    ext = b + tuple(x + 1 for x in b[1:])
+    b, _, _, _, D, _ = fn.scaled_tables()
+    ext = b + [t + D for t in b[1:]]
     pieces = list(zip(b, b[1:])) + [(x, x) for x in b]
     kpieces = list(zip(ext, ext[1:])) + [(x, x) for x in ext]
     seen: dict = {}
@@ -354,11 +371,11 @@ def faces_of_complex(fn: PiecewiseFunction, dims: Iterable[int] = (0, 1, 2)) -> 
             for K in kpieces:
                 if K[1] < lo or K[0] > hi:
                     continue
-                face = face_from_triple(I, J, K)
-                if face.is_empty or face.dimension not in dims:
-                    continue
-                seen.setdefault(face.key(), face)
-    return [seen[k] for k in sorted(seen)]
+                key = _projections(I, J, K)
+                if key not in seen:
+                    seen[key] = _face_vertices(key)
+    faces = (grid_vertices_face(seen[k], D) for k in sorted(seen) if seen[k])
+    return [face for face in faces if face.dimension in dims]
 
 
 @dataclass(frozen=True)
@@ -406,9 +423,11 @@ def _pieces_at(grid: Sequence[int], t: int) -> list:
 
 # The cones that the walk of _grid_additive_faces follows from a tight
 # vertex: the six sectors, which reach every 2-face at the vertex, and the
-# three rays toward larger x, or larger y at equal x.  An edge is a
-# candidate only when both its ends are tight, and a ray from its lower
-# end reaches it.
+# three rays toward larger x, or larger y at equal x.  The sector test at a
+# vertex is the limit slack of the sector's 2-face there, so counting the
+# tight vertices whose sector test passes counts the face's vertices of
+# zero limit slack.  An edge is a candidate only when both its ends are
+# tight, and a ray from its lower end reaches it.
 _WALK_CONES = [s for s in _scan.SIDE_TRIPLES if all(s) or s > (0, 0, 0)]
 
 
@@ -416,14 +435,21 @@ def _grid_additive_faces(fn: PiecewiseFunction) -> tuple[int, dict]:
     """The additive faces of generate_additive_faces on the integer grid of
     fn.scaled_tables(): (D, {key: (vertices, maximal)}).
 
-    Only the tight vertices, those with a cone of zero slack that stays in
-    the square, are walked: each cone of _WALK_CONES there that stays in
-    the square enters the face F(I, J, K) of the pieces it approaches.  A
-    2-face is tested once, from the first vertex reached where its limit
-    slack vanishes, and each vertex lists the 2-faces whose limit slack
-    vanishes at it; that gives every edge its candidate 2-faces and its
-    additive superfaces.  Edges are candidates only when both ends are
-    tight, and the additive vertices are the tight ones.
+    A 2-face is additive when its limit slack vanishes at each of its
+    vertices, and such a vertex is tight: it has a cone of zero slack that
+    stays in the square.  So only the tight vertices are walked.  At each,
+    a cone of _WALK_CONES that stays in the square and enters a 2-face
+    names the face by its cells (I, J, K), and its test (the value, or the
+    cone's limit when fn is discontinuous) is the face's limit slack there.
+    The walk records the cells that pass at each vertex and counts, per
+    cell, the vertices where it passed.  A 2-face is additive exactly when
+    that count equals its number of vertices, so the vertices are built,
+    in closed form, only for cells counted at 3 vertices or more.
+
+    An edge is a candidate when both ends are tight.  It is additive when
+    a 2-face has zero limit slack at both its ends, or its own limit
+    vanishes at both, and maximal when no such 2-face is additive.  The
+    additive vertices are the tight ones.
     """
     rec = _require_subadditive(fn)
     b, D = fn.scaled_tables()[0], rec.D
@@ -438,51 +464,51 @@ def _grid_additive_faces(fn: PiecewiseFunction) -> tuple[int, dict]:
                  zip(sides, (x, y, x + y), (D, D, 2 * D)))}
     tight.update([(y, x) for x, y in tight])
 
-    def zero_from(key, v) -> bool:
-        """Limit slack at v approached from the interior of face key."""
-        return v in tight if continuous else rec.is_tight(*v, tuple(
-            _approach_side(iv, t)
-            for iv, t in zip(key, (v[0], v[1], v[0] + v[1]))))
+    on_b: dict = {}  # coordinate -> _pieces_at(b, .), once per walk
+    on_ext: dict = {}  # the same for x + y on ext
+    zero_at: dict = {}  # tight vertex -> cells of zero limit slack there
+    hits: dict = {}  # cell -> number of vertices of zero limit slack
+    edges: dict = {}  # key -> (vertices, own limit zero at both ends)
+    for v in tight:
+        x, y = v
+        px = on_b.get(x) or on_b.setdefault(x, _pieces_at(b, x))
+        py = on_b.get(y) or on_b.setdefault(y, _pieces_at(b, y))
+        ps = on_ext.get(x + y) or on_ext.setdefault(x + y,
+                                                   _pieces_at(ext, x + y))
+        zero = zero_at[v] = set()
+        for sides in _WALK_CONES:
+            cell = (px[sides[0]], py[sides[1]], ps[sides[2]])
+            if None in cell:
+                continue  # the cone leaves the square
+            (i0, i1), (j0, j1), (k0, k1) = cell
+            if i0 < i1 and j0 < j1 and k0 < k1:
+                if cell not in zero and (continuous
+                                         or rec.is_tight(x, y, sides)):
+                    zero.add(cell)
+                    hits[cell] = hits.get(cell, 0) + 1
+                continue
+            # a ray along a grid line: the edge from v to w, at the largest
+            # x and x + y of F(I, J, K)
+            x1 = min(i1, k1 - j0)
+            w = (x1, min(k1, i1 + j1) - x1)
+            if w in tight:
+                edges[_projections(*cell)] = ((v, w), continuous or (
+                    rec.is_tight(x, y, sides)
+                    and rec.is_tight(*w, tuple(-s for s in sides))))
 
     additive: dict = {}  # key -> (vertices, maximal)
-    zero_2faces_at: dict = {}  # vertex -> 2-faces with zero limit there
-    edges: dict = {}  # key -> vertices, for edges with both ends tight
-    seen = set()  # the 2-faces tested, by the lower ends of their cells
-    for x, y in tight:
-        px, py, ps = _pieces_at(b, x), _pieces_at(b, y), _pieces_at(ext, x + y)
-        for sides in _WALK_CONES:
-            triple = (px[sides[0]], py[sides[1]], ps[sides[2]])
-            if None in triple:
-                continue  # the cone leaves the square
-            (i0, i1), (j0, j1), (k0, k1) = triple
-            cells = i0 < i1 and j0 < j1 and k0 < k1
-            if cells and ((i0, j0, k0) in seen or not (
-                    continuous or rec.is_tight(x, y, sides))):
-                continue  # tested already, or nonzero limit slack here
-            # the projections of F(I, J, K), the face's key
-            key = ((max(i0, k0 - j1), min(i1, k1 - j0)),
-                   (max(j0, k0 - i1), min(j1, k1 - i0)),
-                   (max(k0, i0 + j0), min(k1, i1 + j1)))
-            if not cells:
-                # a ray along a grid line: the edge from (x, y) to w
-                w = (key[0][1], key[2][1] - key[0][1])
-                if w in tight:
-                    edges[key] = ((x, y), w)
-                continue
-            seen.add((i0, j0, k0))
-            verts = _basic_vertices(*triple)
-            zeros = [u for u in verts if zero_from(key, u)]
-            for u in zeros:
-                zero_2faces_at.setdefault(u, []).append(key)
-            if len(zeros) == len(verts):
+    additive_cells = set()
+    for cell, n in hits.items():
+        if n >= 3:
+            key = _projections(*cell)
+            verts = _face_vertices(key)
+            if n == len(verts):
                 additive[key] = (verts, True)
-
-    for key, verts in edges.items():
-        v1, v2 = verts
-        around2 = zero_2faces_at.get(v2, ())
-        both = [g for g in zero_2faces_at.get(v1, ()) if g in around2]
-        if both or (zero_from(key, v1) and zero_from(key, v2)):
-            additive[key] = (verts, not any(g in additive for g in both))
+                additive_cells.add(cell)
+    for key, (verts, own) in edges.items():
+        both = zero_at[verts[0]] & zero_at[verts[1]]
+        if both or own:
+            additive[key] = (verts, additive_cells.isdisjoint(both))
     in_larger = {v for verts, _ in additive.values() for v in verts}
     for x, y in tight:
         additive[(x, x), (y, y), (x + y, x + y)] = (((x, y),),

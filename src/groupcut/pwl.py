@@ -162,12 +162,12 @@ class PiecewiseFunction:
         key = ("scaled", extra_denominator)
         if key not in self._cache:
             D = lcm(common_denominator(self.breakpoints), extra_denominator)
-            flat = [v for t in self.limits for v in t]
-            V = common_denominator(flat)
-            b = [int(x * D) for x in self.breakpoints]
-            vals = [int(t[0] * V) for t in self.limits]
-            rights = [int(t[1] * V) for t in self.limits]
-            lefts = [int(t[2] * V) for t in self.limits]
+            V = common_denominator(v for t in self.limits for v in t)
+            # x * D on ints: the denominator divides D
+            b = [x.numerator * (D // x.denominator) for x in self.breakpoints]
+            vals, rights, lefts = (
+                [t[i].numerator * (V // t[i].denominator) for t in self.limits]
+                for i in range(3))
             self._cache[key] = (b, vals, rights, lefts, D, V)
         return self._cache[key]
 

@@ -1,13 +1,15 @@
 """Shared fixtures and independent oracles for the test suite."""
 
+import random
 from fractions import Fraction as F
+from functools import cache
 from math import lcm
 
 import pytest
 
 import groupcut as gc
 from groupcut.complex2d import (delta_pi, face_area, faces_of_complex,
-                                scan_vertex_slacks)
+                                scan_vertex_slacks, vertex_slacks)
 
 
 @pytest.fixture(scope="session")
@@ -88,24 +90,36 @@ def oracle_additive_faces(fn):
     key order.  Valid for continuous and discontinuous functions."""
     all_faces = faces_of_complex(fn)
     two = [f for f in all_faces if f.dimension == 2]
+    # each (face, vertex) limit is taken once
+    zero = cache(lambda face, v: oracle_delta_pi_limit(fn, face, v) == 0)
     additive = []
     for face in all_faces:
         if face.dimension == 2:
-            ok = all(oracle_delta_pi_limit(fn, face, v) == 0
-                     for v in face.vertices)
+            ok = all(zero(face, v) for v in face.vertices)
         elif face.dimension == 1:
             containers = [face] + [g for g in two if g.contains_face(face)]
-            ok = any(all(oracle_delta_pi_limit(fn, g, v) == 0
-                         for v in face.vertices) for g in containers)
+            ok = any(all(zero(g, v) for v in face.vertices)
+                     for g in containers)
         else:
             v = face.vertices[0]
-            ok = any(oracle_delta_pi_limit(fn, g, v) == 0
-                     for g in all_faces if g.contains_point(v))
+            ok = any(zero(g, v) for g in all_faces if g.contains_point(v))
         if ok:
             additive.append(face)
     return [(f.key(), not any(g.dimension > f.dimension and g.contains_face(f)
                               for g in additive))
             for f in additive]
+
+
+def oracle_face_vertices(I, J, K):
+    """Sorted vertices of {x in I, y in J, x + y in K} for closed intervals
+    of exact numbers, by brute force: the basic solutions, where two of x,
+    y, x + y sit at interval endpoints, that are feasible."""
+    cand = {(x, y) for x in I for y in J}
+    cand.update((x, s - x) for x in I for s in K)
+    cand.update((s - y, y) for y in J for s in K)
+    return tuple(sorted(
+        (x, y) for x, y in cand
+        if I[0] <= x <= I[1] and J[0] <= y <= J[1] and K[0] <= x + y <= K[1]))
 
 
 def oracle_additivity_area(fn):
@@ -202,6 +216,28 @@ def oracle_equation_system(fn):
         rows.setdefault(row, f"pi~({x}{mark[sx]}) + pi~({y}{mark[sy]}) "
                              f"= pi~({x + y}{mark[ss]})")
     return list(rows), list(rows.values()), sym.dim
+
+
+def random_subadditive_functions(count, seed, continuous):
+    """Deterministic stream of random subadditive functions, continuous or
+    not: breakpoints k/q for q in 2..6, every value and limit in
+    quarters."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        q = rng.randint(2, 6)
+        limits = []
+        for k in range(q):
+            v = F(rng.randint(0, 4), 4) if k else F(rng.choice([0, 0, 1]), 4)
+            r, l = (v, v) if continuous else (
+                F(rng.randint(0, 4), 4) if rng.random() < 0.5 else v
+                for _ in range(2))
+            limits.append((v, r, l))
+        fn = gc.from_breakpoints_and_limits(
+            [F(k, q) for k in range(q + 1)], limits + limits[:1])
+        if fn.is_continuous == continuous and not vertex_slacks(fn).neg:
+            out.append(fn)
+    return out
 
 
 def random_minimal_functions(count, xgrid=4, ygrid=4, proba=1, start_seed=1,

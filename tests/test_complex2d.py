@@ -1,3 +1,5 @@
+import random
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
@@ -10,7 +12,8 @@ from groupcut.complex2d import (face_area, face_from_triple, faces_of_complex,
 from groupcut.errors import ConstructionError, NotSubadditiveError
 
 from conftest import (oracle_additivity_area, oracle_delta_pi_limit,
-                      oracle_maximal_additive_faces, random_minimal_functions)
+                      oracle_face_vertices, oracle_maximal_additive_faces,
+                      random_minimal_functions)
 
 
 class TestDeltaPi:
@@ -62,6 +65,31 @@ class TestFaceFromTriple:
             gc.face_from_triple((F(1, 2), F(1, 4)), (0, 1), (0, 1))
         with pytest.raises(ConstructionError):
             gc.face_from_triple((0, 1), (0, 1), (0, F(5, 2)))
+
+    @pytest.mark.parametrize("exact", [int, F])
+    def test_closed_form_vertices_match_basic_solutions(self, exact):
+        # the slice ends of the projections against the feasible basic
+        # solutions, on random triples with point intervals, cells whose
+        # face is a point or an edge, and empty faces
+        rng = random.Random(31)
+
+        def interval(n, d):
+            lo, hi = sorted(rng.randint(0, n * d) for _ in "lh")
+            if rng.random() < 0.3:
+                hi = lo
+            return (lo, hi) if exact is int else (F(lo, d), F(hi, d))
+
+        seen = Counter()
+        for _ in range(3000):
+            d = 1 if exact is int else rng.randint(1, 6)
+            I, J, K = interval(4, d), interval(4, d), interval(8, d)
+            verts = complex2d._face_vertices(complex2d._projections(I, J, K))
+            assert verts == oracle_face_vertices(I, J, K)
+            cells = all(lo < hi for lo, hi in (I, J, K))
+            seen["point intervals" if not cells else
+                 "empty" if not verts else
+                 "degenerate cell" if len(verts) < 3 else "2-face"] += 1
+        assert min(seen.values()) >= 20 and len(seen) == 4, seen
 
     def test_edge_kinds(self):
         v = gc.face_from_triple(F(1, 2), (0, F(1, 4)), (F(1, 2), F(3, 4)))
@@ -197,17 +225,26 @@ class TestAdditiveFaces:
         (gc.gj_2_slope, 6), (gc.hildebrand_discont_3_slope_1, 2)])
     def test_faces_are_built_from_tight_vertices_only(self, monkeypatch,
                                                       make, lam):
-        # every face the enumerator builds has a vertex with a tight cone:
-        # at most one per cone (13) of each tight vertex of the record
+        # the enumerator builds the vertices of a 2-face only when its
+        # limit slack vanishes at 3 of them or more, once per face: on
+        # gj_2_slope under lam = 6 that is far fewer than the 1,116 2-faces
+        # that a walk testing every 2-face at a tight vertex builds
         fn = gc.multiplicative_homomorphism(make(), lam)
         calls = []
-        basic = complex2d._basic_vertices
-        monkeypatch.setattr(complex2d, "_basic_vertices",
-                            lambda *t: calls.append(t) or basic(*t))
+        build = complex2d._face_vertices
+        monkeypatch.setattr(complex2d, "_face_vertices",
+                            lambda key: calls.append(key) or build(key))
         faces = gc.generate_additive_faces(fn)
-        tight = {(x, y) for x, y, _ in complex2d.vertex_slacks(fn).tight}
+        monkeypatch.undo()
+        D = complex2d.vertex_slacks(fn).D
         assert len(faces) and calls
-        assert len(calls) <= 13 * len(tight)
+        assert len(calls) == len(set(calls)) <= 1116 // 4
+        assert len(calls) >= len(faces.faces_of_dim(2))
+        for key in calls:
+            face = complex2d.grid_vertices_face(build(key), D)
+            assert face.dimension == 2
+            assert sum(gc.delta_pi_limit(fn, face, v) == 0
+                       for v in face.vertices) >= 3
 
 
 class TestMeritIndex:

@@ -3,6 +3,8 @@ against theorem-backed equivalences."""
 
 from fractions import Fraction as F
 
+import pytest
+
 import groupcut as gc
 from groupcut.complex2d import (faces_of_complex, scan_vertex_slacks,
                                 vertex_slacks)
@@ -122,6 +124,19 @@ def test_additive_faces_match_limit_oracle_on_discontinuous_functions():
     assert len(fns) == 16
     assert sum(fn.is_continuous for fn in fns) == 5
     for fn in fns:
+        got = gc.generate_additive_faces(fn)
+        assert [(f.key(), m) for f, m in zip(got.faces, got.maximal)] == \
+            oracle_additive_faces(fn)
+
+
+@pytest.mark.parametrize("continuous", [True, False])
+def test_additive_faces_match_limit_oracle_on_random_subadditive_functions(
+        continuous):
+    # every additive face with its maximal flag, on small random functions
+    # with breakpoints k/q, q = 2..6, and values and limits in quarters
+    from conftest import oracle_additive_faces, random_subadditive_functions
+
+    for fn in random_subadditive_functions(150, 12, continuous):
         got = gc.generate_additive_faces(fn)
         assert [(f.key(), m) for f, m in zip(got.faces, got.maximal)] == \
             oracle_additive_faces(fn)

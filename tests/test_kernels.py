@@ -1,5 +1,6 @@
 """The integer slack-scan kernel on hand-checked tables."""
 
+import random
 from fractions import Fraction as F
 
 from groupcut import _scan, kernels
@@ -19,7 +20,21 @@ def test_limit_table_periodic_tables():
 
 
 def test_complex_vertices_square():
-    assert _scan.complex_vertices([0, 10]) == [(0, 0), (0, 10), (10, 0), (10, 10)]
+    # the vertices with x <= y: the slack is symmetric
+    assert _scan.complex_vertices([0, 10]) == [(0, 0), (0, 10), (10, 10)]
+
+
+def test_complex_vertices_match_grid_line_intersections():
+    rng = random.Random(8)
+    for _ in range(300):
+        D = rng.randint(1, 40)
+        b = sorted({0, D, *(rng.randint(0, D) for _ in range(rng.randint(0, 9)))})
+        diag = b + [c + D for c in b[1:]]
+        pts = {(x, y) for x in b for y in b}
+        pts.update((x, c - x) for x in b for c in diag if 0 <= c - x <= D)
+        pts.update((c - y, y) for y in b for c in diag if 0 <= c - y <= D)
+        assert _scan.complex_vertices(b) == sorted(
+            (x, y) for x, y in pts if x <= y)
 
 
 def test_default_selection_reports_implementation():

@@ -215,3 +215,23 @@ def test_random_symmetry_needs_interior_f():
         gc.random_piecewise_function(1, 3, 1, True, seed=0)
     fn = gc.random_piecewise_function(1, 3, 1, False, seed=0)
     assert fn.end_points() == [0, 1]
+
+
+def test_scaled_tables_equal_fraction_products():
+    # the integer tables, built from numerators and denominators, against
+    # the Fraction products x * D and limit * V
+    from groupcut.compendium import construct, sourced_entries
+
+    fns = [construct(e.name) for e in sourced_entries() if e.sourced]
+    fns += [gc.multiplicative_homomorphism(gc.gj_2_slope(), 7)]
+    fns += [gc.random_piecewise_function(x, y, F(1, 2), True, seed=s)
+            for s in range(40) for x, y in ((4, 4), (6, 5), (8, 3))]
+    for fn in fns:
+        for extra in (1, 6, 35):
+            b, vals, rights, lefts, D, V = fn.scaled_tables(extra)
+            assert D % extra == 0
+            assert all((x * D).denominator == 1 for x in fn.breakpoints)
+            assert all((v * V).denominator == 1 for t in fn.limits for v in t)
+            assert b == [int(x * D) for x in fn.breakpoints]
+            assert [vals, rights, lefts] == [
+                [int(t[i] * V) for t in fn.limits] for i in range(3)]
