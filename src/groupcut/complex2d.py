@@ -25,7 +25,10 @@ slack at each of its vertices, so the enumerator walks only the tight
 vertices, the vertices with a cone of zero slack that stays in the
 square, and counts for each 2-face the vertices where its limit vanishes;
 it builds the vertices of a 2-face only when that count can make it
-additive.
+additive.  The complex is symmetric under (x, y) -> (y, x), so the walk
+visits the tight vertices with x <= y, as the record holds them, and adds
+the mirror F(J, I, K) of each face it finds with I != J; a face with
+I = J straddles the diagonal and is counted from both halves.
 It works on the integer grid 1/D of fn.scaled_tables(): covering reads its
 maximal faces there as {integer key: vertices}, and the public
 generate_*_additive_faces convert to Fraction faces only for the faces
@@ -422,12 +425,15 @@ def _pieces_at(grid: Sequence[int], t: int) -> list:
 
 
 # The cones that the walk of _grid_additive_faces follows from a tight
-# vertex: the six sectors, which reach every 2-face at the vertex, and the
-# three rays toward larger x, or larger y at equal x.  The sector test at a
-# vertex is the limit slack of the sector's 2-face there, so counting the
-# tight vertices whose sector test passes counts the face's vertices of
-# zero limit slack.  An edge is a candidate only when both its ends are
-# tight, and a ray from its lower end reaches it.
+# vertex (x, y) with x <= y: the six sectors, which reach every 2-face at
+# the vertex, and the three rays toward larger x, or larger y at equal x.
+# The sector test at a vertex is the limit slack of the sector's 2-face
+# there, so counting the tight vertices whose sector test passes counts
+# the face's vertices of zero limit slack.  An edge is a candidate only
+# when both its ends are tight, and a ray from its lower end reaches it.
+# Off the diagonal every cone enters a cell (I, J, K) with I <= J; on it,
+# a cone into a cell with I > J is skipped, as the mirror of a cell that
+# another cone there enters.
 _WALK_CONES = [s for s in _scan.SIDE_TRIPLES if all(s) or s > (0, 0, 0)]
 
 
@@ -437,32 +443,40 @@ def _grid_additive_faces(fn: PiecewiseFunction) -> tuple[int, dict]:
 
     A 2-face is additive when its limit slack vanishes at each of its
     vertices, and such a vertex is tight: it has a cone of zero slack that
-    stays in the square.  So only the tight vertices are walked.  At each,
-    a cone of _WALK_CONES that stays in the square and enters a 2-face
-    names the face by its cells (I, J, K), and its test (the value, or the
-    cone's limit when fn is discontinuous) is the face's limit slack there.
-    The walk records the cells that pass at each vertex and counts, per
-    cell, the vertices where it passed.  A 2-face is additive exactly when
-    that count equals its number of vertices, so the vertices are built,
-    in closed form, only for cells counted at 3 vertices or more.
+    stays in the square.  The slack is symmetric, so the walk visits only
+    the tight vertices with x <= y.  At each, a cone of _WALK_CONES that
+    stays in the square and enters a 2-face names the face by its cells
+    (I, J, K), and its test (the value, or the cone's limit when fn is
+    discontinuous) is the face's limit slack there.  The walk records the
+    cells that pass at each vertex and counts, per cell, the vertices
+    where it passed.  A cell with I = J is its own mirror and straddles
+    the diagonal, so a vertex off the diagonal counts for itself and its
+    mirror.  A 2-face is additive exactly when that count equals its
+    number of vertices, so the vertices are built, in closed form, only
+    for cells counted at 3 vertices or more.
 
     An edge is a candidate when both ends are tight.  It is additive when
     a 2-face has zero limit slack at both its ends, or its own limit
-    vanishes at both, and maximal when no such 2-face is additive.  The
-    additive vertices are the tight ones.
+    vanishes at both, and maximal when no such 2-face is additive.  An
+    edge with I = J runs along x + y = k from (a, b) to its mirror (b, a),
+    whose cells are the mirrors of those at (a, b).  The additive vertices
+    are the tight ones.
+
+    A face with I != J lies in one closed half of the square, and its
+    mirror F(J, I, K) is additive, with the same flag, exactly when it is:
+    it is added with the mirrored key and vertices.
     """
     rec = _require_subadditive(fn)
     b, D = fn.scaled_tables()[0], rec.D
     ext = b + [t + D for t in b[1:]]
     continuous = fn.is_continuous
-    # the vertices with a cone of zero slack that stays in the square: no
-    # side points below 0 or above D (2D for x + y), which only a cone on
-    # x = 0 or y = D (x <= y in the record) can do
+    # the vertices (x <= y) with a cone of zero slack that stays in the
+    # square: no side points below 0 or above D (2D for x + y), which only
+    # a cone on x = 0 or y = D can do
     tight = {(x, y) for x, y, sides in rec.tight
              if 0 < x and y < D or not any(
                  s and t == (e if s > 0 else 0) for s, t, e in
                  zip(sides, (x, y, x + y), (D, D, 2 * D)))}
-    tight.update([(y, x) for x, y in tight])
 
     on_b: dict = {}  # coordinate -> _pieces_at(b, .), once per walk
     on_ext: dict = {}  # the same for x + y on ext
@@ -475,28 +489,33 @@ def _grid_additive_faces(fn: PiecewiseFunction) -> tuple[int, dict]:
         py = on_b.get(y) or on_b.setdefault(y, _pieces_at(b, y))
         ps = on_ext.get(x + y) or on_ext.setdefault(x + y,
                                                    _pieces_at(ext, x + y))
+        # a cell with I = J counts here and at the mirror (y, x)
+        self_mirror = 1 if x == y else 2
         zero = zero_at[v] = set()
         for sides in _WALK_CONES:
             cell = (px[sides[0]], py[sides[1]], ps[sides[2]])
             if None in cell:
                 continue  # the cone leaves the square
-            (i0, i1), (j0, j1), (k0, k1) = cell
-            if i0 < i1 and j0 < j1 and k0 < k1:
+            I, J, (k0, k1) = cell
+            if x == y and I > J:
+                continue  # the mirror of a cell walked here
+            if I[0] < I[1] and J[0] < J[1] and k0 < k1:
                 if cell not in zero and (continuous
                                          or rec.is_tight(x, y, sides)):
                     zero.add(cell)
-                    hits[cell] = hits.get(cell, 0) + 1
+                    hits[cell] = hits.get(cell, 0) + (self_mirror if I == J
+                                                     else 1)
                 continue
             # a ray along a grid line: the edge from v to w, at the largest
             # x and x + y of F(I, J, K)
-            x1 = min(i1, k1 - j0)
-            w = (x1, min(k1, i1 + j1) - x1)
-            if w in tight:
+            x1 = min(I[1], k1 - J[0])
+            w = (x1, min(k1, I[1] + J[1]) - x1)
+            if w in tight or (w[1], w[0]) in tight:
                 edges[_projections(*cell)] = ((v, w), continuous or (
                     rec.is_tight(x, y, sides)
                     and rec.is_tight(*w, tuple(-s for s in sides))))
 
-    additive: dict = {}  # key -> (vertices, maximal)
+    additive: dict = {}  # key -> (vertices, maximal), x <= y, then mirrored
     additive_cells = set()
     for cell, n in hits.items():
         if n >= 3:
@@ -505,14 +524,24 @@ def _grid_additive_faces(fn: PiecewiseFunction) -> tuple[int, dict]:
             if n == len(verts):
                 additive[key] = (verts, True)
                 additive_cells.add(cell)
-    for key, (verts, own) in edges.items():
-        both = zero_at[verts[0]] & zero_at[verts[1]]
+    for key, ((v, w), own) in edges.items():
+        zero_w = zero_at.get(w)
+        if zero_w is None:  # w = (b, a) mirrors the tight (a, b)
+            zero_w = {(J, I, K) for I, J, K in zero_at[w[1], w[0]]}
+        both = zero_at[v] & zero_w
         if both or own:
-            additive[key] = (verts, additive_cells.isdisjoint(both))
+            additive[key] = ((v, w), additive_cells.isdisjoint(both))
+    # taken before the mirrors are added: (x, y) is a vertex of a face
+    # exactly when (y, x) is a vertex of its mirror
     in_larger = {v for verts, _ in additive.values() for v in verts}
+    for (p1, p2, p3), (verts, maximal) in list(additive.items()):
+        if p1 != p2:
+            additive[p2, p1, p3] = (tuple(sorted([(y, x) for x, y in verts])),
+                                    maximal)
     for x, y in tight:
-        additive[(x, x), (y, y), (x + y, x + y)] = (((x, y),),
-                                                   (x, y) not in in_larger)
+        maximal = (x, y) not in in_larger and (y, x) not in in_larger
+        additive[(x, x), (y, y), (x + y, x + y)] = (((x, y),), maximal)
+        additive[(y, y), (x, x), (x + y, x + y)] = (((y, x),), maximal)
 
     return D, additive
 

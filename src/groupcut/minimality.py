@@ -139,16 +139,24 @@ def _grid_witness_face(b: list[int], D: int, x: int, y: int, sides) -> Face:
 
 class _InfiniteModel:
     """A PiecewiseFunction as the shared tests read it: `table` holds the
-    (x, limits) pairs at the breakpoints, the limits in the order of SIDES;
-    `symmetry_violations(f)` checks the breakpoints and their mirrors
-    f - x; `subadditivity_violations()` reads the negative cones of the
-    vertex slack record."""
-
-    SIDES = SIDE_NAMES
+    (x, limits) pairs at the breakpoints, the limits in the order of
+    SIDE_NAMES; `range_violations()` checks them on the integer tables of
+    fn.scaled_tables(); `symmetry_violations(f)` checks the breakpoints
+    and their mirrors f - x; `subadditivity_violations()` reads the
+    negative cones of the vertex slack record."""
 
     def __init__(self, fn: PiecewiseFunction):
         self.fn = fn
         self.table = tuple(zip(fn.breakpoints, fn.limits))
+
+    def range_violations(self):
+        """0 <= v <= V for every value and limit v over V of the integer
+        tables; the slack is built only for a failing entry."""
+        _, vals, rights, lefts, _, V = self.fn.scaled_tables()
+        for (x, t), scaled in zip(self.table, zip(vals, rights, lefts)):
+            for side, val, v in zip(SIDE_NAMES, t, scaled):
+                if not 0 <= v <= V:
+                    yield _range_violation(x, side, val)
 
     def symmetry_violations(self, f: Fraction):
         """pi(x) + pi(f - x) = 1 with every limit, at x in the breakpoints
@@ -188,8 +196,6 @@ class _FiniteModel:
     integers; `symmetry_violations` refuses an f that is not a group
     point."""
 
-    SIDES = (None,)
-
     def __init__(self, fn: DiscreteFunction):
         self.fn = fn
         self.table = tuple((p, (v,)) for p, v in zip(fn.points, fn.values))
@@ -203,6 +209,11 @@ class _FiniteModel:
     def scan(self):
         """(neg, zero, min_pos) of `_scan.scan_discrete`, in units of 1/V."""
         return _scan.scan_discrete(self.scaled[0], self.fn.q)
+
+    def range_violations(self):
+        for x, (val,) in self.table:
+            if not 0 <= val <= 1:
+                yield _range_violation(x, None, val)
 
     def symmetry_violations(self, f: Fraction):
         q, points, values = self.fn.q, self.fn.points, self.fn.values
@@ -253,11 +264,11 @@ def _value_violations(m):
     x0, (v0, *_) = m.table[0]
     if v0 != 0:
         yield Violation("value-at-0", x=x0, slack=v0)
-    for x, t in m.table:
-        for side, val in zip(m.SIDES, t):
-            if not 0 <= val <= 1:
-                yield Violation("range", x=x, sides=side,
-                                slack=min(val, 1 - val))
+    yield from m.range_violations()
+
+
+def _range_violation(x, side, val) -> Violation:
+    return Violation("range", x=x, sides=side, slack=min(val, 1 - val))
 
 
 def _pair_violations(m, f: Optional[Fraction]):

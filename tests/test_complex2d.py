@@ -221,14 +221,16 @@ class TestAdditiveFaces:
         vertex_keys = {f.vertices[0] for f in faces.faces if f.dimension == 0}
         assert (F(3, 8), F(1, 8)) in vertex_keys
 
-    @pytest.mark.parametrize("make, lam", [
-        (gc.gj_2_slope, 6), (gc.hildebrand_discont_3_slope_1, 2)])
+    @pytest.mark.parametrize("make, lam, most", [
+        (gc.gj_2_slope, 6, 135), (gc.hildebrand_discont_3_slope_1, 2, 13)],
+        ids=["gj_2_slope-6", "hildebrand_discont_3_slope_1-2"])
     def test_faces_are_built_from_tight_vertices_only(self, monkeypatch,
-                                                      make, lam):
+                                                      make, lam, most):
         # the enumerator builds the vertices of a 2-face only when its
-        # limit slack vanishes at 3 of them or more, once per face: on
-        # gj_2_slope under lam = 6 that is far fewer than the 1,116 2-faces
-        # that a walk testing every 2-face at a tight vertex builds
+        # limit slack vanishes at 3 of them or more, once per face with
+        # x <= y, and mirrors the rest: on gj_2_slope under lam = 6 that is
+        # 135 of the 252 additive 2-faces, and far fewer than the 1,116
+        # 2-faces that a walk testing every 2-face at a tight vertex builds
         fn = gc.multiplicative_homomorphism(make(), lam)
         calls = []
         build = complex2d._face_vertices
@@ -238,13 +240,45 @@ class TestAdditiveFaces:
         monkeypatch.undo()
         D = complex2d.vertex_slacks(fn).D
         assert len(faces) and calls
-        assert len(calls) == len(set(calls)) <= 1116 // 4
-        assert len(calls) >= len(faces.faces_of_dim(2))
+        assert len(calls) == len(set(calls)) <= most
+        built = set()
         for key in calls:
             face = complex2d.grid_vertices_face(build(key), D)
             assert face.dimension == 2
             assert sum(gc.delta_pi_limit(fn, face, v) == 0
                        for v in face.vertices) >= 3
+            built.add(face.key())
+        assert built >= {f.key() for f in faces.faces_of_dim(2)
+                         if f.key() <= f.mirror_key()}
+
+    def test_faces_are_closed_under_the_mirror(self):
+        # the walk visits the vertices with x <= y only and adds the mirror
+        # F(J, I, K) of each face, with the mirrored vertices and the same
+        # flag; a face with I = J is its own mirror and straddles the
+        # diagonal, as does the edge along x + y = k from (a, b) to (b, a)
+        from conftest import random_subadditive_functions
+
+        gj6 = gc.multiplicative_homomorphism(gc.gj_2_slope(), 6)
+        fns = [gj6, gc.multiplicative_homomorphism(
+            gc.hildebrand_discont_3_slope_1(), 6)]
+        fns += [fn for continuous in (True, False)
+                for fn in random_subadditive_functions(150, 12, continuous)]
+        straddling = Counter()
+        for fn in fns:
+            additive = complex2d._grid_additive_faces(fn)[1]
+            for (p1, p2, p3), (verts, maximal) in additive.items():
+                mirror = tuple(sorted((y, x) for x, y in verts))
+                assert additive[p2, p1, p3] == (mirror, maximal)
+                if p1 == p2 and len(verts) > 1:
+                    straddling[len(verts) > 2] += 1
+        assert straddling[True] and straddling[False]
+        # on the grid 1/180: the 2-face [0, 7/180]^2 below x + y = 7/180,
+        # whose limit slack vanishes at (0, 0) and at the mirrored pair
+        # (0, 7/180), (7/180, 0), and its diagonal edge
+        additive = complex2d._grid_additive_faces(gj6)[1]
+        assert additive[(0, 7), (0, 7), (0, 7)] == (
+            ((0, 0), (0, 7), (7, 0)), True)
+        assert additive[(0, 7), (0, 7), (7, 7)] == (((0, 7), (7, 0)), False)
 
 
 class TestMeritIndex:

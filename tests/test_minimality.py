@@ -39,6 +39,44 @@ class TestMinimalityTest:
         kinds = {v.kind for v in rep.violations}
         assert "range" in kinds
 
+    def test_range_on_integer_tables_matches_fractions(self):
+        # values and limits below 0, above 1 and at both ends of [0, 1], on
+        # mixed denominators: the range check on the scaled integer tables
+        # finds what the Fraction comparison finds, in the same order
+        import random
+
+        from groupcut.jsonio import minimality_report_to_dict
+        from groupcut.minimality import SIDE_NAMES
+
+        def rep_of(violations):
+            return gc.MinimalityReport(False, None, violations)
+
+        rng = random.Random(5)
+        choices = [F(-1, 3), F(-1, 7), 0, F(2, 5), 1, F(8, 7), F(5, 3)]
+        seen = set()
+        for _ in range(60):
+            q = rng.randint(2, 5)
+            limits = [tuple(rng.choice(choices) for _ in range(3))
+                      for _ in range(q)]
+            fn = gc.from_breakpoints_and_limits(
+                [F(k, q) for k in range(q + 1)], limits + limits[:1])
+            out = [(x, side, val) for x, t in zip(fn.breakpoints, fn.limits)
+                   for side, val in zip(SIDE_NAMES, t) if not 0 <= val <= 1]
+            want = tuple(gc.Violation("range", x=x, sides=side,
+                                      slack=min(val, 1 - val))
+                         for x, side, val in out)
+            rep = gc.minimality_test(fn, f=F(1, 2))
+            got = tuple(v for v in rep.violations if v.kind == "range")
+            assert got == want
+            assert [repr(v) for v in got] == [repr(v) for v in want]
+            assert minimality_report_to_dict(rep_of(got)) == \
+                minimality_report_to_dict(rep_of(want))
+            first = gc.minimality_test(fn, f=F(1, 2), collect_all=False)
+            assert first.violations == rep.violations[:1]
+            seen.update((val < 0, side) for _, side, val in out)
+        assert seen == {(low, side) for low in (True, False)
+                        for side in SIDE_NAMES}
+
     def test_equiv5_limit_witness(self, equiv5):
         rep = gc.minimality_test(equiv5)
         assert not rep.is_minimal
