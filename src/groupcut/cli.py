@@ -41,9 +41,12 @@ def _out_dir() -> Path:
 
 def _load(args):
     """Input resolution: an existing path or *.json is a function file,
-    anything else a compendium name with --param arguments."""
-    name = args.input
+    anything else a compendium name with --param arguments.  --param and
+    --f are refused on a function file, and --f next to --param f=."""
+    name, f = args.input, getattr(args, "f", None)
     if name.endswith(".json") or os.path.exists(name):
+        if args.param or f:
+            raise GroupCutError("--param and --f are for compendium names")
         return load_function(name)
     params = {}
     for item in args.param or []:
@@ -57,8 +60,10 @@ def _load(args):
                 params[key] = raw == "true"
             else:
                 params[key] = int(raw)
-    if getattr(args, "f", None):
-        params["f"] = parse_rational(args.f)
+    if f:
+        if "f" in params:
+            raise GroupCutError("f is given both as --f and as --param f=")
+        params["f"] = parse_rational(f)
     return construct(name, **params)
 
 
@@ -255,7 +260,7 @@ def cmd_plot(args) -> int:
     fn = _load(args)
     if isinstance(fn, DiscreteFunction):
         fn = interpolate_to_infinite_group(fn)
-    spec = DiagramSpec(kind=args.kind, size=args.size)
+    spec = DiagramSpec(size=args.size)
     if args.kind == "function":
         doc = plot_function(fn, spec=spec)
     elif args.kind == "cones":

@@ -26,13 +26,13 @@ vertices, the vertices with a cone of zero slack that stays in the
 square, and counts for each 2-face the vertices where its limit vanishes;
 it builds the vertices of a 2-face only when that count can make it
 additive.  The complex is symmetric under (x, y) -> (y, x), so the walk
-visits the tight vertices with x <= y, as the record holds them, and adds
-the mirror F(J, I, K) of each face it finds with I != J; a face with
-I = J straddles the diagonal and is counted from both halves.
-It works on the integer grid 1/D of fn.scaled_tables(): covering reads its
-maximal faces there as {integer key: vertices}, and the public
-generate_*_additive_faces convert to Fraction faces only for the faces
-they return.
+visits the tight vertices with x <= y, as the record holds them, and
+returns the faces of that half; a face with I = J straddles the diagonal
+and is counted from both halves.
+It works on the integer grid 1/D of fn.scaled_tables(): covering reads the
+half's maximal faces there as {integer key: vertices}, and the public
+generate_*_additive_faces add the mirror F(J, I, K) of each face with
+I != J and convert to Fraction faces only for the faces they return.
 One closed-form routine gives the vertices of a face F(I, J, K) from its
 projections, for the enumerator, for face_from_triple and grid_face, and
 for faces_of_complex, which lists every face of the complex, the
@@ -82,13 +82,6 @@ class Face:
     @property
     def is_empty(self) -> bool:
         return not self.vertices
-
-    def proj3_mod_1(self) -> Interval:
-        """View of proj3 reduced into [0, 1] (faces never straddle 1)."""
-        lo, hi = self.proj3
-        if lo >= 1:
-            return (lo - 1, hi - 1)
-        return (lo, hi)
 
     def contains_point(self, p: Point) -> bool:
         if self.is_empty:
@@ -391,9 +384,8 @@ class AdditiveFaceSet:
     def maximal_faces(self) -> list[Face]:
         return [f for f, m in zip(self.faces, self.maximal) if m]
 
-    def faces_of_dim(self, dim: int, maximal_only: bool = False) -> list[Face]:
-        return [f for f, m in zip(self.faces, self.maximal)
-                if f.dimension == dim and (m or not maximal_only)]
+    def faces_of_dim(self, dim: int) -> list[Face]:
+        return [f for f in self.faces if f.dimension == dim]
 
     def __len__(self):
         return len(self.faces)
@@ -438,8 +430,10 @@ _WALK_CONES = [s for s in _scan.SIDE_TRIPLES if all(s) or s > (0, 0, 0)]
 
 
 def _grid_additive_faces(fn: PiecewiseFunction) -> tuple[int, dict]:
-    """The additive faces of generate_additive_faces on the integer grid of
-    fn.scaled_tables(): (D, {key: (vertices, maximal)}).
+    """The additive faces of generate_additive_faces in the half x <= y on
+    the integer grid of fn.scaled_tables(): (D, {key: (vertices,
+    maximal)}), the faces with key <= mirror key and the vertices (x, y)
+    with x <= y.
 
     A 2-face is additive when its limit slack vanishes at each of its
     vertices, and such a vertex is tight: it has a cone of zero slack that
@@ -463,8 +457,8 @@ def _grid_additive_faces(fn: PiecewiseFunction) -> tuple[int, dict]:
     are the tight ones.
 
     A face with I != J lies in one closed half of the square, and its
-    mirror F(J, I, K) is additive, with the same flag, exactly when it is:
-    it is added with the mirrored key and vertices.
+    mirror F(J, I, K) is additive, with the same flag, exactly when it is;
+    _fraction_face_set adds it.
     """
     rec = _require_subadditive(fn)
     b, D = fn.scaled_tables()[0], rec.D
@@ -515,7 +509,7 @@ def _grid_additive_faces(fn: PiecewiseFunction) -> tuple[int, dict]:
                     rec.is_tight(x, y, sides)
                     and rec.is_tight(*w, tuple(-s for s in sides))))
 
-    additive: dict = {}  # key -> (vertices, maximal), x <= y, then mirrored
+    additive: dict = {}  # key -> (vertices, maximal), x <= y
     additive_cells = set()
     for cell, n in hits.items():
         if n >= 3:
@@ -531,27 +525,29 @@ def _grid_additive_faces(fn: PiecewiseFunction) -> tuple[int, dict]:
         both = zero_at[v] & zero_w
         if both or own:
             additive[key] = ((v, w), additive_cells.isdisjoint(both))
-    # taken before the mirrors are added: (x, y) is a vertex of a face
-    # exactly when (y, x) is a vertex of its mirror
+    # (x, y) is a vertex of a face exactly when (y, x) is a vertex of its
+    # mirror, so the half tells whether a vertex lies in a larger face
     in_larger = {v for verts, _ in additive.values() for v in verts}
-    for (p1, p2, p3), (verts, maximal) in list(additive.items()):
-        if p1 != p2:
-            additive[p2, p1, p3] = (tuple(sorted([(y, x) for x, y in verts])),
-                                    maximal)
     for x, y in tight:
         maximal = (x, y) not in in_larger and (y, x) not in in_larger
         additive[(x, x), (y, y), (x + y, x + y)] = (((x, y),), maximal)
-        additive[(y, y), (x, x), (x + y, x + y)] = (((y, x),), maximal)
 
     return D, additive
 
 
 def _fraction_face_set(D: int, additive: dict) -> AdditiveFaceSet:
-    """Fraction faces of {key: (vertices, maximal)} on the grid 1/D, in key
-    order (integer keys sort as the Fraction keys do)."""
-    keys = sorted(additive)
-    faces = tuple(grid_vertices_face(additive[k][0], D) for k in keys)
-    return AdditiveFaceSet(faces, tuple(additive[k][1] for k in keys))
+    """Fraction faces on the grid 1/D of the walk's half {key: (vertices,
+    maximal)} and of the mirror F(J, I, K), with the mirrored vertices and
+    the same flag, of each face with I != J, in key order (integer keys
+    sort as the Fraction keys do)."""
+    whole = dict(additive)
+    for (p1, p2, p3), (verts, maximal) in additive.items():
+        if p1 != p2:
+            whole[p2, p1, p3] = (tuple(sorted([(y, x) for x, y in verts])),
+                                 maximal)
+    keys = sorted(whole)
+    faces = tuple(grid_vertices_face(whole[k][0], D) for k in keys)
+    return AdditiveFaceSet(faces, tuple(whole[k][1] for k in keys))
 
 
 def generate_additive_faces(fn: PiecewiseFunction) -> AdditiveFaceSet:

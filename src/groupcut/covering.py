@@ -11,23 +11,27 @@ same component.
 
 Both phases work on one sorted integer grid P on the grid 1/D of the
 function.  The maximal additive faces come from the tight-vertex walk of
-complex2d as {integer key: vertices} over fn's D; the single points of a
-key give the face's dimension and edge kind.  P holds the projection and
-window endpoints of the faces, closed under the edge maps (the images of
-the points of P inside a window are added until none is new, which ends
+complex2d as {integer key: vertices} over fn's D, in its half x <= y: the
+mirror F(J, I, K) of a face has the same projections, so it adds no
+covered interval and no edge map.  The single points of a key give the
+face's dimension and edge kind.  P holds the projection and window
+endpoints of the faces, closed under the edge maps (the images of the
+points of P inside a window are added until none is new, which ends
 because P stays in {0, ..., D}).  The points and open cells of P are the
 elements of one union-find (Tarjan 1975); a component is a class of
 covered elements, and an uncovered element is a class of its own.  Phase
 one joins the elements inside the projections of each 2-face.  Phase two
-passes over the edges in key order and joins each maximal covered run of a
-source window with its image, logged as an EdgeMove, until a pass changes
+passes over the distinct edge maps, each for the first edge in key order
+that has it, and joins each maximal covered run of a source window with
+its image, logged as an EdgeMove naming that edge, until a pass changes
 nothing; every change joins two classes, so there are at most as many
 passes as elements.  Components are read off as runs of one class: open
 intervals end at a point outside the class, closed ones (continuous
 functions) join when they touch.  Fractions appear only for the returned
 intervals, the logged moves (an EdgeMove's face is built from the edge's
 integer vertices) and the additive= argument, an AdditiveFaceSet that is
-scaled once into the same integer form on the grid of its vertices.
+scaled once into the same integer form on the grid of its vertices; with
+or without the mirrors of its faces it covers alike.
 """
 
 from __future__ import annotations
@@ -201,15 +205,20 @@ def _scaled_faces(additive: AdditiveFaceSet) -> tuple[int, dict]:
 
 def _cover_directly(fn: PiecewiseFunction, D: int, faces: dict):
     """Phase one on the grid P closed under the edge maps, for the faces
-    {key: vertices} on the grid 1/D: the classes and the maps (edge key,
-    kind, source window, image window) in edge key order.  A key's single
-    points give the face's dimension: none for a 2-face, one for an
-    edge."""
+    {key: vertices} on the grid 1/D: the classes and the distinct maps
+    (edge key, kind, source window, image window) in edge key order.  A
+    key's single points give the face's dimension: none for a 2-face, one
+    for an edge."""
     singles = {key: sum(lo == hi for lo, hi in key) for key in faces}
     windows = [(p1, p2, _mod_one(p3, D))
                for (p1, p2, p3), n in singles.items() if not n]
-    edges = sorted(key for key, n in singles.items() if n == 1)
-    maps = [(key, *m) for key in edges for m in _edge_maps(key, D)]
+    # an edge and its mirror have the same maps: each map once, for the
+    # first edge in key order with it
+    first: dict = {}
+    for key in sorted(key for key, n in singles.items() if n == 1):
+        for m in _edge_maps(key, D):
+            first.setdefault(m, key)
+    maps = [(key, *m) for m, key in first.items()]
     points = {0, D}.union(*(iv for w in windows for iv in w),
                           *(m[2] for m in maps))
     classes = _Classes(_closed_grid(points, maps), D, fn.is_continuous)

@@ -14,7 +14,7 @@ plain SVG 1.1 text, byte-for-byte reproducible for equal input.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -50,19 +50,17 @@ COMPONENT_PALETTE = (
 class DiagramSpec:
     """Rendering parameters shared by the diagram builders."""
 
-    kind: str = "function"
     size: int = 600
-    palette: tuple[str, ...] = SLOPE_PALETTE
-    role_colors: dict = field(default_factory=lambda: dict(ROLE_COLORS))
 
 
 def _fmt(x) -> str:
     return f"{float(x):.4f}"
 
 
-def _slope_colors(fn: PiecewiseFunction, palette) -> dict:
+def _slope_colors(fn: PiecewiseFunction) -> dict:
     slopes = sorted(set(fn.interval_slopes()))
-    return {s: palette[i % len(palette)] for i, s in enumerate(slopes)}
+    return {s: SLOPE_PALETTE[i % len(SLOPE_PALETTE)]
+            for i, s in enumerate(slopes)}
 
 
 class _Doc:
@@ -115,11 +113,11 @@ def _graph_segments(fn: PiecewiseFunction):
     return segs
 
 
-def plot_function(fn: PiecewiseFunction, colored_slopes: bool = True,
+def plot_function(fn: PiecewiseFunction,
                   spec: Optional[DiagramSpec] = None) -> str:
     """Graph over [0, 1] with a color per slope value and open/closed
     endpoint markers at discontinuities."""
-    spec = spec or DiagramSpec(kind="function")
+    spec = spec or DiagramSpec()
     S = spec.size
     pad = S * 0.08
     vs = [v for t in fn.limits for v in t]
@@ -137,10 +135,9 @@ def plot_function(fn: PiecewiseFunction, colored_slopes: bool = True,
     doc.rect(0, 0, S, S, "#ffffff")
     doc.line(X(0), Y(0), X(1), Y(0), "#cccccc")
     doc.line(X(0), Y(vmax), X(0), Y(vmin), "#cccccc")
-    colors = _slope_colors(fn, spec.palette)
+    colors = _slope_colors(fn)
     for (x1, v1), (x2, v2), slope in _graph_segments(fn):
-        color = colors[slope] if colored_slopes else ROLE_COLORS["function"]
-        doc.line(X(x1), Y(v1), X(x2), Y(v2), color, width=2.0)
+        doc.line(X(x1), Y(v1), X(x2), Y(v2), colors[slope], width=2.0)
     r = max(2.5, S * 0.006)
     for x, (v, right, left) in zip(fn.breakpoints, fn.limits):
         if left != v:
@@ -240,7 +237,7 @@ def plot_2d_diagram_with_cones(fn: PiecewiseFunction,
                                spec: Optional[DiagramSpec] = None) -> str:
     """Complex diagram with the slack sign at every vertex: green dots or
     cones where the (limit) slack is zero, red where it is negative."""
-    spec = spec or DiagramSpec(kind="2d_cones")
+    spec = spec or DiagramSpec()
     sq = _Square(fn, spec)
     sq.draw_grid()
     sq.draw_border_functions()
@@ -278,7 +275,7 @@ def plot_2d_diagram(fn: PiecewiseFunction,
                     additive: Optional[AdditiveFaceSet] = None) -> str:
     """Maximal additive faces shaded green; the projections of the
     two-dimensional ones drawn as gray shadows on the three axes."""
-    spec = spec or DiagramSpec(kind="2d_additive_faces")
+    spec = spec or DiagramSpec()
     sq = _Square(fn, spec)
     sq.draw_grid()
     sq.draw_border_functions()
@@ -322,7 +319,7 @@ def covered_steps_frames(fn: PiecewiseFunction,
     phase-one intervals and the images moved so far as bars on the x-axis
     strip, colored by final component, and the edge used in the step
     highlighted."""
-    spec = spec or DiagramSpec(kind="covered_steps")
+    spec = spec or DiagramSpec()
     additive = generate_maximal_additive_faces(fn)
     final = generate_covered_components(fn, additive)
     covered = directly_covered_components(fn, additive).all_intervals()
@@ -360,7 +357,7 @@ def plot_perturbation(fn: PiecewiseFunction, pert: PiecewiseFunction,
     the scaled perturbation itself (magenta)."""
     from .pwl import linear_combination
 
-    spec = spec or DiagramSpec(kind="perturbation")
+    spec = spec or DiagramSpec()
     S = spec.size
     pad = S * 0.08
     plus = linear_combination(1, fn, eps, pert, f=fn.f)

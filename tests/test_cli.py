@@ -183,6 +183,27 @@ class TestDataVerbs:
                          "--param", "conditioncheck=true")
         assert code == 0
 
+    def test_param_and_f_are_refused_on_a_function_file(self, capsys,
+                                                        tmp_path):
+        # exit 2 (error), where they were ignored and the verdict printed
+        path = tmp_path / "gmic.json"
+        code, out, _ = run(capsys, "show", "gmic", "--json")
+        path.write_text(out)
+        for extra in (["--f", "1/2"], ["--param", "f=1/2"],
+                      ["--param", "f=1/2", "--f", "1/2"]):
+            code, out, err = run(capsys, "minimality", str(path), *extra)
+            assert code == 2 and not out
+            assert "are for compendium names" in err
+        code, out, _ = run(capsys, "minimality", str(path))
+        assert code == 0 and "Thus pi is minimal." in out
+
+    def test_f_and_param_f_together_are_refused(self, capsys):
+        # --f silently replaced --param f=
+        code, out, err = run(capsys, "eval", "gj_2_slope", "--param", "f=3/5",
+                             "--f", "4/5", "--x", "3/5")
+        assert code == 2 and not out
+        assert "--f" in err and "--param f=" in err
+
     def test_function_file_must_be_an_object(self, capsys, tmp_path):
         path = tmp_path / "list.json"
         path.write_text("[1, 2]")

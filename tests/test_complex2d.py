@@ -252,7 +252,8 @@ class TestAdditiveFaces:
                          if f.key() <= f.mirror_key()}
 
     def test_faces_are_closed_under_the_mirror(self):
-        # the walk visits the vertices with x <= y only and adds the mirror
+        # the walk visits the vertices with x <= y only and returns the
+        # faces with key <= mirror key; the public list adds the mirror
         # F(J, I, K) of each face, with the mirrored vertices and the same
         # flag; a face with I = J is its own mirror and straddles the
         # diagonal, as does the edge along x + y = k from (a, b) to (b, a)
@@ -265,10 +266,18 @@ class TestAdditiveFaces:
                 for fn in random_subadditive_functions(150, 12, continuous)]
         straddling = Counter()
         for fn in fns:
-            additive = complex2d._grid_additive_faces(fn)[1]
-            for (p1, p2, p3), (verts, maximal) in additive.items():
-                mirror = tuple(sorted((y, x) for x, y in verts))
-                assert additive[p2, p1, p3] == (mirror, maximal)
+            D, half = complex2d._grid_additive_faces(fn)
+            assert all(p1 <= p2 for p1, p2, _ in half)
+            faces = gc.generate_additive_faces(fn)
+            flags = {f.key(): (f.vertices, m)
+                     for f, m in zip(faces.faces, faces.maximal)}
+            for face, maximal in zip(faces.faces, faces.maximal):
+                assert flags[face.mirror_key()] == (
+                    mirror_face(face).vertices, maximal)
+            assert {tuple((lo * D, hi * D) for lo, hi in key)
+                    for key in flags if key <= (key[1], key[0], key[2])} \
+                == set(half)
+            for (p1, p2, _), (verts, _) in half.items():
                 if p1 == p2 and len(verts) > 1:
                     straddling[len(verts) > 2] += 1
         assert straddling[True] and straddling[False]

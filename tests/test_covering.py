@@ -4,7 +4,7 @@ import pytest
 
 import groupcut as gc
 from groupcut.complex2d import (Face, generate_additive_faces,
-                                generate_maximal_additive_faces)
+                                generate_maximal_additive_faces, mirror_face)
 from groupcut.covering import directly_covered_components
 from groupcut.errors import UnsupportedCaseError
 
@@ -89,22 +89,27 @@ class TestGenerateCoveredComponents:
     def test_later_edge_feeds_earlier_edge(self, gmic45, hildebrand):
         # the edge at x = 1/4 covers (1/2, 5/8) only after the edge at
         # x = 1/8, earlier in key order, was passed over: a second pass
-        # must move it on to (5/8, 3/4)
+        # must move it on to (5/8, 3/4); the mirror of that edge, later in
+        # key order, has the same maps, so adding it changes no move
         two_face = gc.face_from_triple((F(1, 8), F(3, 16)), (F(1, 8), F(3, 16)),
                                        (F(1, 4), F(3, 8)))
         first = gc.face_from_triple(F(1, 8), (F(1, 2), F(5, 8)), (F(5, 8), F(3, 4)))
         second = gc.face_from_triple(F(1, 4), (F(1, 4), F(3, 8)), (F(1, 2), F(5, 8)))
-        additive = gc.AdditiveFaceSet((two_face, first, second), (True,) * 3)
-        for fn, tail in ((hildebrand, ((F(1, 2), F(5, 8)), (F(5, 8), F(3, 4)))),
-                         (gmic45, ((F(1, 2), F(3, 4)),))):
-            cc = gc.generate_covered_components(fn, additive)
-            assert cc.components == (
-                ((F(1, 8), F(3, 16)), (F(1, 4), F(3, 8))) + tail,)
-            assert cc.uncovered == ((0, F(1, 8)), (F(3, 16), F(1, 4)),
-                                    (F(3, 8), F(1, 2)), (F(3, 4), 1))
-            assert [(mv.face, mv.source, mv.moved) for mv in cc.edges_used] \
-                == [(second, (F(1, 4), F(3, 8)), (F(1, 2), F(5, 8))),
-                    (first, (F(1, 2), F(5, 8)), (F(5, 8), F(3, 4)))]
+        cases = [(hildebrand, ((F(1, 2), F(5, 8)), (F(5, 8), F(3, 4)))),
+                 (gmic45, ((F(1, 2), F(3, 4)),))]
+        for faces in ((two_face, first, second),
+                      (two_face, first, second, mirror_face(first))):
+            additive = gc.AdditiveFaceSet(faces, (True,) * len(faces))
+            for fn, tail in cases:
+                cc = gc.generate_covered_components(fn, additive)
+                assert cc.components == (
+                    ((F(1, 8), F(3, 16)), (F(1, 4), F(3, 8))) + tail,)
+                assert cc.uncovered == ((0, F(1, 8)), (F(3, 16), F(1, 4)),
+                                        (F(3, 8), F(1, 2)), (F(3, 4), 1))
+                assert [(mv.face, mv.source, mv.moved)
+                        for mv in cc.edges_used] \
+                    == [(second, (F(1, 4), F(3, 8)), (F(1, 2), F(5, 8))),
+                        (first, (F(1, 2), F(5, 8)), (F(5, 8), F(3, 4)))]
 
     def test_two_sided_discontinuity_at_origin_rejected(self):
         fn = gc.from_breakpoints_and_limits(
@@ -301,14 +306,18 @@ def _agreement_inputs():
 
 
 def test_integer_faces_and_additive_argument_agree():
-    # the integer faces of the walk and both public face sets, scaled to
-    # their own grid, give the same components, uncovered intervals and
-    # moves (faces included)
+    # the integer faces of the walk (the half x <= y), both public face
+    # sets and the maximal faces with key <= mirror key, scaled to their
+    # own grid, give the same components, uncovered intervals and moves
+    # (faces included)
     for fn in _agreement_inputs():
         walk = _covering(gc.generate_covered_components, fn)
         every, maximal = (generate_additive_faces(fn),
                           generate_maximal_additive_faces(fn))
-        for additive in (every, maximal):
+        half = [f for f in maximal.faces if f.key() <= f.mirror_key()]
+        assert len(half) < len(maximal)
+        for additive in (every, maximal,
+                         gc.AdditiveFaceSet(tuple(half), (True,) * len(half))):
             assert _covering(gc.generate_covered_components, fn,
                              additive) == walk
         assert _covering(directly_covered_components, fn, every) == \
