@@ -41,8 +41,9 @@ def _out_dir() -> Path:
 
 def _load(args):
     """Input resolution: an existing path or *.json is a function file,
-    anything else a compendium name with --param arguments.  --param and
-    --f are refused on a function file, and --f next to --param f=."""
+    anything else a compendium name with --param arguments (p/q, an
+    integer, true or false; each name once).  --param and --f are refused
+    on a function file, and --f next to --param f=."""
     name, f = args.input, getattr(args, "f", None)
     if name.endswith(".json") or os.path.exists(name):
         if args.param or f:
@@ -53,13 +54,10 @@ def _load(args):
         key, _, raw = item.partition("=")
         if not raw:
             raise GroupCutError(f"--param needs name=p/q, got {item!r}")
-        try:
-            params[key] = parse_rational(raw)
-        except ValueError:
-            if raw in ("true", "false"):
-                params[key] = raw == "true"
-            else:
-                params[key] = int(raw)
+        if key in params:
+            raise GroupCutError(f"--param {key}= is given twice")
+        params[key] = (raw == "true" if raw in ("true", "false")
+                       else parse_rational(raw))
     if f:
         if "f" in params:
             raise GroupCutError("f is given both as --f and as --param f=")

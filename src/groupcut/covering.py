@@ -210,8 +210,13 @@ def _cover_directly(fn: PiecewiseFunction, D: int, faces: dict):
     key's single points give the face's dimension: none for a 2-face, one
     for an edge."""
     singles = {key: sum(lo == hi for lo, hi in key) for key in faces}
-    windows = [(p1, p2, _mod_one(p3, D))
-               for (p1, p2, p3), n in singles.items() if not n]
+    # a 2-face and its mirror F(J, I, K) have one window: each once, keyed
+    # by its unordered first two projections and its third, first seen
+    windows: dict = {}
+    for (p1, p2, p3), n in singles.items():
+        if not n:
+            p3 = _mod_one(p3, D)
+            windows.setdefault((min(p1, p2), max(p1, p2), p3), (p1, p2, p3))
     # an edge and its mirror have the same maps: each map once, for the
     # first edge in key order with it
     first: dict = {}
@@ -222,7 +227,7 @@ def _cover_directly(fn: PiecewiseFunction, D: int, faces: dict):
     points = {0, D}.union(*(iv for w in windows for iv in w),
                           *(m[2] for m in maps))
     classes = _Classes(_closed_grid(points, maps), D, fn.is_continuous)
-    for window in windows:
+    for window in windows.values():
         elements = [e for iv in window for e in classes.elements(*iv)]
         classes.join(elements, classes.find(elements[0]))
     return classes, maps

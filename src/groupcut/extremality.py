@@ -17,11 +17,16 @@ are the interior values of a perturbation; the rest of the test is shared.
 Both systems are held in one row format, the sparse integer row
 ((column, coefficient), ...).  On the grid 1/D of g (the breakpoints and
 the component endpoints), D*g is an integer vector at every grid point: a
-slope entry is a grid length, a jump entry is D.  Each tight cone of the
-function's vertex slack record gives D times its relation, summed from
-these vectors; the finite rows are integer already.  The elimination takes
-the integer rows as they are; EquationSystem.rows, SymbolicPerturbation's
-limit and value and the perturbation are the Fraction views.
+slope entry is a grid length, a jump entry is D.  g is built on integer
+ticks, each piece's component read by bisect from the components' integer
+spans.  Each tight cone of the function's vertex slack record gives D
+times its relation, summed from these vectors: each (point, side) is read
+from g once and its vector interned as a small id, and a row is summed
+once per distinct triple of ids.  The finite rows are integer already.
+The elimination takes the integer rows as they are; a kernel vector
+becomes the perturbation by one integer dot product with D*g per entry.
+EquationSystem.rows, SymbolicPerturbation's limit and value and the
+perturbation are the Fraction views.
 """
 
 from __future__ import annotations
@@ -30,6 +35,7 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, partial
+from operator import add, mul, sub
 from typing import Optional
 
 from .complex2d import max_abs_slack, vertex_slacks
@@ -170,36 +176,75 @@ def generate_symbolic(fn: PiecewiseFunction,
             jumps.append((x, "left"))
         if i < n and r != v:
             jumps.append((x, "right"))
-    jump_col = {pt: k + j for j, pt in enumerate(jumps)}
 
-    grid = sorted({x for x in fn.breakpoints}
-                  | {e for comp in components.components for iv in comp for e in iv})
-    if grid[0] != 0 or grid[-1] != 1:
+    # the grid points by their integer tick on the grid 1/D
+    points = [*fn.breakpoints,
+              *(e for comp in components.components for iv in comp for e in iv)]
+    D = common_denominator(points)
+
+    def tick(x: Fraction) -> int:
+        return x.numerator * (D // x.denominator)
+
+    at = {tick(x): x for x in points}
+    ticks = sorted(at)
+    if ticks[0] != 0 or ticks[-1] != D:
         raise InternalConsistencyError("component endpoints escape [0, 1]")
-    D = common_denominator(grid)
-    ticks = [int(x * D) for x in grid]
+    grid = [at[t] for t in ticks]
+    jump_col = {(tick(x), side): k + j for j, (x, side) in enumerate(jumps)}
+    # the component intervals as integer spans (lo, hi, component), sorted:
+    # a piece lies in the span that starts last at or before its left end
+    spans = sorted((tick(lo), tick(hi), c)
+                   for c, comp in enumerate(components.components)
+                   for lo, hi in comp)
+    starts = [lo for lo, _, _ in spans]
 
     # walk the grid: each piece adds its length to its component's column
     # and each jump adds D to its own column
     vec, triples, slopes = [0] * (k + len(jumps)), [], []
     for i, x in enumerate(grid):
         if i:
-            comp = components.component_of((grid[i - 1] + x) / 2)
-            if comp is None:
+            j = bisect_right(starts, ticks[i - 1]) - 1
+            if j < 0 or spans[j][1] < ticks[i]:
                 raise InternalConsistencyError(
                     f"piece ({grid[i - 1]}, {x}) not inside any covered component")
+            comp = spans[j][2]
             slopes.append(comp)
             vec[comp] += ticks[i] - ticks[i - 1]
         left = tuple(vec)
-        if (x, "left") in jump_col:
-            vec[jump_col[x, "left"]] += D
+        if (ticks[i], "left") in jump_col:
+            vec[jump_col[ticks[i], "left"]] += D
         value = tuple(vec)
-        if (x, "right") in jump_col:
-            vec[jump_col[x, "right"]] += D
+        if (ticks[i], "right") in jump_col:
+            vec[jump_col[ticks[i], "right"]] += D
         triples.append((value, tuple(vec), left))
 
     return SymbolicPerturbation(k, len(jumps), tuple(jumps), tuple(grid), D,
                                 tuple(ticks), tuple(triples), tuple(slopes))
+
+
+class _VectorIds(dict):
+    """(point t on the grid 1/(D / scale), side) -> id of the vector D*g
+    there, filled on first read; `vectors` maps each distinct vector to its
+    id, in first-seen order."""
+
+    def __init__(self, sym: SymbolicPerturbation, scale: int):
+        super().__init__()
+        self.sym, self.scale, self.vectors = sym, scale, {}
+
+    def __missing__(self, key: tuple[int, int]) -> int:
+        t, side = key
+        D = self.sym.D
+        # sums lie in [0, 2D]: fold into [0, D], then 1+ is 0+ and 0- is 1-
+        u = t * self.scale
+        if u > D:
+            u -= D
+        if u == D and side > 0:
+            u = 0
+        elif u == 0 and side < 0:
+            u = D
+        i = self[key] = self.vectors.setdefault(self.sym.scaled(u, side),
+                                                len(self.vectors))
+        return i
 
 
 def build_equation_system(fn: PiecewiseFunction, sym: SymbolicPerturbation,
@@ -208,7 +253,12 @@ def build_equation_system(fn: PiecewiseFunction, sym: SymbolicPerturbation,
     record, in its scan order; duplicates are removed keeping the first
     provenance.  Each row is D times the relation over the grid 1/D of g,
     summed from the integer vectors D*g; each kept row keeps its
-    provenance template and grid points."""
+    provenance template and grid points.
+
+    Each (point, side) of a tight cone is folded and read from g once, and
+    its vector D*g interned as a small integer id; a cone is keyed by the
+    ids of its three sides, and a row is summed only for a key not seen
+    before (an earlier cone with the same key gave the same row)."""
     D = sym.D
     fD = to_rational(f) * D
     if fD.denominator != 1 or not 0 <= fD <= D:
@@ -217,24 +267,19 @@ def build_equation_system(fn: PiecewiseFunction, sym: SymbolicPerturbation,
     for t in (0, int(fD), D):
         rows.setdefault(sym.scaled(t, 0), ("normalization pi~({}) = 0", t))
 
-    def g(t: int, side: int):
-        # sums lie in [0, 2D]: fold into [0, D], then 1+ is 0+ and 0- is 1-
-        if t > D:
-            t -= D
-        if t == D and side > 0:
-            t = 0
-        elif t == 0 and side < 0:
-            t = D
-        return sym.scaled(t, side)
-
     rec = vertex_slacks(fn)
     scale = D // rec.D
+    ids = _VectorIds(sym, scale)
+    first: dict[tuple[int, int, int], tuple] = {}
+    for cone in rec.tight:
+        x, y, (sx, sy, ss) = cone
+        first.setdefault((ids[x, sx], ids[y, sy], ids[x + y, ss]), cone)
+    g = list(ids.vectors)
     side_sym = {0: "", 1: "+", -1: "-"}
-    for x, y, (sx, sy, ss) in rec.tight:
-        x, y = x * scale, y * scale
-        row = tuple(a + b - c for a, b, c in
-                    zip(g(x, sx), g(y, sy), g(x + y, ss)))
+    for (ix, iy, isum), (x, y, (sx, sy, ss)) in first.items():
+        row = tuple(map(sub, map(add, g[ix], g[iy]), g[isum]))
         if row not in rows:
+            x, y = x * scale, y * scale
             rows[row] = ("pi~({}%s) + pi~({}%s) = pi~({}%s)" % (
                 side_sym[sx], side_sym[sy], side_sym[ss]), x, y, x + y)
     return EquationSystem(
@@ -245,15 +290,18 @@ def build_equation_system(fn: PiecewiseFunction, sym: SymbolicPerturbation,
 def perturbation_from_vector(sym: SymbolicPerturbation, vec: Vector,
                              f=None) -> PiecewiseFunction:
     """Materialize pi~ = g . vec as a periodic piecewise function.  vec must
-    satisfy the normalization rows so that pi~(0) = pi~(1) = 0."""
+    satisfy the normalization rows so that pi~(0) = pi~(1) = 0.  vec is
+    scaled once to integers by its common denominator (1 for a kernel
+    vector), so each entry is one integer dot product with D*g."""
     if len(vec) != sym.dim:
         raise ParameterError(
             f"vector of length {len(vec)}, expected {sym.dim}")
-
-    def dot(v) -> Fraction:
-        return sum((a * b for a, b in zip(v, vec)), ZERO) / sym.D
-
-    triples = [tuple(dot(part) for part in t) for t in sym.triples]
+    vec = [to_rational(a) for a in vec]
+    den = common_denominator(vec)
+    ivec = [a.numerator * (den // a.denominator) for a in vec]
+    scale = sym.D * den
+    triples = [tuple(Fraction(sum(map(mul, part, ivec)), scale)
+                     for part in t) for t in sym.triples]
     v0, r0, _ = triples[0]
     v1, _, l1 = triples[-1]
     if v0 != 0 or v1 != 0:

@@ -218,6 +218,59 @@ def oracle_equation_system(fn):
     return list(rows), list(rows.values()), sym.dim
 
 
+def oracle_symbolic(fn, components):
+    """(grid, triples, slopes) of g for fn's covered components, in
+    Fractions: the grid of breakpoints and component endpoints, g's
+    (value, right, left) vectors at each grid point and the component of
+    each piece, found by `component_of` at its midpoint; each piece adds
+    its length to its component's column, each jump 1 to its own."""
+    k, n = len(components.components), len(fn.breakpoints) - 1
+    jumps = []
+    for i, (x, (v, r, l)) in enumerate(zip(fn.breakpoints, fn.limits)):
+        if i > 0 and l != v:
+            jumps.append((x, "left"))
+        if i < n and r != v:
+            jumps.append((x, "right"))
+    grid = sorted(set(fn.breakpoints) | {e for comp in components.components
+                                         for iv in comp for e in iv})
+    vec, triples, slopes = [F(0)] * (k + len(jumps)), [], []
+    for i, x in enumerate(grid):
+        if i:
+            comp = components.component_of((grid[i - 1] + x) / 2)
+            slopes.append(comp)
+            vec[comp] += x - grid[i - 1]
+        left = tuple(vec)
+        if (x, "left") in jumps:
+            vec[k + jumps.index((x, "left"))] += 1
+        value = tuple(vec)
+        if (x, "right") in jumps:
+            vec[k + jumps.index((x, "right"))] += 1
+        triples.append((value, tuple(vec), left))
+    return grid, triples, slopes
+
+
+def oracle_perturbation(sym, vec, f=None):
+    """g . vec at the grid of g as Fraction dot products of sym.limit,
+    with the periodic seam at 0 and 1, as a merged piecewise function."""
+    triples = [tuple(sum((a * b for a, b in zip(sym.limit(x, side), vec)),
+                         F(0)) for side in (0, 1, -1)) for x in sym.grid]
+    assert triples[0][0] == 0 and triples[-1][0] == 0
+    triples[0] = triples[-1] = (F(0), triples[0][1], triples[-1][2])
+    return gc.from_breakpoints_and_limits(sym.grid, triples, f=f)
+
+
+def oracle_linear_combination(a, fn1, b, fn2, f=None):
+    """a*fn1 + b*fn2 from `limits_at` of both at every breakpoint of
+    either, in Fractions."""
+    a, b = F(a), F(b)
+    grid = sorted(set(fn1.breakpoints) | set(fn2.breakpoints))
+    triples = [tuple(a * u + b * v for u, v in zip(fn1.limits_at(x),
+                                                   fn2.limits_at(x)))
+               for x in grid]
+    return gc.from_breakpoints_and_limits(
+        grid, triples, f=f if f is not None else fn1.f)
+
+
 def random_subadditive_functions(count, seed, continuous):
     """Deterministic stream of random subadditive functions, continuous or
     not: breakpoints k/q for q in 2..6, every value and limit in

@@ -204,6 +204,21 @@ class TestDataVerbs:
         assert code == 2 and not out
         assert "--f" in err and "--param f=" in err
 
+    def test_repeated_param_is_refused(self, capsys):
+        # the later --param f= silently replaced the earlier one
+        code, out, err = run(capsys, "eval", "gmic", "--param", "f=1/2",
+                             "--param", "f=1/3", "--x", "1/2")
+        assert code == 2 and not out
+        assert "--param f= is given twice" in err
+
+    def test_decimal_param_gets_the_rational_literal_message(self, capsys):
+        # the message was int()'s "invalid literal for int() with base 10"
+        code, out, err = run(capsys, "eval", "gmic", "--param", "f=0.5",
+                             "--x", "1/2")
+        assert code == 2 and not out
+        _, _, want = run(capsys, "eval", "gmic", "--f", "0.5", "--x", "1/2")
+        assert err == want == "error: not a rational literal (use p or p/q): '0.5'\n"
+
     def test_function_file_must_be_an_object(self, capsys, tmp_path):
         path = tmp_path / "list.json"
         path.write_text("[1, 2]")

@@ -322,3 +322,28 @@ def test_integer_faces_and_additive_argument_agree():
                              additive) == walk
         assert _covering(directly_covered_components, fn, every) == \
             _covering(directly_covered_components, fn, maximal)
+
+
+def test_a_face_and_its_mirror_are_joined_once(monkeypatch):
+    # a public face set holds each 2-face with its mirror F(J, I, K), whose
+    # window is the same three intervals: phase one joins it once, as
+    # many joins as the walk's half x <= y makes
+    from groupcut import covering
+    from groupcut.complex2d import _grid_additive_faces
+
+    joins = []
+    join = covering._Classes.join
+    monkeypatch.setattr(covering._Classes, "join",
+                        lambda self, *args: joins.append(1) or join(self, *args))
+    fn = gc.multiplicative_homomorphism(gc.gj_2_slope(), 6)
+    D, faces = _grid_additive_faces(fn)
+    half = {key: verts for key, (verts, maximal) in faces.items() if maximal}
+    covering._cover_directly(fn, D, half)
+    from_walk = len(joins)
+    twofaces = [f for f in generate_additive_faces(fn).faces
+                if f.dimension == 2]
+    assert from_walk == sum(not any(lo == hi for lo, hi in key)
+                            for key in half) < len(twofaces)
+    joins.clear()
+    directly_covered_components(fn, generate_additive_faces(fn))
+    assert len(joins) == from_walk

@@ -11,6 +11,7 @@ from groupcut.exactlinalg import kernel_basis, matrix_rank, rref
 from groupcut.extremality import perturbation_from_vector
 
 from conftest import (oracle_equation_system, oracle_kernel_dimension,
+                      oracle_perturbation, oracle_symbolic,
                       random_minimal_functions)
 
 ZERO = F(0)
@@ -183,6 +184,15 @@ class TestGenerateSymbolic:
         # branch on [1/8, 3/8]: slope e_2 with constant (1/8, -1/8, 0, 1, 0, 0, 0)
         assert sym.value(F(1, 4)) == (F(1, 8), F(1, 8), 0, 1, 0, 0, 0)
 
+    def test_a_piece_outside_every_component_is_refused(self):
+        # the components must cover [0, 1]; a hand-made set that leaves
+        # (1/2, 1) out without listing it as uncovered is an internal error
+        fn = gc.from_breakpoints_and_values([0, F(1, 2), 1], [0, 1, 0])
+        gap = gc.CoveredComponentSet((((F(0), F(1, 2)),),), (), (), True)
+        with pytest.raises(gc.InternalConsistencyError, match=re.escape(
+                "piece (1/2, 1) not inside any covered component")):
+            gc.generate_symbolic(fn, gap)
+
     def test_continuous_function_has_no_jumps(self, gmic45):
         cc = gc.generate_covered_components(gmic45)
         sym = gc.generate_symbolic(gmic45, cc)
@@ -294,9 +304,10 @@ def _random(seed):
 
 
 def _system_inputs():
-    """The benchmark ladders, seeded random minimal functions and their
-    restrictions.  random227 under lam = 1 has the tight cone
-    pi~(1+) + pi~(1+) = pi~(2+), whose sum folds to 0+."""
+    """The benchmark ladders, hildebrand under lam = 6, seeded random
+    minimal functions and restrictions of some of them.  random227 under
+    lam = 1 has the tight cone pi~(1+) + pi~(1+) = pi~(2+), whose sum folds
+    to 0+."""
     hb, gj, drlm = (gc.hildebrand_discont_3_slope_1(), gc.gj_2_slope(),
                     gc.drlm_backward_3_slope())
     gmic = gc.gmic(F(4, 5))
@@ -321,6 +332,9 @@ def _system_inputs():
             yield f"minimal{proba}:{i}", fn
             for os in (1, 2, 3):
                 yield f"minimal{proba}:{i}:os={os}", restrict(fn, oversampling=os)
+    for i, fn in enumerate(random_minimal_functions(40, proba=F(1, 2))[3:], 3):
+        yield f"minimal1/2:{i}", fn
+    yield "hildebrand:lam=6", _hom(hb, 6)
 
 
 class TestSystemAgainstOracle:
@@ -342,9 +356,10 @@ class TestSystemAgainstOracle:
             assert rep.system.ncols == ncols and len(rep.system) == len(rows)
             assert rep.kernel == tuple(kernel_basis(rows, ncols)), name
             compared.add(name)
-        assert {"random227:lam=1", "hildebrand:lam=2", "gj_2_slope:lam=6",
-                "gj_2_slope:os=3", "minimal1/2:0:os=3"} <= compared
-        assert len(compared) >= 30
+        assert {"random227:lam=1", "hildebrand:lam=2", "hildebrand:lam=6",
+                "gj_2_slope:lam=6", "gj_2_slope:os=3",
+                "minimal1/2:0:os=3"} <= compared
+        assert len(compared) >= 40
 
     def test_verdicts_build_no_fraction_rows(self, monkeypatch):
         # the verdict eliminates the integer rows; the Fraction row view is
@@ -362,6 +377,65 @@ class TestSystemAgainstOracle:
             system = gc.extremality_test(fn).system
             assert "rows" not in vars(system)
             assert len(system.rows) == len(system) > 0
+
+
+def _covered_inputs():
+    """Covered minimal functions with their covered components: hildebrand
+    under lam = 2 and 6, random227 and random344 under lam = 1 and 2 (not
+    extreme) and the covered ones of 40 seeded random minimal functions,
+    half of their points discontinuous."""
+    hb = gc.hildebrand_discont_3_slope_1()
+    fns = [_hom(hb, 2), _hom(hb, 6)]
+    fns += [_hom(_random(seed), lam) for seed in (227, 344) for lam in (1, 2)]
+    fns += random_minimal_functions(40, proba=F(1, 2))
+    out = []
+    for fn in fns:
+        try:
+            covered = gc.generate_covered_components(fn)
+        except gc.UnsupportedCaseError:
+            continue
+        if not covered.uncovered:
+            out.append((fn, covered))
+    return out
+
+
+class TestIntegerTailAgainstOracles:
+    """generate_symbolic, build_equation_system and perturbation_from_vector
+    work on the integer grid of g; each is checked against a Fraction
+    construction that shares none of its lookups."""
+
+    def test_symbolic_grid_triples_and_slopes(self):
+        inputs = _covered_inputs()
+        assert len(inputs) >= 15
+        for fn, covered in inputs:
+            sym = gc.generate_symbolic(fn, covered)
+            grid, triples, slopes = oracle_symbolic(fn, covered)
+            assert sym.grid == tuple(grid)
+            assert [tuple(tuple(F(a, sym.D) for a in v) for v in t)
+                    for t in sym.triples] == triples
+            assert sym.slopes == tuple(slopes)
+
+    def test_perturbation_from_a_fraction_vector(self):
+        # kernel vectors are integer; their multiples by 5/3, -2/7 or 1/2,
+        # plus 1/3 of a second kernel vector, are not, and still vanish at
+        # 0 and 1
+        compared = 0
+        for fn, covered in _covered_inputs():
+            sym = gc.generate_symbolic(fn, covered)
+            kernel = gc.extremality_test(fn).kernel
+            for c in (F(5, 3), F(-2, 7), F(1, 2)) if kernel else ():
+                vec = [c * a + (F(1, 3) * kernel[1][j] if kernel[1:] else 0)
+                       for j, a in enumerate(kernel[0])]
+                assert any(a.denominator > 1 for a in vec)
+                got = perturbation_from_vector(sym, vec, f=fn.f)
+                want = oracle_perturbation(sym, vec, f=fn.f)
+                assert (got.breakpoints, got.limits, got.f) == \
+                    (want.breakpoints, want.limits, want.f)
+                compared += 1
+            # a vector that does not vanish at 1 is refused
+            with pytest.raises(ConstructionError, match="does not vanish"):
+                perturbation_from_vector(sym, [F(1, 3)] * sym.dim)
+        assert compared >= 12
 
 
 class TestExtremalityTest:

@@ -5,6 +5,8 @@ import pytest
 import groupcut as gc
 from groupcut.errors import ConstructionError
 
+from conftest import oracle_linear_combination
+
 
 class TestConstructors:
     def test_from_values_gmic_data(self, gmic45):
@@ -194,6 +196,31 @@ class TestLinearCombination:
     def test_seam_of_mix(self, hildebrand):
         mix = gc.linear_combination(F(1, 3), hildebrand, F(2, 3), hildebrand)
         assert mix == hildebrand
+
+
+def test_linear_combination_matches_fraction_limits():
+    # random pairs on breakpoints k/2 .. k/12, so their denominators
+    # differ, half of their points discontinuous, with coefficients that
+    # are zero, negative or not integers
+    import random
+
+    rng = random.Random(11)
+    fns = [gc.random_piecewise_function(rng.randint(2, 12), rng.randint(1, 9),
+                                        F(1, 2), rng.random() < 0.5,
+                                        seed=rng.randrange(10 ** 6))
+           for _ in range(60)]
+    fns += [gc.hildebrand_discont_3_slope_1(), gc.gj_2_slope(),
+            gc.multiplicative_homomorphism(gc.drlm_backward_3_slope(), 2)]
+    coeffs = (0, 1, -1, 3, F(1, 2), F(-5, 7), F(7, 3), "2/9")
+    for _ in range(600):
+        fn1, fn2 = rng.choice(fns), rng.choice(fns)
+        a, b = rng.choice(coeffs), rng.choice(coeffs)
+        f = rng.choice((None, F(1, 3)))
+        got = gc.linear_combination(a, fn1, b, fn2, f=f)
+        want = oracle_linear_combination(gc.to_rational(a), fn1,
+                                         gc.to_rational(b), fn2, f=f)
+        assert (got.breakpoints, got.limits, got.f) == \
+            (want.breakpoints, want.limits, want.f)
 
 
 class TestMergeSemantics:
