@@ -338,18 +338,6 @@ def scan_vertex_slacks(fn: PiecewiseFunction, upper_triangle: bool = True):
             [(pt(x, y), s) for x, y, s in zero], rec.min_pos, rec.max_abs)
 
 
-def max_abs_slack(fn: PiecewiseFunction, points: Sequence[tuple[int, int]],
-                  D: int) -> Fraction:
-    """Largest absolute slack of fn, every limit cone included, at the
-    points (x, y) / D of another function's vertex record (to bound a
-    perturbation)."""
-    b, vals, rights, lefts, E, V = fn.scaled_tables(extra_denominator=D)
-    m = E // D
-    return Fraction(*_scan.scan_slacks(b, vals, rights, lefts, V,
-                                       [(x * m, y * m) for x, y in points],
-                                       _scan.SIDE_TRIPLES)[3])
-
-
 def faces_of_complex(fn: PiecewiseFunction, dims: Iterable[int] = (0, 1, 2)) -> list[Face]:
     """All distinct faces of the complex (deduplicated across the many
     (I, J, K) representations), lexicographically ordered by projections.

@@ -22,11 +22,16 @@ ticks, each piece's component read by bisect from the components' integer
 spans.  Each tight cone of the function's vertex slack record gives D
 times its relation, summed from these vectors: each (point, side) is read
 from g once and its vector interned as a small id, and a row is summed
-once per distinct triple of ids.  The finite rows are integer already.
-The elimination takes the integer rows as they are; a kernel vector
-becomes the perturbation by one integer dot product with D*g per entry.
-EquationSystem.rows, SymbolicPerturbation's limit and value and the
-perturbation are the Fraction views.
+once per distinct triple of ids, the first two unordered.  The finite
+rows are integer already.  The elimination takes the integer rows as they
+are; a kernel vector becomes the perturbation by one integer dot product
+with D*g per entry.  EquationSystem.rows, SymbolicPerturbation's limit and
+value and the perturbation are the Fraction views.
+
+With f fixed every minimality condition is linear in the function, so the
+eps for which pi +- eps*pi~ are minimal valid form an interval [0, eps*]:
+one integer scan of pi and pi~ gives eps*, and the epsilon is the first
+step halved the least number of times that brings it into the interval.
 """
 
 from __future__ import annotations
@@ -35,19 +40,20 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, partial
+from math import ceil, lcm
 from operator import add, mul, sub
 from typing import Optional
 
-from .complex2d import max_abs_slack, vertex_slacks
+from . import _scan
+from .complex2d import vertex_slacks
 from .covering import (CoveredComponentSet, format_intervals,
                        generate_covered_components)
 from .errors import (ConstructionError, InternalConsistencyError,
                      ParameterError)
 from .exactlinalg import integer_kernel_basis
 from .minimality import (MinimalityReport, _FiniteModel, _InfiniteModel,
-                         _minimality_test, _model)
-from .pwl import (DiscreteFunction, PiecewiseFunction, from_breakpoints_and_limits,
-                  linear_combination)
+                         _find_f, _minimality_test, _model)
+from .pwl import DiscreteFunction, PiecewiseFunction, from_breakpoints_and_limits
 from .rational import common_denominator, to_rational
 
 ZERO = Fraction(0)
@@ -257,8 +263,9 @@ def build_equation_system(fn: PiecewiseFunction, sym: SymbolicPerturbation,
 
     Each (point, side) of a tight cone is folded and read from g once, and
     its vector D*g interned as a small integer id; a cone is keyed by the
-    ids of its three sides, and a row is summed only for a key not seen
-    before (an earlier cone with the same key gave the same row)."""
+    ids of its three sides, the first two unordered (the row is symmetric
+    in them), and a row is summed only for a key not seen before (an
+    earlier cone with the same key gave the same row)."""
     D = sym.D
     fD = to_rational(f) * D
     if fD.denominator != 1 or not 0 <= fD <= D:
@@ -273,7 +280,8 @@ def build_equation_system(fn: PiecewiseFunction, sym: SymbolicPerturbation,
     first: dict[tuple[int, int, int], tuple] = {}
     for cone in rec.tight:
         x, y, (sx, sy, ss) = cone
-        first.setdefault((ids[x, sx], ids[y, sy], ids[x + y, ss]), cone)
+        ix, iy, isum = ids[x, sx], ids[y, sy], ids[x + y, ss]
+        first.setdefault((ix, iy, isum) if ix < iy else (iy, ix, isum), cone)
     g = list(ids.vectors)
     side_sym = {0: "", 1: "+", -1: "-"}
     for (ix, iy, isum), (x, y, (sx, sy, ss)) in first.items():
@@ -315,8 +323,8 @@ class _InfiniteExtremality(_InfiniteModel):
     """The infinite model's side of the shared extremality test:
     `system(f)` gives the covered components, the system (None when [0, 1]
     is not covered) and the map from a kernel vector to the perturbation;
-    `slack_bounds(p)` the bounds of the first epsilon for the perturbation
-    model p; `plus(c, p, f)` the model of fn + c * p.fn."""
+    `epsilon_terms(p, f)` what `_find_epsilon` reads for the perturbation
+    model p."""
 
     def system(self, f: Fraction):
         covered = generate_covered_components(self.fn)
@@ -326,16 +334,27 @@ class _InfiniteExtremality(_InfiniteModel):
         return (covered, build_equation_system(self.fn, sym, f),
                 partial(perturbation_from_vector, sym, f=f))
 
-    def slack_bounds(self, p: _InfiniteModel):
-        """(fn has a negative slack, smallest positive slack of fn or None,
-        largest absolute slack of p.fn) at fn's complex vertices: fn's from
-        its vertex slack record, p.fn's over every limit cone."""
-        rec = vertex_slacks(self.fn)
-        return bool(rec.neg), rec.min_pos, max_abs_slack(p.fn, rec.points,
-                                                         rec.D)
-
-    def plus(self, c: Fraction, p: _InfiniteModel, f) -> _InfiniteExtremality:
-        return _InfiniteExtremality(linear_combination(1, self.fn, c, p.fn, f=f))
+    def epsilon_terms(self, p: _InfiniteModel, f: Fraction):
+        """The terms of `_find_epsilon` on the common refinement of fn and
+        p.fn, whose complex and breakpoints decide the minimality of
+        fn + c p.fn, on a grid 1/D that holds f; max_abs is read at fn's own
+        record points."""
+        fn, rec = self.fn, vertex_slacks(self.fn)
+        D = lcm(rec.D, common_denominator(p.fn.breakpoints), f.denominator)
+        tables = fn.scaled_tables(D), p.fn.scaled_tables(D)
+        b = sorted({*tables[0][0], *tables[1][0]})
+        points = _scan.complex_vertices(b)
+        fD, scale = f.numerator * (D // f.denominator), D // rec.D
+        mirrors = [(x, (fD - x) % D) for x in b]
+        coords = {c for x, y in points for c in (x, y, x + y)}
+        coords.update(m for _, m in mirrors)
+        (u, W), (v, X) = (_scan.limit_table(*t[:4], t[5], coords)
+                          for t in tables)
+        cones = _scan.SIDE_TRIPLES[
+            :1 if fn.is_continuous and p.fn.is_continuous else None]
+        own = {(x * scale, y * scale) for x, y in rec.points}
+        return (bool(rec.neg), rec.min_pos,
+                *_epsilon_pairs(u, v, W, X, points, cones, own, mirrors), W, X)
 
 
 class _FiniteExtremality(_FiniteModel):
@@ -373,61 +392,84 @@ class _FiniteExtremality(_FiniteModel):
         return None, system, lambda vec: DiscreteFunction(
             q, fn.points, (ZERO, *vec, ZERO), f)
 
-    def slack_bounds(self, p: _FiniteModel):
-        """As for the infinite model, over all group pairs."""
+    def epsilon_terms(self, p: _FiniteModel, f: Fraction):
+        """As for the infinite model, over all group points, each value
+        held as a 1-tuple at its points of [0, 2]."""
         neg, _, min_pos = self.scan
-        q, V = self.fn.q, self.scaled[1]
-        pv, W = p.scaled
-        max_abs = max(abs(pv[i] + pv[j] - pv[i + j - q if i + j > q else i + j])
-                      for i in range(q + 1) for j in range(i, q + 1))
-        return bool(neg), Fraction(min_pos, V) if min_pos else None, \
-            Fraction(max_abs, W)
-
-    def plus(self, c: Fraction, p: _FiniteModel, f) -> _FiniteExtremality:
-        fn = self.fn
-        return _FiniteExtremality(DiscreteFunction(
-            fn.q, fn.points,
-            tuple(v + c * w for v, w in zip(fn.values, p.fn.values)), f))
+        q, (u, W), (v, X) = self.fn.q, self.scaled, p.scaled
+        if (f * q).denominator != 1:
+            raise ConstructionError(f"f = {f} is not a point of (1/{q})Z")
+        u, v = ([(a,) for a in w + w[1:]] for w in (u, v))
+        points = [(i, j) for i in range(q + 1) for j in range(i, q + 1)]
+        mirrors = [(a, (int(f * q) - a) % q) for a in range(q)]
+        return (bool(neg), Fraction(min_pos, W) if min_pos else None,
+                *_epsilon_pairs(u, v, W, X, points, ((0, 0, 0),), set(points),
+                                mirrors), W, X)
 
 
-def _find_epsilon(m, p, f) -> Fraction:
-    """Largest step of the form (minimum positive slack of fn) / (maximum
-    absolute slack of the perturbation p.fn over the same slack set),
-    halved until fn +- eps*pert both pass the minimality test at f.
+def _epsilon_pairs(u, v, W, X, points, cones, own, mirrors):
+    """(max_abs, pairs) from the tables u of pi and v of pi~ by point and
+    side: the cones at points keep their least s / |t| by cross-multiplying
+    (max_abs is the largest |t| at own); then pi(0) = 0, and the range at
+    each x and its symmetry with side -s of its mirror m."""
+    s0 = t0 = max_abs = 0
+    for x, y in points:
+        ux, uy, us, vx, vy, vs = u[x], u[y], u[x + y], v[x], v[y], v[x + y]
+        for sx, sy, ss in cones:
+            t = abs(vx[sx] + vy[sy] - vs[ss])
+            if t:
+                s = ux[sx] + uy[sy] - us[ss]
+                if not t0 or s * t0 < s0 * t:
+                    s0, t0 = s, t
+                if t > max_abs and (x, y) in own:
+                    max_abs = t
+    pairs = [(s0, t0), (-abs(u[0][0]), v[0][0])]
+    for x, m in mirrors:
+        pairs += [(min(a, W - a), c) for a, c in zip(u[x], v[x])]
+        pairs += [(-abs(u[x][s] + u[m][-s] - W), v[x][s] + v[m][-s])
+                  for s in range(len(u[x]))]
+    return Fraction(max_abs, X), pairs
 
-    In the finite model the first step always passes: every tight pair,
-    every symmetry pair and f are rows of the system, so the perturbation
-    keeps fn's zero slacks, its symmetry and its value at f, and each
-    positive slack of fn is at least min_pos >= eps * |slack of the
-    perturbation|; every slack of fn +- eps*pert stays non-negative.  The
-    range follows: on a finite group pi(0) = 0 and subadditivity give
-    pi >= 0, and symmetry then gives pi <= 1."""
+
+def _find_epsilon(m, p, f: Fraction) -> Fraction:
+    """start = (least positive slack of fn) / (largest absolute slack of
+    p.fn at fn's vertices), halved the least k times that makes
+    fn +- eps*pert both minimal valid at f.
+
+    With f fixed, pi is minimal valid exactly when pi(0) = 0, 0 <= pi <= 1,
+    pi(x) + pi(f - x) = 1 with every limit and pi is subadditive (Gomory
+    and Johnson): constraints linear in pi.  Where pi has the slack s and
+    pi~ the term t, pi +- eps*pi~ pass an inequality exactly when
+    eps |t| <= s, and an equality, of slack 0, exactly when t = 0; where pi
+    breaks a condition its slack is negative (-|residual| for an equality)
+    and no eps passes.  So the eps that pass are [0, eps*], eps* the least
+    s / |t| over the pairs (s over W, t over X) of `epsilon_terms`, and k
+    is the least with 2^k >= r = start / eps*: 0 when r <= 1, else the bit
+    length of ceil(r) - 1.  eps* = 0 admits no epsilon."""
     if not any(v for _, t in p.table for v in t):
         raise ParameterError("perturbation must be nonzero")
-    has_neg, min_pos, max_abs = m.slack_bounds(p)
+    has_neg, min_pos, max_abs, pairs, W, X = m.epsilon_terms(p, f)
     if has_neg:
         raise ParameterError("base function must be minimal valid")
-    eps = ONE if max_abs == 0 else (
-        min_pos if min_pos is not None else ONE) / max_abs
-    for _ in range(64):
-        if all(_minimality_test(m.plus(c, p, f), f, False).is_minimal
-               for c in (eps, -eps)):
-            return eps
-        eps = eps / 2
-    raise InternalConsistencyError(
-        "no epsilon makes both perturbed functions minimal valid")
+    if any(s < 0 or (s == 0 and t) for s, t in pairs):
+        raise InternalConsistencyError(
+            "no epsilon makes both perturbed functions minimal valid")
+    start = (min_pos or ONE) / max_abs if max_abs else ONE
+    r = start * max(Fraction(abs(t) * W, s * X) for s, t in pairs if t)
+    return start / 2 ** (0 if r <= 1 else (ceil(r) - 1).bit_length())
 
 
 def find_epsilon(fn: PiecewiseFunction | DiscreteFunction,
                  pert: PiecewiseFunction | DiscreteFunction) -> Fraction:
-    """Certified epsilon for a nonzero perturbation of the minimal valid fn
-    in the same model: fn +- eps*pert are minimal valid, at fn.f when it is
-    set."""
+    """Certified epsilon, exact and uncapped, for a nonzero perturbation of
+    the minimal valid fn in the same model: fn +- eps*pert are minimal
+    valid at fn.f, else at find_f(fn) as in extremality_test."""
     m = _model(fn, _InfiniteExtremality, _FiniteExtremality)
     if type(pert) is not type(fn):
         raise ParameterError(f"perturbation must be a {type(fn).__name__}, "
                              f"got {type(pert).__name__}")
-    return _find_epsilon(m, type(m)(pert), fn.f)
+    return _find_epsilon(m, type(m)(pert),
+                         fn.f if fn.f is not None else _find_f(m))
 
 
 def extremality_test(fn: PiecewiseFunction | DiscreteFunction,

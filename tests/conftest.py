@@ -271,6 +271,58 @@ def oracle_linear_combination(a, fn1, b, fn2, f=None):
         grid, triples, f=f if f is not None else fn1.f)
 
 
+def oracle_find_epsilon(fn, pert):
+    """The halving search that find_epsilon replaced, on the public
+    linear_combination and minimality_test.  f is fn.f, else find_f(fn).
+    start = (least positive slack of fn) / (largest |slack| of pert): fn's
+    from its vertex slack record, pert's from Fraction limits over every
+    cone at fn's complex vertices x <= y, or both over every group pair.
+    It is halved until fn +- eps*pert both pass the minimality test at f,
+    at most 64 times."""
+    f = fn.f if fn.f is not None else gc.find_f(fn)
+    if isinstance(fn, gc.DiscreteFunction):
+        q, u, v = fn.q, fn.values, pert.values
+        nonzero = any(v)
+        sums = [(i, j, i + j - q if i + j > q else i + j)
+                for i in range(q + 1) for j in range(i, q + 1)]
+        slacks = [u[i] + u[j] - u[k] for i, j, k in sums]
+        has_neg = any(s < 0 for s in slacks)
+        min_pos = min((s for s in slacks if s > 0), default=None)
+        max_abs = max(abs(v[i] + v[j] - v[k]) for i, j, k in sums)
+
+        def plus(c):
+            return gc.DiscreteFunction(
+                q, fn.points, tuple(a + c * b for a, b in zip(u, v)), f)
+    else:
+        from groupcut._scan import SIDE_TRIPLES
+
+        nonzero = any(a for t in pert.limits for a in t)
+        points, neg, _, min_pos, _ = scan_vertex_slacks(fn)
+        has_neg = bool(neg)
+        # limits_at once per coordinate; a triple is indexed by side, and
+        # a continuous function has every limit equal to the value
+        lim = {p: pert.limits_at(p) for x, y in points for p in (x, y, x + y)}
+        cones = SIDE_TRIPLES[:1 if pert.is_continuous else None]
+        max_abs = max(abs(lim[x][sx] + lim[y][sy] - lim[x + y][ss])
+                      for x, y in points for sx, sy, ss in cones)
+
+        def plus(c):
+            return gc.linear_combination(1, fn, c, pert, f=f)
+    if not nonzero:
+        raise gc.ParameterError("perturbation must be nonzero")
+    if has_neg:
+        raise gc.ParameterError("base function must be minimal valid")
+    eps = F(1) if max_abs == 0 else (
+        min_pos if min_pos is not None else F(1)) / max_abs
+    for _ in range(64):
+        if all(gc.minimality_test(plus(c), f, collect_all=False).is_minimal
+               for c in (eps, -eps)):
+            return eps
+        eps /= 2
+    raise gc.InternalConsistencyError(
+        "no epsilon makes both perturbed functions minimal valid")
+
+
 def random_subadditive_functions(count, seed, continuous):
     """Deterministic stream of random subadditive functions, continuous or
     not: breakpoints k/q for q in 2..6, every value and limit in

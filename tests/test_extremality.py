@@ -1,18 +1,22 @@
+import random
 import re
 import sys
 from collections import Counter
 from fractions import Fraction as F
+from itertools import combinations, product
+from operator import add, sub
 
 import pytest
 
 import groupcut as gc
-from groupcut.errors import ConstructionError, ParameterError
+from groupcut.errors import (ConstructionError, InternalConsistencyError,
+                             ParameterError)
 from groupcut.exactlinalg import kernel_basis, matrix_rank, rref
 from groupcut.extremality import perturbation_from_vector
 
-from conftest import (oracle_equation_system, oracle_kernel_dimension,
-                      oracle_perturbation, oracle_symbolic,
-                      random_minimal_functions)
+from conftest import (oracle_equation_system, oracle_find_epsilon,
+                      oracle_kernel_dimension, oracle_perturbation,
+                      oracle_symbolic, random_minimal_functions)
 
 ZERO = F(0)
 
@@ -494,7 +498,70 @@ class TestExtremalityTest:
                 perturbation_from_vector(sym, vec)
 
 
+def _epsilon_corpus():
+    """(fn, pert) pairs for the epsilon against its oracle, from drlm and
+    distinct random minimal functions.  For each restriction at
+    oversampling 1 to 3 that is not extreme: its kernel vectors with their
+    pairwise sums and differences, interpolated, as lift candidates of the
+    function; and on the restriction each kernel vector and one vector
+    outside the kernel: at odd oversampling the first kernel vector plus
+    random noise, at even oversampling that noise made symmetric (zero at
+    0 and f, odd about f / 2)."""
+    rng = random.Random(16)
+    fns, seen = [], set()
+    for fn in [gc.drlm_backward_3_slope(),
+               *random_minimal_functions(40, 3, 3, F(1, 2)),
+               *random_minimal_functions(60, 4, 4),
+               *random_minimal_functions(60, 5, 5),
+               *random_minimal_functions(17, 6, 6),
+               *random_minimal_functions(12, 4, 4, F(1, 2))]:
+        if (fn._canonical(), fn.f) not in seen:
+            seen.add((fn._canonical(), fn.f))
+            fns.append(fn)
+    cases = []
+    for fn in fns:
+        for oversampling in (1, 2, 3):
+            d = gc.restrict_to_finite_group(fn, oversampling=oversampling)
+            basis = gc.extremality_test(d).kernel
+            lifts = [*basis, *(tuple(map(op, u, w)) for op in (add, sub)
+                               for u, w in combinations(basis, 2))]
+            cases += [(fn, gc.from_breakpoints_and_values(
+                d.points, (0, *vec, 0))) for vec in lifts]
+            if not basis:
+                continue
+            q, fi = d.q, int(d.f * d.q)
+            noise = [0, *(rng.randrange(-2, 3) for _ in basis[0]), 0]
+            noise[fi] = 0
+            other = [*map(add, (0, *basis[0], 0), noise)] if oversampling % 2 \
+                else [noise[a] - noise[(fi - a) % q] for a in range(q + 1)]
+            cases += [(d, gc.DiscreteFunction(q, d.points, tuple(map(F, v))))
+                      for v in (*((0, *vec, 0) for vec in basis), other)]
+    return cases
+
+
+def _outcome(call, fn, pert):
+    try:
+        return call(fn, pert)
+    except gc.GroupCutError as e:
+        return type(e)
+
+
 class TestFindEpsilon:
+    def test_matches_the_halving_oracle(self):
+        # the closed form against the halving search it replaced, on lift
+        # candidates and finite vectors in and out of the kernel: the same
+        # epsilon or the same refusal
+        cases = _epsilon_corpus()
+        outcomes = Counter()
+        for fn, pert in cases:
+            got = _outcome(gc.find_epsilon, fn, pert)
+            assert got == _outcome(oracle_find_epsilon, fn, pert)
+            outcomes[type(fn).__name__, isinstance(got, type)] += 1
+        assert len(cases) >= 700
+        # both models, both outcomes
+        assert all(outcomes[k] >= 10 for k in product(
+            ("PiecewiseFunction", "DiscreteFunction"), (False, True)))
+
     def test_zero_perturbation_rejected(self, gmic45):
         zero = gc.from_breakpoints_and_values([0, 1], [0, 0])
         with pytest.raises(ParameterError):
@@ -513,6 +580,43 @@ class TestFindEpsilon:
         eps = gc.find_epsilon(fn, rep.perturbation)
         plus = gc.linear_combination(1, fn, eps, rep.perturbation, f=fn.f)
         assert gc.minimality_test(plus).is_minimal
+
+    def test_f_less_input_takes_find_f(self, drlm):
+        # without fn.f the epsilon is taken at find_f(fn), as
+        # extremality_test takes it
+        r227 = gc.random_piecewise_function(4, 4, F(1, 2), True, seed=227)
+        dfn = gc.restrict_to_finite_group(drlm, oversampling=3)
+        for fn, bare, eps in (
+                (r227, gc.from_breakpoints_and_limits(r227.breakpoints,
+                                                      r227.limits), F(1, 12)),
+                (dfn, gc.DiscreteFunction(dfn.q, dfn.points, dfn.values),
+                 F(1, 15))):
+            rep = gc.extremality_test(fn)
+            assert bare.f is None and gc.find_f(bare) == fn.f
+            assert gc.find_epsilon(bare, rep.perturbation) == rep.epsilon == eps
+        no_f = gc.from_breakpoints_and_values([0, F(1, 2), 1], [0, F(1, 2), 0])
+        with pytest.raises(gc.NoCandidateFError):
+            gc.find_epsilon(no_f, r227)
+
+    @pytest.mark.parametrize("values", [
+        (1, 0, 0, 0, 0, 1),  # nonzero at 0
+        (0, 1, 0, 0, 0, 0),  # pi~(1/5) + pi~(f - 1/5) != 0
+        (0, 1, 0, -1, 0, 0),  # symmetric, nonzero at the tight (1/5, 1/5)
+    ])
+    def test_refused_perturbations(self, gmic45, values):
+        # gmic with f = 4/5 is tight wherever x, y and x + y lie in [0, f]
+        points = [F(k, 5) for k in range(6)]
+        dfn = gc.restrict_to_finite_group(gmic45)
+        if values[0]:
+            lift = gc.from_breakpoints_and_limits(
+                points, [(1, 0, 0), *((0, 0, 0),) * 4, (1, 0, 0)])
+        else:
+            lift = gc.from_breakpoints_and_values(points, values)
+        for fn, pert in ((gmic45, lift), (dfn, gc.DiscreteFunction(
+                5, dfn.points, tuple(map(F, values))))):
+            for find in (gc.find_epsilon, oracle_find_epsilon):
+                with pytest.raises(InternalConsistencyError):
+                    find(fn, pert)
 
 
 class TestDiscreteExtremality:
