@@ -1,4 +1,5 @@
-"""Exact Gauss-Jordan elimination on integer rows.
+"""Exact Gauss-Jordan elimination on integer rows, after a rank pass
+modulo a prime.
 
 The elimination takes sparse integer rows ((column, coefficient), ...), the
 row format of both extremality systems; integer_kernel_basis is its entry
@@ -20,6 +21,19 @@ a primitive multiple of its reduced row; Fractions are built only for the
 results.  Once the basis holds a pivot in every column the form is the
 identity, so the rows not yet read are left unread; the Fraction entries
 still check every row's length first.
+
+The kernel entries first run the same elimination modulo the prime
+P = 2^61 - 1, on word-sized residues with monic pivot rows, and note the
+rows that raised the rank there (the rank rows).  A rank that is full
+modulo P is full over Q: the ncols x ncols minor of the rank rows is
+nonzero modulo P, so it is a nonzero integer.  The kernel is then empty
+and no exact step runs.  A rank that is short modulo P proves nothing (P
+may divide every full minor), so the exact elimination still computes the
+kernel, the only source of kernels: first on the rank rows alone, then,
+if any other row has a nonzero integer dot product with a vector of that
+kernel, on all rows.  When every other row vanishes on it, the two
+kernels, and so the reduced forms, are equal, and the result is the one
+the elimination of all rows gives.  rref and matrix_rank run exactly.
 """
 
 from __future__ import annotations
@@ -29,6 +43,8 @@ from math import gcd, lcm
 from typing import Sequence
 
 from .errors import ParameterError
+
+P = (1 << 61) - 1  # a Mersenne prime
 
 
 def _clear(row: dict, p: dict, c: int) -> dict:
@@ -61,6 +77,35 @@ def _reduce(rows, ncols: int):
                 break  # full rank: every later row is dependent
     pivots = sorted(basis)
     return [basis[c] for c in pivots], pivots
+
+
+def _rank_rows(rows, ncols: int) -> list[int]:
+    """Indices of the rows that raise the rank modulo P, read in order up
+    to ncols of them: `_reduce` over GF(P), each basis row monic with its
+    pivot entry 1 left out."""
+    basis: dict[int, dict] = {}
+    picked = []
+    for i, row in enumerate(rows):
+        row = {j: x for j, v in row if (x := v % P)}
+        for c in [c for c in row if c in basis]:
+            a = row.pop(c)
+            for j, x in basis[c].items():
+                row[j] = (row.get(j, 0) - a * x) % P
+        row = {j: x for j, x in row.items() if x}
+        if row:
+            c = min(row)
+            inv = pow(row.pop(c), -1, P)
+            row = {j: x * inv % P for j, x in row.items()}
+            for p in basis.values():
+                if c in p:
+                    b = p.pop(c)
+                    for j, x in row.items():
+                        p[j] = (p.get(j, 0) - b * x) % P
+            basis[c] = row
+            picked.append(i)
+            if len(basis) == ncols:
+                break  # full rank: every later row is dependent
+    return picked
 
 
 def _integer_rows(rows: Sequence[Sequence[Fraction]], ncols: int):
@@ -97,12 +142,32 @@ def kernel_basis(rows: Sequence[Sequence[Fraction]], ncols: int) -> list[tuple[F
 
 def integer_kernel_basis(rows, ncols: int) -> list[tuple[Fraction, ...]]:
     """kernel_basis of sparse integer rows ((column, coefficient), ...)."""
-    reduced, pivots = _reduce(rows, ncols)
+    return _kernel_and_rank_rows(list(rows), ncols)[0]
+
+
+def _kernel_and_rank_rows(rows: Sequence, ncols: int):
+    """(kernel basis, rank rows) of sparse integer rows: the kernel is
+    empty when the rank rows number ncols, else it is computed exactly,
+    from the rank rows when every other row vanishes on their kernel."""
+    rank_rows = _rank_rows(rows, ncols)
+    if len(rank_rows) == ncols:
+        return [], rank_rows
+    basis = _kernel(*_reduce([rows[i] for i in rank_rows], ncols), ncols)
+    picked = set(rank_rows)
+    if any(sum(v * vec[j] for j, v in row)
+           for i, row in enumerate(rows) if i not in picked for vec in basis):
+        basis = _kernel(*_reduce(rows, ncols), ncols)
+    return [tuple(map(Fraction, vec)) for vec in basis], rank_rows
+
+
+def _kernel(reduced, pivots, ncols: int) -> list[list[int]]:
+    """Per free column, the primitive integer kernel vector of the reduced
+    rows that is positive there and zero in the other free columns."""
     basis = []
     for fc in sorted(set(range(ncols)) - set(pivots)):
         scale = lcm(*(row[c] for row, c in zip(reduced, pivots) if fc in row))
         v = {c: -row.get(fc, 0) * (scale // row[c]) for row, c in zip(reduced, pivots)}
         v[fc] = scale
         g = gcd(*v.values())
-        basis.append(tuple(Fraction(v.get(j, 0) // g) for j in range(ncols)))
+        basis.append([v.get(j, 0) // g for j in range(ncols)])
     return basis

@@ -28,6 +28,15 @@ are; a kernel vector becomes the perturbation by one integer dot product
 with D*g per entry.  EquationSystem.rows, SymbolicPerturbation's limit and
 value and the perturbation are the Fraction views.
 
+The kernel is decided by one rank pass modulo the prime P = 2^61 - 1
+first (see exactlinalg).  When the rows that raise the rank modulo P
+number ncols, their square minor is nonzero modulo P, hence a nonzero
+integer, so the rank is full over Q and the function is extreme; the
+report keeps those rows' indices into system.integer_rows as rank_rows,
+the certificate of full rank, and no exact step runs.  A rank short
+modulo P decides nothing: the exact elimination then computes the kernel,
+which it alone ever supplies.
+
 With f fixed every minimality condition is linear in the function, so the
 eps for which pi +- eps*pi~ are minimal valid form an interval [0, eps*]:
 one integer scan of pi and pi~ gives eps*, and the epsilon is the first
@@ -50,7 +59,7 @@ from .covering import (CoveredComponentSet, format_intervals,
                        generate_covered_components)
 from .errors import (ConstructionError, InternalConsistencyError,
                      ParameterError)
-from .exactlinalg import integer_kernel_basis
+from .exactlinalg import _kernel_and_rank_rows
 from .minimality import (MinimalityReport, _FiniteModel, _InfiniteModel,
                          _find_f, _minimality_test, _model)
 from .pwl import DiscreteFunction, PiecewiseFunction, from_breakpoints_and_limits
@@ -161,6 +170,9 @@ class ExtremalityReport:
     epsilon: Optional[Fraction]
     notes: tuple[str, ...] = ()
     kernel: tuple[Vector, ...] = ()
+    # extreme: the rows of system.integer_rows that raised the rank modulo
+    # P, ncols of them unless P divides every full minor
+    rank_rows: tuple[int, ...] = ()
 
     def __bool__(self):
         return self.is_extreme
@@ -366,27 +378,41 @@ class _FiniteExtremality(_FiniteModel):
         tight additivity, in first-seen order, deduplicated by their sparse
         integer key ((column, coefficient), ...), which is the row the
         system keeps; each kept row keeps its provenance template and
-        group indices."""
+        group indices.  A key is built from the group indices directly:
+        index a in 1..q-1 is column a - 1, and pi~(0) = 0 drops out."""
         fn = self.fn
         q, f_idx = fn.q, int(f * fn.q) % fn.q
         kept: dict[tuple[tuple[int, int], ...], tuple] = {}
 
-        def put(terms, template, *idx):
-            coeffs: dict[int, int] = {}
-            for i, coeff in terms:
-                if i % q:
-                    coeffs[i % q - 1] = coeffs.get(i % q - 1, 0) + coeff
-            key = tuple(sorted((c, v) for c, v in coeffs.items() if v))
-            if key not in kept:
-                kept[key] = (template, *idx)
+        def pair(a, b):
+            """The key of pi~(a) + pi~(b) for 0 <= a <= b < q."""
+            if a == b:
+                return ((a - 1, 2),) if a else ()
+            return ((a - 1, 1), (b - 1, 1)) if a else ((b - 1, 1),)
 
-        put(((f_idx, 1),), "normalization pi~({}) = 0", f_idx)
+        kept[pair(0, f_idx)] = ("normalization pi~({}) = 0", f_idx)
         for a in range(q):
-            put(((a, 1), (f_idx - a, 1)), "symmetry pi~({}) + pi~({}) = 0",
-                a, (f_idx - a) % q)
+            m = (f_idx - a) % q
+            key = pair(a, m) if a <= m else pair(m, a)
+            if key not in kept:
+                kept[key] = ("symmetry pi~({}) + pi~({}) = 0", a, m)
+        # the scan's tight pairs 0 <= i <= j <= q: pi~(i) + pi~(j) - pi~(c);
+        # for 0 < i <= j < q, c = i + j > j or c = i + j - q < i
         for i, j, _ in self.scan[1]:
-            put(((i, 1), (j, 1), (i + j, -1)), "pi~({}) + pi~({}) = pi~({})",
-                i, j, (i + j) % q)
+            c = (i + j) % q
+            if not i or j == q:  # pi~(0) = 0 and c is the other index
+                key = ()
+            elif not c:
+                key = pair(i, j)
+            elif i == j:
+                key = ((i - 1, 2), (c - 1, -1)) if i < c else (
+                    (c - 1, -1), (i - 1, 2))
+            elif c < i:
+                key = ((c - 1, -1), (i - 1, 1), (j - 1, 1))
+            else:
+                key = ((i - 1, 1), (j - 1, 1), (c - 1, -1))
+            if key not in kept:
+                kept[key] = ("pi~({}) + pi~({}) = pi~({})", i, j, c)
         system = EquationSystem(tuple(kept), 1, q - 1,
                                 (q, tuple(kept.values())))
         return None, system, lambda vec: DiscreteFunction(
@@ -445,13 +471,14 @@ def _find_epsilon(m, p, f: Fraction) -> Fraction:
     and no eps passes.  So the eps that pass are [0, eps*], eps* the least
     s / |t| over the pairs (s over W, t over X) of `epsilon_terms`, and k
     is the least with 2^k >= r = start / eps*: 0 when r <= 1, else the bit
-    length of ceil(r) - 1.  eps* = 0 admits no epsilon."""
+    length of ceil(r) - 1.  A negative slack means fn is not minimal valid
+    at f, a ParameterError; eps* = 0 otherwise admits no epsilon."""
     if not any(v for _, t in p.table for v in t):
         raise ParameterError("perturbation must be nonzero")
     has_neg, min_pos, max_abs, pairs, W, X = m.epsilon_terms(p, f)
-    if has_neg:
+    if has_neg or any(s < 0 for s, _ in pairs):
         raise ParameterError("base function must be minimal valid")
-    if any(s < 0 or (s == 0 and t) for s, t in pairs):
+    if any(s == 0 and t for s, t in pairs):
         raise InternalConsistencyError(
             "no epsilon makes both perturbed functions minimal valid")
     start = (min_pos or ONE) / max_abs if max_abs else ONE
@@ -490,11 +517,12 @@ def extremality_test(fn: PiecewiseFunction | DiscreteFunction,
             False, True, rep, covered, None, None, None, None,
             (f"uncovered intervals: [{format_intervals(covered.uncovered)}]",
              "perturbation unavailable: uncovered case"))
-    basis = integer_kernel_basis(system.integer_rows, system.ncols)
+    basis, rank_rows = _kernel_and_rank_rows(system.integer_rows,
+                                             system.ncols)
     dim = len(basis)
     if dim == 0:
         return ExtremalityReport(True, True, rep, covered, system, 0, None,
-                                 None, ())
+                                 None, (), rank_rows=tuple(rank_rows))
     pert = to_perturbation(basis[0])
     eps = _find_epsilon(m, type(m)(pert), rep.f_used)
     return ExtremalityReport(False, True, rep, covered, system, dim, pert,

@@ -144,6 +144,7 @@ def extremality_report_to_dict(rep) -> dict:
         out["system"] = {
             "rows": [[_r(e) for e in row] for row in rep.system.rows],
             "provenance": list(rep.system.provenance),
+            "rank_rows": list(rep.rank_rows),
         }
     if rep.perturbation is not None:
         out["perturbation"] = function_to_dict(rep.perturbation)

@@ -3,7 +3,7 @@
 import random
 from fractions import Fraction as F
 from functools import cache
-from math import lcm
+from math import gcd, lcm
 
 import pytest
 
@@ -156,6 +156,42 @@ def oracle_kernel_dimension(rows, ncols):
         return ncols
     m = sympy.Matrix([[sympy.Rational(e) for e in row] for row in rows])
     return ncols - m.rank()
+
+
+def oracle_kernel_basis(rows, ncols):
+    """kernel_basis by Gauss-Jordan elimination in Fractions, row by row
+    with the first nonzero column as pivot: per free column, the primitive
+    integer kernel vector that is positive there and zero in the other
+    free columns."""
+    reduced, pivots = [], []
+    for row in rows:
+        row = [F(e) for e in row]
+        for r, c in zip(reduced, pivots):
+            if row[c]:
+                row = [a - row[c] * b for a, b in zip(row, r)]
+        nz = [j for j in range(ncols) if row[j]]
+        if not nz:
+            continue
+        c = nz[0]
+        row = [a / row[c] for a in row]
+        for i, r in enumerate(reduced):
+            if r[c]:
+                reduced[i] = [a - r[c] * b for a, b in zip(r, row)]
+        reduced.append(row)
+        pivots.append(c)
+    basis = []
+    for fc in range(ncols):
+        if fc in pivots:
+            continue
+        v = [F(0)] * ncols
+        v[fc] = F(1)
+        for r, c in zip(reduced, pivots):
+            v[c] = -r[fc]
+        scale = lcm(*(e.denominator for e in v))
+        ints = [int(e * scale) for e in v]
+        g = gcd(*ints)
+        basis.append(tuple(F(e // g) for e in ints))
+    return basis
 
 
 def oracle_equation_system(fn):

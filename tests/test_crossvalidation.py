@@ -284,3 +284,98 @@ def test_integer_symmetry_check_matches_fraction_limits():
             checked += 1
             failing += bool(want)
     assert checked > 40 and 0 < failing < checked
+
+
+def _random_sparse_systems(rng, count):
+    """(sparse integer rows, ncols): 1 to 3 small nonzeros per row, some
+    rows sums of earlier ones; in two systems of three one row is made a
+    multiple of P (zero modulo P) or has one entry moved by P, so that the
+    rank modulo P can fall short of the rank over Q."""
+    from groupcut.exactlinalg import P
+
+    out = []
+    for n in range(count):
+        ncols = rng.randrange(1, 9)
+        rows = []
+        for _ in range(rng.randrange(1, 3 * ncols + 2)):
+            if len(rows) > 1 and rng.random() < 0.25:
+                a, b = (dict(r) for r in rng.sample(rows, 2))
+                c = rng.choice((-2, 1, 3))
+                row = {j: c * a.get(j, 0) + b.get(j, 0)
+                       for j in a.keys() | b.keys()}
+            else:
+                cols = rng.sample(range(ncols), rng.randint(1, min(ncols, 3)))
+                row = {j: rng.choice((-4, -3, -2, -1, 1, 2, 3, 4))
+                       for j in cols}
+            rows.append(sorted((j, v) for j, v in row.items() if v))
+        i = rng.randrange(len(rows))
+        if n % 3 == 1:
+            rows[i] = [(j, v * P * rng.choice((1, -2))) for j, v in rows[i]]
+        elif n % 3 == 2 and rows[i]:
+            k = rng.randrange(len(rows[i]))
+            j, v = rows[i][k]
+            rows[i][k] = (j, v + rng.choice((P, -P)))
+        out.append((rows, ncols))
+    return out
+
+
+def test_kernel_matches_fraction_oracle_on_random_sparse_systems(monkeypatch):
+    # integer_kernel_basis and kernel_basis against Gauss-Jordan in
+    # Fractions; the exact eliminations per system tell the path: none when
+    # the rank is full modulo P, one on the rank rows alone, two when a row
+    # outside them breaks their kernel and all rows are eliminated
+    import random
+    from collections import Counter
+
+    from groupcut import exactlinalg
+
+    from conftest import oracle_kernel_basis
+
+    calls = []
+    reduce = exactlinalg._reduce
+    monkeypatch.setattr(exactlinalg, "_reduce",
+                        lambda *a: calls.append(1) or reduce(*a))
+    paths = Counter()
+    for rows, ncols in _random_sparse_systems(random.Random(61), 600):
+        dense = [tuple(F(dict(r).get(j, 0)) for j in range(ncols))
+                 for r in rows]
+        want = oracle_kernel_basis(dense, ncols)
+        calls.clear()
+        assert exactlinalg.integer_kernel_basis(rows, ncols) == want
+        paths[len(calls)] += 1
+        assert exactlinalg.kernel_basis(dense, ncols) == want
+    assert set(paths) == {0, 1, 2} and min(paths.values()) >= 20, paths
+
+
+def test_rank_rows_prove_full_rank_of_every_extreme_report():
+    # an extreme verdict carries ncols rows of full rank over Q, in order;
+    # a report that is not extreme carries none
+    from groupcut.exactlinalg import matrix_rank
+
+    from conftest import random_minimal_functions
+
+    fns = [gc.multiplicative_homomorphism(fn, lam)
+           for fn in (gc.gmic(F(4, 5)), gc.gj_2_slope(),
+                      gc.drlm_backward_3_slope(),
+                      gc.hildebrand_discont_3_slope_1())
+           for lam in (1, 2, 3)]
+    fns += random_minimal_functions(20) + random_minimal_functions(
+        20, proba=F(1, 2))
+    fns += [gc.restrict_to_finite_group(fn, oversampling=os_)
+            for fn in fns if fn.is_continuous for os_ in (1, 2)]
+    extreme = 0
+    for fn in fns:
+        try:
+            rep = gc.extremality_test(fn)
+        except gc.UnsupportedCaseError:
+            continue  # discontinuous on both sides of the origin
+        if not rep.is_extreme:
+            assert rep.rank_rows == ()
+            continue
+        extreme += 1
+        system = rep.system
+        assert len(rep.rank_rows) == system.ncols
+        assert list(rep.rank_rows) == sorted(set(rep.rank_rows))
+        assert matrix_rank([system.rows[i] for i in rep.rank_rows]) == \
+            system.ncols
+    assert extreme >= 20

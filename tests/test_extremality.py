@@ -134,6 +134,7 @@ class TestExactLinalg:
         fn = gc.restrict_to_finite_group(gc.gj_2_slope(), oversampling=3)
         system = gc.extremality_test(fn).system
         assert (len(system), system.ncols) == (838, 89)
+        exactlinalg._reduce(system.integer_rows, system.ncols)
         assert 0 < len(calls) <= 3 * len(system)
 
     def test_elimination_stops_at_full_rank(self, monkeypatch):
@@ -151,12 +152,30 @@ class TestExactLinalg:
         rep = gc.extremality_test(fn)
         system = rep.system
         assert (len(system), system.ncols) == (401, 27)
+        exactlinalg._reduce(system.integer_rows, system.ncols)
         assert len(calls) == 426
         # the kernel of all 401 rows is still trivial, and so is the report
         assert oracle_kernel_dimension(list(system.rows), system.ncols) == 0
         assert rep.is_extreme and rep.kernel_dimension == 0
         assert (rep.perturbation, rep.epsilon, rep.notes) == (None, None, ())
         assert len(rref(list(system.rows))[1]) == 27
+
+    @pytest.mark.parametrize("fn", [
+        gc.restrict_to_finite_group(gc.gj_2_slope(), oversampling=3),
+        gc.multiplicative_homomorphism(gc.hildebrand_discont_3_slope_1(), 6)],
+        ids=["gj_2_slope:os=3", "hildebrand:lam=6"])
+    def test_an_extreme_verdict_runs_no_exact_step(self, fn, monkeypatch):
+        # full rank modulo P proves the kernel empty: no row is cleared
+        # exactly, and the report keeps the ncols rank rows
+        from groupcut import exactlinalg
+
+        calls = []
+        clear = exactlinalg._clear
+        monkeypatch.setattr(exactlinalg, "_clear",
+                            lambda *a: calls.append(1) or clear(*a))
+        rep = gc.extremality_test(fn)
+        assert rep.is_extreme and calls == []
+        assert len(rep.rank_rows) == rep.system.ncols
 
     def test_rows_of_the_wrong_length_are_refused(self):
         with pytest.raises(ParameterError):
@@ -364,6 +383,20 @@ class TestSystemAgainstOracle:
                 "gj_2_slope:lam=6", "gj_2_slope:os=3",
                 "minimal1/2:0:os=3"} <= compared
         assert len(compared) >= 40
+
+    def test_finite_rows_are_sparse_in_column_order(self):
+        # the finite builder makes each sparse key from group indices: it
+        # must be the row's nonzero entries in column order, so that equal
+        # rows meet as equal keys
+        finite = 0
+        for name, fn in _system_inputs():
+            if isinstance(fn, gc.DiscreteFunction):
+                system = gc.extremality_test(fn).system
+                assert system.integer_rows == tuple(
+                    tuple((c, int(e)) for c, e in enumerate(row) if e)
+                    for row in oracle_equation_system(fn)[0]), name
+                finite += 1
+        assert finite >= 23
 
     def test_verdicts_build_no_fraction_rows(self, monkeypatch):
         # the verdict eliminates the integer rows; the Fraction row view is
@@ -597,6 +630,20 @@ class TestFindEpsilon:
         no_f = gc.from_breakpoints_and_values([0, F(1, 2), 1], [0, F(1, 2), 0])
         with pytest.raises(gc.NoCandidateFError):
             gc.find_epsilon(no_f, r227)
+
+    def test_a_base_function_that_breaks_symmetry_is_refused(self):
+        # subadditive, but pi(x) + pi(1/4 - x) != 1: the caller's input is
+        # at fault, in either model, not the epsilon search
+        points = [0, F(1, 4), F(1, 2), F(3, 4), 1]
+        fn = gc.from_breakpoints_and_values(points, [0, 1, 1, 1, 0],
+                                            f=F(1, 4))
+        hat = gc.from_breakpoints_and_values(points, [0, 0, 1, 0, 0])
+        assert not gc.minimality_test(fn).is_minimal
+        for base, pert in ((fn, hat), (gc.restrict_to_finite_group(fn),
+                                       gc.restrict_to_finite_group(hat))):
+            with pytest.raises(ParameterError, match=re.escape(
+                    "base function must be minimal valid")):
+                gc.find_epsilon(base, pert)
 
     @pytest.mark.parametrize("values", [
         (1, 0, 0, 0, 0, 1),  # nonzero at 0

@@ -92,3 +92,20 @@ def test_extremality_report_includes_kernel_basis():
     assert d["kernel"] and all(isinstance(e, str) for e in d["kernel"][0])
     assert extremality_report_to_dict(
         gc.extremality_test(gc.gmic(F(4, 5))))["kernel"] == []
+
+
+def test_extremality_report_carries_the_rank_rows():
+    # an extreme report writes its rank rows as indices into
+    # system.rows; a report that is not extreme writes none
+    dfn = gc.restrict_to_finite_group(gc.gj_2_slope(), oversampling=3)
+    rep = gc.extremality_test(dfn)
+    d = extremality_report_to_dict(rep)
+    assert d["system"]["rank_rows"] == list(rep.rank_rows)
+    assert len(d["system"]["rank_rows"]) == rep.system.ncols == 89
+    assert all(type(i) is int and 0 <= i < len(d["system"]["rows"])
+               for i in d["system"]["rank_rows"])
+    json.dumps(d)
+    drlm = gc.restrict_to_finite_group(gc.drlm_backward_3_slope(),
+                                       oversampling=3)
+    assert extremality_report_to_dict(
+        gc.extremality_test(drlm))["system"]["rank_rows"] == []
