@@ -91,17 +91,16 @@ def scan_slacks(b, vals, rights, lefts, V, points, cones):
     """Classify slack signs at the query points (x, y), approached per each
     side triple of cones (SIDE_TRIPLES, or its first entry for the value).
 
-    Returns (neg, zero, min_pos, max_abs) where neg collects
-    (x, y, sides, num, den) with negative slack, zero collects
-    (x, y, sides) with zero slack, min_pos is the smallest positive slack
-    as (num, den) (den == 0 when none was seen) and max_abs the largest
-    absolute slack as (num, den).  Every den is the W of limit_table.
+    Returns (neg, zero, min_pos) where neg collects (x, y, sides, num, den)
+    with negative slack, zero collects (x, y, sides) with zero slack and
+    min_pos is the smallest positive slack as (num, den) (den == 0 when
+    none was seen).  Every den is the W of limit_table.
     """
     table, W = limit_table(b, vals, rights, lefts, V,
                            {c for x, y in points for c in (x, y, x + y)})
     neg = []
     zero = []
-    mp = ma = 0
+    mp = 0
     for px, py in points:
         tx, ty, ts = table[px], table[py], table[px + py]
         for sides in cones:
@@ -109,16 +108,11 @@ def scan_slacks(b, vals, rights, lefts, V, points, cones):
             d = tx[sx] + ty[sy] - ts[ss]
             if d < 0:
                 neg.append((px, py, sides, d, W))
-                if -d > ma:
-                    ma = -d
             elif d == 0:
                 zero.append((px, py, sides))
-            else:
-                if mp == 0 or d < mp:
-                    mp = d
-                if d > ma:
-                    ma = d
-    return neg, zero, (mp, W if mp else 0), (ma, W)
+            elif mp == 0 or d < mp:
+                mp = d
+    return neg, zero, (mp, W if mp else 0)
 
 
 def complex_vertices(b):

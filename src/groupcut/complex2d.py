@@ -20,15 +20,15 @@ read it; scan_vertex_slacks is its Fraction view.
 Additive faces come from one enumerator, generate_additive_faces, for
 continuous and discontinuous functions alike.  It applies the limit
 criterion (the slack vanishes in the limit from the face's interior) as a
-lookup in the tight cones of the record.  An additive face has zero limit
-slack at each of its vertices, so the enumerator walks only the tight
-vertices, the vertices with a cone of zero slack that stays in the
-square, and counts for each 2-face the vertices where its limit vanishes;
-it builds the vertices of a 2-face only when that count can make it
-additive.  The complex is symmetric under (x, y) -> (y, x), so the walk
-visits the tight vertices with x <= y, as the record holds them, and
-returns the faces of that half; a face with I = J straddles the diagonal
-and is counted from both halves.
+lookup in the tight cones of the record.  The slack is affine on a face's
+interior, so a face is additive exactly when pi has one slope on its
+moving pieces and its limit slack (for an edge, its own or that of a
+2-face that contains it) vanishes at one vertex, a tight vertex: one with
+a cone of zero slack that stays in the square.  The enumerator
+walks only the tight vertices and decides each face there; it builds the
+vertices of a 2-face only when it is additive.  The complex is symmetric
+under (x, y) -> (y, x), so the walk visits the tight vertices with
+x <= y, as the record holds them, and returns the faces of that half.
 It works on the integer grid 1/D of fn.scaled_tables(): covering reads the
 half's maximal faces there as {integer key: vertices}, and the public
 generate_*_additive_faces add the mirror F(J, I, K) of each face with
@@ -271,7 +271,6 @@ class VertexSlacks:
     tight    the cones (x, y, sides) with zero slack, in scan order (a dict
              used as an ordered set)
     min_pos  the smallest positive slack, None when there is none
-    max_abs  the largest absolute slack
     """
 
     D: int
@@ -279,7 +278,6 @@ class VertexSlacks:
     neg: list
     tight: dict
     min_pos: Optional[Fraction]
-    max_abs: Fraction
 
     def is_tight(self, x: int, y: int, sides) -> bool:
         """Zero slack at (x, y) approached per sides; the slack is
@@ -299,11 +297,11 @@ def vertex_slacks(fn: PiecewiseFunction) -> VertexSlacks:
         points = _scan.complex_vertices(b)
         # a continuous function has every limit equal to the value
         cones = _scan.SIDE_TRIPLES[:1 if fn.is_continuous else None]
-        neg, zero, mp, ma = _scan.scan_slacks(b, vals, rights, lefts, V,
-                                              points, cones)
+        neg, zero, mp = _scan.scan_slacks(b, vals, rights, lefts, V, points,
+                                          cones)
         rec = fn._cache["vertex_slacks"] = VertexSlacks(
             D, points, neg, dict.fromkeys(zero),
-            Fraction(*mp) if mp[1] else None, Fraction(*ma))
+            Fraction(*mp) if mp[1] else None)
     return rec
 
 
@@ -313,11 +311,11 @@ def scan_vertex_slacks(fn: PiecewiseFunction, upper_triangle: bool = True):
     over x <= y or, without upper_triangle, the whole square with the
     mirror cones read off the same record.
 
-    Returns (points, neg, zero, min_pos, max_abs): points is the vertex
-    list; neg has entries (point, sides, slack) with negative slack, zero
-    has (point, sides), both in the order of points and then of
+    Returns (points, neg, zero, min_pos): points is the vertex list; neg
+    has entries (point, sides, slack) with negative slack, zero has
+    (point, sides), both in the order of points and then of
     _scan.SIDE_TRIPLES; min_pos is the smallest positive slack (None when
-    none) and max_abs the largest absolute slack.
+    none).
     """
     rec = vertex_slacks(fn)
     points, neg, zero = rec.points, rec.neg, list(rec.tight)
@@ -335,7 +333,7 @@ def scan_vertex_slacks(fn: PiecewiseFunction, upper_triangle: bool = True):
 
     return ([pt(*p) for p in points],
             [(pt(x, y), s, Fraction(num, den)) for x, y, s, num, den in neg],
-            [(pt(x, y), s) for x, y, s in zero], rec.min_pos, rec.max_abs)
+            [(pt(x, y), s) for x, y, s in zero], rec.min_pos)
 
 
 def faces_of_complex(fn: PiecewiseFunction, dims: Iterable[int] = (0, 1, 2)) -> list[Face]:
@@ -406,15 +404,18 @@ def _pieces_at(grid: Sequence[int], t: int) -> list:
 
 # The cones that the walk of _grid_additive_faces follows from a tight
 # vertex (x, y) with x <= y: the six sectors, which reach every 2-face at
-# the vertex, and the three rays toward larger x, or larger y at equal x.
-# The sector test at a vertex is the limit slack of the sector's 2-face
-# there, so counting the tight vertices whose sector test passes counts
-# the face's vertices of zero limit slack.  An edge is a candidate only
-# when both its ends are tight, and a ray from its lower end reaches it.
+# the vertex, then the three rays toward larger x, or larger y at equal x,
+# each of which starts the edge that has the vertex as its lower end.
 # Off the diagonal every cone enters a cell (I, J, K) with I <= J; on it,
 # a cone into a cell with I > J is skipped, as the mirror of a cell that
 # another cone there enters.
-_WALK_CONES = [s for s in _scan.SIDE_TRIPLES if all(s) or s > (0, 0, 0)]
+_WALK_CONES = sorted(
+    (s for s in _scan.SIDE_TRIPLES if all(s) or s > (0, 0, 0)),
+    key=lambda s: not all(s))
+# each ray of _WALK_CONES -> the two sectors beside it: the 2-cells that
+# contain the ray's edge are the ones these sectors enter
+_BESIDE = {r: [s for s in _WALK_CONES if all(s) and all(
+    a == c for a, c in zip(r, s) if a)] for r in _WALK_CONES if not all(r)}
 
 
 def _grid_additive_faces(fn: PiecewiseFunction) -> tuple[int, dict]:
@@ -423,26 +424,21 @@ def _grid_additive_faces(fn: PiecewiseFunction) -> tuple[int, dict]:
     maximal)}), the faces with key <= mirror key and the vertices (x, y)
     with x <= y.
 
-    A 2-face is additive when its limit slack vanishes at each of its
-    vertices, and such a vertex is tight: it has a cone of zero slack that
-    stays in the square.  The slack is symmetric, so the walk visits only
-    the tight vertices with x <= y.  At each, a cone of _WALK_CONES that
-    stays in the square and enters a 2-face names the face by its cells
-    (I, J, K), and its test (the value, or the cone's limit when fn is
-    discontinuous) is the face's limit slack there.  The walk records the
-    cells that pass at each vertex and counts, per cell, the vertices
-    where it passed.  A cell with I = J is its own mirror and straddles
-    the diagonal, so a vertex off the diagonal counts for itself and its
-    mirror.  A 2-face is additive exactly when that count equals its
-    number of vertices, so the vertices are built, in closed form, only
-    for cells counted at 3 vertices or more.
-
-    An edge is a candidate when both ends are tight.  It is additive when
-    a 2-face has zero limit slack at both its ends, or its own limit
-    vanishes at both, and maximal when no such 2-face is additive.  An
-    edge with I = J runs along x + y = k from (a, b) to its mirror (b, a),
-    whose cells are the mirrors of those at (a, b).  The additive vertices
-    are the tight ones.
+    On a face's relative interior pi is affine on each moving piece (I, J
+    or K of positive length), so the slack is affine there and its limits
+    at the vertices are that affine function's values.  It vanishes at all
+    of them exactly when the moving pieces share one slope and it vanishes
+    at one vertex.  Such a vertex is tight: it has a cone of zero slack
+    that stays in the square.  The slack is symmetric, so the walk visits
+    only the tight vertices with x <= y.  At each, a cone of _WALK_CONES
+    that stays in the square names a cell (I, J, K), and its test (the
+    value, or the cone's limit when fn is discontinuous) is the cell's
+    limit slack there.  A 2-cell is additive when its test passes and its
+    three pieces share a slope; its vertices are built once, in closed
+    form.  A ray's edge is additive when its two moving pieces share a
+    slope and its own test passes or that of a 2-cell that contains it,
+    the cell of a sector beside the ray, and maximal when none of those
+    2-cells is additive.  The additive vertices are the tight ones.
 
     A face with I != J lies in one closed half of the square, and its
     mirror F(J, I, K) is additive, with the same flag, exactly when it is;
@@ -459,60 +455,46 @@ def _grid_additive_faces(fn: PiecewiseFunction) -> tuple[int, dict]:
              if 0 < x and y < D or not any(
                  s and t == (e if s > 0 else 0) for s, t, e in
                  zip(sides, (x, y, x + y), (D, D, 2 * D)))}
+    # piece of b or ext -> a small integer per distinct slope
+    ids: dict = {}
+    sid = [ids.setdefault(s, len(ids)) for s in fn.interval_slopes()]
+    slope = dict(zip(zip(ext, ext[1:]), sid + sid))
 
     on_b: dict = {}  # coordinate -> _pieces_at(b, .), once per walk
     on_ext: dict = {}  # the same for x + y on ext
-    zero_at: dict = {}  # tight vertex -> cells of zero limit slack there
-    hits: dict = {}  # cell -> number of vertices of zero limit slack
-    edges: dict = {}  # key -> (vertices, own limit zero at both ends)
+    additive: dict = {}  # key -> (vertices, maximal), x <= y
+    built = set()  # the additive 2-cells
     for v in tight:
         x, y = v
         px = on_b.get(x) or on_b.setdefault(x, _pieces_at(b, x))
         py = on_b.get(y) or on_b.setdefault(y, _pieces_at(b, y))
         ps = on_ext.get(x + y) or on_ext.setdefault(x + y,
                                                    _pieces_at(ext, x + y))
-        # a cell with I = J counts here and at the mirror (y, x)
-        self_mirror = 1 if x == y else 2
-        zero = zero_at[v] = set()
+        passed: dict = {}  # sector of zero limit slack at v -> additive
         for sides in _WALK_CONES:
             cell = (px[sides[0]], py[sides[1]], ps[sides[2]])
             if None in cell:
                 continue  # the cone leaves the square
-            I, J, (k0, k1) = cell
+            I, J, K = cell
             if x == y and I > J:
                 continue  # the mirror of a cell walked here
-            if I[0] < I[1] and J[0] < J[1] and k0 < k1:
-                if cell not in zero and (continuous
-                                         or rec.is_tight(x, y, sides)):
-                    zero.add(cell)
-                    hits[cell] = hits.get(cell, 0) + (self_mirror if I == J
-                                                     else 1)
+            if I[0] < I[1] and J[0] < J[1] and K[0] < K[1]:
+                if continuous or rec.is_tight(x, y, sides):
+                    passed[sides] = same = slope[I] == slope[J] == slope[K]
+                    if same and cell not in built:
+                        built.add(cell)
+                        key = _projections(*cell)
+                        additive[key] = (_face_vertices(key), True)
                 continue
-            # a ray along a grid line: the edge from v to w, at the largest
-            # x and x + y of F(I, J, K)
-            x1 = min(I[1], k1 - J[0])
-            w = (x1, min(k1, I[1] + J[1]) - x1)
-            if w in tight or (w[1], w[0]) in tight:
-                edges[_projections(*cell)] = ((v, w), continuous or (
-                    rec.is_tight(x, y, sides)
-                    and rec.is_tight(*w, tuple(-s for s in sides))))
-
-    additive: dict = {}  # key -> (vertices, maximal), x <= y
-    additive_cells = set()
-    for cell, n in hits.items():
-        if n >= 3:
-            key = _projections(*cell)
-            verts = _face_vertices(key)
-            if n == len(verts):
-                additive[key] = (verts, True)
-                additive_cells.add(cell)
-    for key, ((v, w), own) in edges.items():
-        zero_w = zero_at.get(w)
-        if zero_w is None:  # w = (b, a) mirrors the tight (a, b)
-            zero_w = {(J, I, K) for I, J, K in zero_at[w[1], w[0]]}
-        both = zero_at[v] & zero_w
-        if both or own:
-            additive[key] = ((v, w), additive_cells.isdisjoint(both))
+            # a ray along a grid line, after the sectors beside it
+            if len({slope[p] for p in cell if p[0] < p[1]}) > 1:
+                continue  # the two moving pieces have two slopes
+            around = [passed[s] for s in _BESIDE[sides] if s in passed]
+            if around or continuous or rec.is_tight(x, y, sides):
+                key = _projections(*cell)
+                # the far end w, at the largest x and x + y of the edge
+                (_, x1), _, (_, s1) = key
+                additive[key] = ((v, (x1, s1 - x1)), not any(around))
     # (x, y) is a vertex of a face exactly when (y, x) is a vertex of its
     # mirror, so the half tells whether a vertex lies in a larger face
     in_larger = {v for verts, _ in additive.values() for v in verts}

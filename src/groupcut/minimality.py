@@ -203,7 +203,7 @@ class _FiniteModel:
     @cached_property
     def scaled(self) -> tuple[list[int], int]:
         V = common_denominator(self.fn.values)
-        return [int(v * V) for v in self.fn.values], V
+        return [v.numerator * (V // v.denominator) for v in self.fn.values], V
 
     @cached_property
     def scan(self):
@@ -211,19 +211,23 @@ class _FiniteModel:
         return _scan.scan_discrete(self.scaled[0], self.fn.q)
 
     def range_violations(self):
-        for x, (val,) in self.table:
-            if not 0 <= val <= 1:
+        u, V = self.scaled
+        for (x, (val,)), v in zip(self.table, u):
+            if not 0 <= v <= V:
                 yield _range_violation(x, None, val)
 
     def symmetry_violations(self, f: Fraction):
-        q, points, values = self.fn.q, self.fn.points, self.fn.values
+        """pi(a) + pi(f - a) = 1 on the scaled values; Fractions are built
+        only for a failing point."""
+        q, points, (u, V) = self.fn.q, self.fn.points, self.scaled
         fi = f * q
         if fi.denominator != 1:
             raise ConstructionError(f"f = {f} is not a point of (1/{q})Z")
         for a in range(q):
-            s = values[a] + values[(fi.numerator - a) % q]
-            if s != 1:
-                yield Violation("symmetry", x=points[a], slack=s - 1)
+            s = u[a] + u[(fi.numerator - a) % q]
+            if s != V:
+                yield Violation("symmetry", x=points[a],
+                                slack=Fraction(s - V, V))
 
     def subadditivity_violations(self):
         q, V = self.fn.q, self.scaled[1]

@@ -241,7 +241,7 @@ def plot_2d_diagram_with_cones(fn: PiecewiseFunction,
     sq = _Square(fn, spec)
     sq.draw_grid()
     sq.draw_border_functions()
-    _, neg, zero, _, _ = scan_vertex_slacks(fn, upper_triangle=False)
+    _, neg, zero, _ = scan_vertex_slacks(fn, upper_triangle=False)
     radius = (sq.S - sq.M) * 0.035
     dot = max(2.2, spec.size * 0.005)
 

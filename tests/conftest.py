@@ -314,7 +314,8 @@ def oracle_find_epsilon(fn, pert):
     from its vertex slack record, pert's from Fraction limits over every
     cone at fn's complex vertices x <= y, or both over every group pair.
     It is halved until fn +- eps*pert both pass the minimality test at f,
-    at most 64 times."""
+    at most 64 times.  A zero pert, or an fn that fails the minimality
+    test at f, is a ParameterError."""
     f = fn.f if fn.f is not None else gc.find_f(fn)
     if isinstance(fn, gc.DiscreteFunction):
         q, u, v = fn.q, fn.values, pert.values
@@ -322,7 +323,6 @@ def oracle_find_epsilon(fn, pert):
         sums = [(i, j, i + j - q if i + j > q else i + j)
                 for i in range(q + 1) for j in range(i, q + 1)]
         slacks = [u[i] + u[j] - u[k] for i, j, k in sums]
-        has_neg = any(s < 0 for s in slacks)
         min_pos = min((s for s in slacks if s > 0), default=None)
         max_abs = max(abs(v[i] + v[j] - v[k]) for i, j, k in sums)
 
@@ -333,8 +333,7 @@ def oracle_find_epsilon(fn, pert):
         from groupcut._scan import SIDE_TRIPLES
 
         nonzero = any(a for t in pert.limits for a in t)
-        points, neg, _, min_pos, _ = scan_vertex_slacks(fn)
-        has_neg = bool(neg)
+        points, _, _, min_pos = scan_vertex_slacks(fn)
         # limits_at once per coordinate; a triple is indexed by side, and
         # a continuous function has every limit equal to the value
         lim = {p: pert.limits_at(p) for x, y in points for p in (x, y, x + y)}
@@ -346,7 +345,7 @@ def oracle_find_epsilon(fn, pert):
             return gc.linear_combination(1, fn, c, pert, f=f)
     if not nonzero:
         raise gc.ParameterError("perturbation must be nonzero")
-    if has_neg:
+    if not gc.minimality_test(fn, f, collect_all=False).is_minimal:
         raise gc.ParameterError("base function must be minimal valid")
     eps = F(1) if max_abs == 0 else (
         min_pos if min_pos is not None else F(1)) / max_abs

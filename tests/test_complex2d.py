@@ -226,11 +226,12 @@ class TestAdditiveFaces:
         ids=["gj_2_slope-6", "hildebrand_discont_3_slope_1-2"])
     def test_faces_are_built_from_tight_vertices_only(self, monkeypatch,
                                                       make, lam, most):
-        # the enumerator builds the vertices of a 2-face only when its
-        # limit slack vanishes at 3 of them or more, once per face with
-        # x <= y, and mirrors the rest: on gj_2_slope under lam = 6 that is
-        # 135 of the 252 additive 2-faces, and far fewer than the 1,116
-        # 2-faces that a walk testing every 2-face at a tight vertex builds
+        # the enumerator builds the vertices of a 2-face only when it is
+        # additive (zero limit slack at a tight vertex, one slope on I, J
+        # and K), once per face with key <= mirror key, and mirrors the
+        # rest: on gj_2_slope under lam = 6 that is 135 of the 252 additive
+        # 2-faces, and far fewer than the 1,116 2-faces that a walk
+        # building every 2-face at a tight vertex builds
         fn = gc.multiplicative_homomorphism(make(), lam)
         calls = []
         build = complex2d._face_vertices
@@ -248,7 +249,7 @@ class TestAdditiveFaces:
             assert sum(gc.delta_pi_limit(fn, face, v) == 0
                        for v in face.vertices) >= 3
             built.add(face.key())
-        assert built >= {f.key() for f in faces.faces_of_dim(2)
+        assert built == {f.key() for f in faces.faces_of_dim(2)
                          if f.key() <= f.mirror_key()}
 
     def test_faces_are_closed_under_the_mirror(self):

@@ -583,8 +583,17 @@ class TestFindEpsilon:
     def test_matches_the_halving_oracle(self):
         # the closed form against the halving search it replaced, on lift
         # candidates and finite vectors in and out of the kernel: the same
-        # epsilon or the same refusal
-        cases = _epsilon_corpus()
+        # epsilon or the same refusal; in either model, a subadditive base
+        # function that breaks symmetry at f = 1/4 is refused by both
+        points = [0, F(1, 4), F(1, 2), F(3, 4), 1]
+        fn = gc.from_breakpoints_and_values(points, [0, 1, 1, 1, 0],
+                                            f=F(1, 4))
+        hat = gc.from_breakpoints_and_values(points, [0, 0, 1, 0, 0])
+        restrict = gc.restrict_to_finite_group
+        broken = [(fn, hat), (restrict(fn), restrict(hat))]
+        assert all(_outcome(oracle_find_epsilon, *c) is ParameterError
+                   for c in broken)
+        cases = _epsilon_corpus() + broken
         outcomes = Counter()
         for fn, pert in cases:
             got = _outcome(gc.find_epsilon, fn, pert)

@@ -182,8 +182,8 @@ class TestMinimalityTest:
         # upper-triangle violations
         from groupcut.complex2d import scan_vertex_slacks
 
-        _, full, _, _, _ = scan_vertex_slacks(equiv5, upper_triangle=False)
-        _, upper, _, _, _ = scan_vertex_slacks(equiv5, upper_triangle=True)
+        _, full, _, _ = scan_vertex_slacks(equiv5, upper_triangle=False)
+        _, upper, _, _ = scan_vertex_slacks(equiv5, upper_triangle=True)
 
         def norm(entries):
             out = set()

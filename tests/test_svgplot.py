@@ -43,7 +43,7 @@ class TestConesDiagram:
         from groupcut.complex2d import scan_vertex_slacks
 
         doc = plot_2d_diagram_with_cones(equiv5)
-        _, neg, _, _, _ = scan_vertex_slacks(equiv5, upper_triangle=False)
+        _, neg, _, _ = scan_vertex_slacks(equiv5, upper_triangle=False)
         # one red primitive per negative (vertex, cone) entry
         assert doc.count(RED) == len(neg)
         rep = gc.minimality_test(equiv5)
