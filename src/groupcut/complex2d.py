@@ -25,18 +25,22 @@ interior, so a face is additive exactly when pi has one slope on its
 moving pieces and its limit slack (for an edge, its own or that of a
 2-face that contains it) vanishes at one vertex, a tight vertex: one with
 a cone of zero slack that stays in the square.  The enumerator
-walks only the tight vertices and decides each face there; it builds the
-vertices of a 2-face only when it is additive.  The complex is symmetric
-under (x, y) -> (y, x), so the walk visits the tight vertices with
-x <= y, as the record holds them, and returns the faces of that half.
-It works on the integer grid 1/D of fn.scaled_tables(): covering reads the
-half's maximal faces there as {integer key: vertices}, and the public
-generate_*_additive_faces add the mirror F(J, I, K) of each face with
-I != J and convert to Fraction faces only for the faces they return.
-One closed-form routine gives the vertices of a face F(I, J, K) from its
-projections, for the enumerator, for face_from_triple and grid_face, and
-for faces_of_complex, which lists every face of the complex, the
-brute-force reference that checks need.
+walks only the tight vertices and decides each face there.  The complex
+is symmetric under (x, y) -> (y, x), so the walk visits the tight
+vertices with x <= y, as the record holds them, and returns the faces of
+that half.
+
+Below the API a face is its key: its projections onto x, y and x + y,
+integers over the D of fn.scaled_tables().  A face is exactly the set
+that its key cuts out, so the key gives its dimension, its edge kind,
+the faces it contains and its mirror F(J, I, K) (the first two
+projections swapped).  The walk returns {key: maximal}; covering reads
+the half's maximal keys, and the public generate_*_additive_faces add
+the mirror of each face with I != J.  Vertices are derived from a key,
+by one closed-form routine, only where a Fraction Face is returned
+(grid_face, face_from_triple) and where the walk needs them to tell
+whether a vertex lies in a larger face.  faces_of_complex lists every
+face of the complex, the brute-force reference that checks need.
 """
 
 from __future__ import annotations
@@ -45,6 +49,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 from typing import Iterable, Optional, Sequence
 
 from . import _scan
@@ -67,9 +72,10 @@ class Face:
 
     proj1/proj2/proj3 are the exact min/max of x, y, x+y over the vertices;
     the face equals the set cut out by its own projections, which makes the
-    triple a canonical key.  dimension is 0, 1 or 2 (-1 for the empty
-    face); one-dimensional faces carry edge_kind 'vertical', 'horizontal'
-    or 'diagonal' according to which projection is a point.
+    triple a canonical key, from which the vertices are derived.
+    dimension is 0, 1 or 2 (-1 for the empty face); one-dimensional faces
+    carry edge_kind 'vertical', 'horizontal' or 'diagonal' according to
+    which projection is a point.
     """
 
     proj1: Optional[Interval]
@@ -92,8 +98,11 @@ class Face:
                 and self.proj3[0] <= x + y <= self.proj3[1])
 
     def contains_face(self, other: "Face") -> bool:
-        return (not other.is_empty
-                and all(self.contains_point(v) for v in other.vertices))
+        """A face lies in another exactly when each of its projections
+        lies in the other's, as each face is the set its key cuts out."""
+        return (not self.is_empty and not other.is_empty
+                and all(a[0] <= c[0] and c[1] <= a[1]
+                        for a, c in zip(self.key(), other.key())))
 
     def key(self):
         return (self.proj1, self.proj2, self.proj3)
@@ -140,28 +149,29 @@ _grid_fraction = lru_cache(maxsize=4096)(Fraction)
 
 def face_from_triple(I, J, K) -> Face:
     """Face F(I, J, K) from intervals (or single points) I, J in [0, 1] and
-    K in [0, 2]; an empty face is allowed."""
-    return _face_from_vertices(_face_vertices(_projections(
-        _coerce_interval(I, ZERO, ONE), _coerce_interval(J, ZERO, ONE),
-        _coerce_interval(K, ZERO, TWO))))
+    K in [0, 2]; an empty face is allowed.  The face is found on the grid
+    of the intervals' common denominator."""
+    ivs = (_coerce_interval(I, ZERO, ONE), _coerce_interval(J, ZERO, ONE),
+           _coerce_interval(K, ZERO, TWO))
+    D = lcm(*(t.denominator for iv in ivs for t in iv))
+    return grid_face(_projections(*(
+        [t.numerator * (D // t.denominator) for t in iv] for iv in ivs)), D)
 
 
-def grid_face(I, J, K, D: int) -> Face:
-    """Face F(I, J, K) for intervals of integers over D: the vertices are
-    found on the integers and converted to Fractions once."""
-    return grid_vertices_face(_face_vertices(_projections(I, J, K)), D)
-
-
-def grid_vertices_face(verts, D: int) -> Face:
-    """The face with the integer vertices verts over D, in their order."""
-    return _face_from_vertices([(_grid_fraction(x, D), _grid_fraction(y, D))
-                                for x, y in verts])
+def grid_face(key, D: int) -> Face:
+    """The face with the integer projections key over D (as _projections
+    gives them): the vertices are found on the integers and each number is
+    converted to a Fraction once."""
+    return _face(
+        tuple((_grid_fraction(lo, D), _grid_fraction(hi, D)) for lo, hi in key),
+        tuple((_grid_fraction(x, D), _grid_fraction(y, D))
+              for x, y in _face_vertices(key)))
 
 
 def _projections(I, J, K) -> tuple:
     """The projections of F(I, J, K) onto x, y and x + y, the face's key,
     for closed intervals of exact numbers; each is lo > hi when the face
-    is empty."""
+    is empty.  The face is exactly the set that its key cuts out."""
     (i0, i1), (j0, j1), (k0, k1) = I, J, K
     return ((max(i0, k0 - j1), min(i1, k1 - j0)),
             (max(j0, k0 - i1), min(j1, k1 - i0)),
@@ -183,27 +193,24 @@ def _face_vertices(key) -> tuple:
         (max(x0, s0 - y1), y1), (min(x1, s1 - y1), y1)}))
 
 
-def _face_from_vertices(verts: Sequence[Point]) -> Face:
-    if not verts:
+def _face(key, vertices) -> Face:
+    """The Face with the Fraction projections key and its vertices; the
+    key's single points give the dimension and the edge kind."""
+    if not vertices:
         return _EMPTY_FACE
-    xs = [v[0] for v in verts]
-    ys = [v[1] for v in verts]
-    ss = [v[0] + v[1] for v in verts]
-    p1 = (min(xs), max(xs))
-    p2 = (min(ys), max(ys))
-    p3 = (min(ss), max(ss))
+    p1, p2, p3 = key
     singles = (p1[0] == p1[1]) + (p2[0] == p2[1]) + (p3[0] == p3[1])
-    dim = {0: 2, 1: 1, 3: 0}[singles]
     kind = None
-    if dim == 1:
+    if singles == 1:
         kind = ("vertical" if p1[0] == p1[1]
                 else "horizontal" if p2[0] == p2[1] else "diagonal")
-    return Face(p1, p2, p3, tuple(verts), dim, kind)
+    return Face(p1, p2, p3, vertices, {0: 2, 1: 1, 3: 0}[singles], kind)
 
 
 def mirror_face(face: Face) -> Face:
-    verts = sorted((y, x) for (x, y) in face.vertices)
-    return _face_from_vertices(verts)
+    """The face F(J, I, K) of face.mirror_key()."""
+    return _face(face.mirror_key(),
+                 tuple(sorted((y, x) for x, y in face.vertices)))
 
 
 # -- slack and its directional limits ----------------------------------------
@@ -339,24 +346,17 @@ def scan_vertex_slacks(fn: PiecewiseFunction, upper_triangle: bool = True):
 def faces_of_complex(fn: PiecewiseFunction, dims: Iterable[int] = (0, 1, 2)) -> list[Face]:
     """All distinct faces of the complex (deduplicated across the many
     (I, J, K) representations), lexicographically ordered by projections.
-    The faces are found on the integer grid of fn.scaled_tables() and
-    converted to Fractions once each."""
+    The faces are found as a set of integer keys on the grid of
+    fn.scaled_tables(), and each becomes a Fraction face once."""
     dims = set(dims)
     b, _, _, _, D, _ = fn.scaled_tables()
     ext = b + [t + D for t in b[1:]]
     pieces = list(zip(b, b[1:])) + [(x, x) for x in b]
     kpieces = list(zip(ext, ext[1:])) + [(x, x) for x in ext]
-    seen: dict = {}
-    for I in pieces:
-        for J in pieces:
-            lo, hi = I[0] + J[0], I[1] + J[1]
-            for K in kpieces:
-                if K[1] < lo or K[0] > hi:
-                    continue
-                key = _projections(I, J, K)
-                if key not in seen:
-                    seen[key] = _face_vertices(key)
-    faces = (grid_vertices_face(seen[k], D) for k in sorted(seen) if seen[k])
+    # K meets I + J exactly when F(I, J, K) is not empty
+    keys = {_projections(I, J, K) for I in pieces for J in pieces
+            for K in kpieces if K[0] <= I[1] + J[1] and I[0] + J[0] <= K[1]}
+    faces = (grid_face(key, D) for key in sorted(keys))
     return [face for face in faces if face.dimension in dims]
 
 
@@ -420,9 +420,8 @@ _BESIDE = {r: [s for s in _WALK_CONES if all(s) and all(
 
 def _grid_additive_faces(fn: PiecewiseFunction) -> tuple[int, dict]:
     """The additive faces of generate_additive_faces in the half x <= y on
-    the integer grid of fn.scaled_tables(): (D, {key: (vertices,
-    maximal)}), the faces with key <= mirror key and the vertices (x, y)
-    with x <= y.
+    the integer grid of fn.scaled_tables(): (D, {key: maximal}), the
+    faces with key <= mirror key.
 
     On a face's relative interior pi is affine on each moving piece (I, J
     or K of positive length), so the slack is affine there and its limits
@@ -434,11 +433,13 @@ def _grid_additive_faces(fn: PiecewiseFunction) -> tuple[int, dict]:
     that stays in the square names a cell (I, J, K), and its test (the
     value, or the cone's limit when fn is discontinuous) is the cell's
     limit slack there.  A 2-cell is additive when its test passes and its
-    three pieces share a slope; its vertices are built once, in closed
-    form.  A ray's edge is additive when its two moving pieces share a
-    slope and its own test passes or that of a 2-cell that contains it,
-    the cell of a sector beside the ray, and maximal when none of those
-    2-cells is additive.  The additive vertices are the tight ones.
+    three pieces share a slope.  A ray's edge is additive when its two
+    moving pieces share a slope and its own test passes or that of a
+    2-cell that contains it, the cell of a sector beside the ray, and
+    maximal when none of those 2-cells is additive.  The additive vertices
+    are the tight ones; a vertex is maximal when it is no vertex of a
+    larger additive face, so the walk builds the vertices of each
+    additive 2-cell once, in closed form, and the two ends of each edge.
 
     A face with I != J lies in one closed half of the square, and its
     mirror F(J, I, K) is additive, with the same flag, exactly when it is;
@@ -462,8 +463,9 @@ def _grid_additive_faces(fn: PiecewiseFunction) -> tuple[int, dict]:
 
     on_b: dict = {}  # coordinate -> _pieces_at(b, .), once per walk
     on_ext: dict = {}  # the same for x + y on ext
-    additive: dict = {}  # key -> (vertices, maximal), x <= y
+    additive: dict = {}  # key -> maximal, x <= y
     built = set()  # the additive 2-cells
+    in_larger = set()  # the vertices of the additive 2-faces and edges
     for v in tight:
         x, y = v
         px = on_b.get(x) or on_b.setdefault(x, _pieces_at(b, x))
@@ -484,7 +486,8 @@ def _grid_additive_faces(fn: PiecewiseFunction) -> tuple[int, dict]:
                     if same and cell not in built:
                         built.add(cell)
                         key = _projections(*cell)
-                        additive[key] = (_face_vertices(key), True)
+                        additive[key] = True
+                        in_larger.update(_face_vertices(key))
                 continue
             # a ray along a grid line, after the sectors beside it
             if len({slope[p] for p in cell if p[0] < p[1]}) > 1:
@@ -492,32 +495,31 @@ def _grid_additive_faces(fn: PiecewiseFunction) -> tuple[int, dict]:
             around = [passed[s] for s in _BESIDE[sides] if s in passed]
             if around or continuous or rec.is_tight(x, y, sides):
                 key = _projections(*cell)
-                # the far end w, at the largest x and x + y of the edge
+                additive[key] = not any(around)
+                # v and the far end, at the largest x and x + y of the edge
                 (_, x1), _, (_, s1) = key
-                additive[key] = ((v, (x1, s1 - x1)), not any(around))
+                in_larger.update((v, (x1, s1 - x1)))
     # (x, y) is a vertex of a face exactly when (y, x) is a vertex of its
     # mirror, so the half tells whether a vertex lies in a larger face
-    in_larger = {v for verts, _ in additive.values() for v in verts}
     for x, y in tight:
-        maximal = (x, y) not in in_larger and (y, x) not in in_larger
-        additive[(x, x), (y, y), (x + y, x + y)] = (((x, y),), maximal)
+        additive[(x, x), (y, y), (x + y, x + y)] = (
+            (x, y) not in in_larger and (y, x) not in in_larger)
 
     return D, additive
 
 
 def _fraction_face_set(D: int, additive: dict) -> AdditiveFaceSet:
-    """Fraction faces on the grid 1/D of the walk's half {key: (vertices,
-    maximal)} and of the mirror F(J, I, K), with the mirrored vertices and
-    the same flag, of each face with I != J, in key order (integer keys
-    sort as the Fraction keys do)."""
+    """Fraction faces on the grid 1/D of the walk's half {key: maximal}
+    and of the mirror key (proj2, proj1, proj3), with the same flag, of
+    each face with I != J, in key order (integer keys sort as the Fraction
+    keys do)."""
     whole = dict(additive)
-    for (p1, p2, p3), (verts, maximal) in additive.items():
+    for (p1, p2, p3), maximal in additive.items():
         if p1 != p2:
-            whole[p2, p1, p3] = (tuple(sorted([(y, x) for x, y in verts])),
-                                 maximal)
+            whole[p2, p1, p3] = maximal
     keys = sorted(whole)
-    faces = tuple(grid_vertices_face(whole[k][0], D) for k in keys)
-    return AdditiveFaceSet(faces, tuple(whole[k][1] for k in keys))
+    return AdditiveFaceSet(tuple(grid_face(k, D) for k in keys),
+                           tuple(whole[k] for k in keys))
 
 
 def generate_additive_faces(fn: PiecewiseFunction) -> AdditiveFaceSet:
@@ -543,8 +545,7 @@ def generate_maximal_additive_faces(fn: PiecewiseFunction) -> AdditiveFaceSet:
     """Inclusion-maximal additive faces: the maximal entries of
     generate_additive_faces."""
     D, additive = _grid_additive_faces(fn)
-    return _fraction_face_set(
-        D, {k: fm for k, fm in additive.items() if fm[1]})
+    return _fraction_face_set(D, {k: m for k, m in additive.items() if m})
 
 
 # -- areas and the merit index ------------------------------------------------

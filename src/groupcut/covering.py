@@ -10,8 +10,9 @@ subinterval of one projection is covered, its image becomes covered in the
 same component.
 
 Both phases work on one sorted integer grid P on the grid 1/D of the
-function.  The maximal additive faces come from the tight-vertex walk of
-complex2d as {integer key: vertices} over fn's D, in its half x <= y: the
+function.  A face is its integer key, its projections onto x, y and
+x + y over D.  The maximal additive faces come from the tight-vertex
+walk of complex2d as such keys over fn's D, in its half x <= y: the
 mirror F(J, I, K) of a face has the same projections, so it adds no
 covered interval and no edge map.  The single points of a key give the
 face's dimension and edge kind.  P holds the projection and window
@@ -29,9 +30,9 @@ passes as elements.  Components are read off as runs of one class: open
 intervals end at a point outside the class, closed ones (continuous
 functions) join when they touch.  Fractions appear only for the returned
 intervals, the logged moves (an EdgeMove's face is built from the edge's
-integer vertices) and the additive= argument, an AdditiveFaceSet that is
-scaled once into the same integer form on the grid of its vertices; with
-or without the mirrors of its faces it covers alike.
+key) and the additive= argument, an AdditiveFaceSet whose keys are scaled
+once to integers on the grid of their endpoints; with or without the
+mirrors of its faces it covers alike.
 """
 
 from __future__ import annotations
@@ -42,8 +43,7 @@ from fractions import Fraction
 from math import lcm
 from typing import Optional
 
-from .complex2d import (AdditiveFaceSet, Face, _grid_additive_faces,
-                         grid_vertices_face)
+from .complex2d import AdditiveFaceSet, Face, _grid_additive_faces, grid_face
 from .errors import UnsupportedCaseError
 from .pwl import PiecewiseFunction
 
@@ -190,25 +190,22 @@ class _Classes:
             moves, self.closed)
 
 
-def _scaled_faces(additive: AdditiveFaceSet) -> tuple[int, dict]:
-    """The faces of an AdditiveFaceSet as (D, {key: vertices}) on the grid
-    1/D of their vertices, keyed by their integer projections."""
-    D = lcm(*{x.denominator for f in additive.faces
-              for v in f.vertices for x in v})
-
-    def scaled(pairs):
-        return tuple((a.numerator * (D // a.denominator),
-                      b.numerator * (D // b.denominator)) for a, b in pairs)
-
-    return D, {scaled(f.key()): scaled(f.vertices) for f in additive.faces}
+def _scaled_faces(additive: AdditiveFaceSet) -> tuple[int, list]:
+    """The keys of an AdditiveFaceSet's faces as (D, [integer key]) on the
+    grid 1/D of the keys' endpoints (the grid of the faces' vertices)."""
+    keys = [f.key() for f in additive.faces]
+    D = lcm(*{t.denominator for key in keys for iv in key for t in iv})
+    return D, [tuple((lo.numerator * (D // lo.denominator),
+                      hi.numerator * (D // hi.denominator)) for lo, hi in key)
+               for key in keys]
 
 
-def _cover_directly(fn: PiecewiseFunction, D: int, faces: dict):
-    """Phase one on the grid P closed under the edge maps, for the faces
-    {key: vertices} on the grid 1/D: the classes and the distinct maps
-    (edge key, kind, source window, image window) in edge key order.  A
-    key's single points give the face's dimension: none for a 2-face, one
-    for an edge."""
+def _cover_directly(fn: PiecewiseFunction, D: int, faces):
+    """Phase one on the grid P closed under the edge maps, for the face
+    keys faces on the grid 1/D: the classes and the distinct maps (edge
+    key, kind, source window, image window) in edge key order.  A key's
+    single points give the face's dimension: none for a 2-face, one for
+    an edge."""
     singles = {key: sum(lo == hi for lo, hi in key) for key in faces}
     # a 2-face and its mirror F(J, I, K) have one window: each once, keyed
     # by its unordered first two projections and its third, first seen
@@ -258,8 +255,7 @@ def generate_covered_components(fn: PiecewiseFunction,
         # projections nested in the container's, so it can neither extend
         # nor merge components
         D, faces = _grid_additive_faces(fn)
-        faces = {key: verts for key, (verts, maximal) in faces.items()
-                 if maximal}
+        faces = [key for key, maximal in faces.items() if maximal]
     else:
         D, faces = _scaled_faces(additive)
     classes, maps = _cover_directly(fn, D, faces)
@@ -278,7 +274,7 @@ def generate_covered_components(fn: PiecewiseFunction,
                 lo, hi = sorted((base + sign * first, base + sign * last))
                 if root is not None and classes.join(
                         range(lo, hi + 1, step), classes.find(first)):
-                    moves.append(EdgeMove(grid_vertices_face(faces[edge], D),
+                    moves.append(EdgeMove(grid_face(edge, D),
                                           kind, classes.interval(first, last),
                                           classes.interval(lo, hi)))
                     changed = True

@@ -30,7 +30,8 @@ from math import lcm
 from typing import Optional
 
 from . import _scan
-from .complex2d import Face, _pieces_at, grid_face, vertex_slacks
+from .complex2d import (Face, _pieces_at, _projections, grid_face,
+                        vertex_slacks)
 from .errors import ConstructionError, NoCandidateFError, ParameterError
 from .pwl import DiscreteFunction, PiecewiseFunction, _reduce_mod_one
 from .rational import common_denominator, to_rational
@@ -133,8 +134,8 @@ def _grid_witness_face(b: list[int], D: int, x: int, y: int, sides) -> Face:
     if sy and y == (D if sy > 0 else 0):
         y = D - y
     ext = b + [t + D for t in b[1:]]
-    return grid_face(_pieces_at(b, x)[sx], _pieces_at(b, y)[sy],
-                     _pieces_at(ext, x + y)[ss], D)
+    return grid_face(_projections(_pieces_at(b, x)[sx], _pieces_at(b, y)[sy],
+                                  _pieces_at(ext, x + y)[ss]), D)
 
 
 class _InfiniteModel:

@@ -23,6 +23,7 @@ from fractions import Fraction
 from math import lcm
 from typing import Optional, Sequence
 
+from . import _scan
 from .errors import ConstructionError
 from .rational import common_denominator, to_rational
 
@@ -263,40 +264,26 @@ def linear_combination(a, fn1: PiecewiseFunction, b, fn2: PiecewiseFunction,
                        f=None) -> PiecewiseFunction:
     """a*fn1 + b*fn2 on the common refinement of the two breakpoint sets.
 
-    Both functions are read through their integer tables (scaled_tables) on
-    the grid 1/D of both breakpoint sets: each side of a merged point is a
-    table entry over V, or the integer interpolation over V times the span
-    of the piece it lies in, and each entry of the result is one Fraction
-    whose denominator is the product of the coefficients' denominators,
-    the V's and the spans."""
+    Both functions are read through _scan.limit_table on the grid 1/D of
+    both breakpoint sets: each side of a merged point is an integer over
+    the table's W, and each entry of the result is one Fraction whose
+    denominator is the product of the coefficients' denominators and the
+    two W's."""
     a = to_rational(a)
     b = to_rational(b)
     D = lcm(common_denominator(fn1.breakpoints),
             common_denominator(fn2.breakpoints))
     *t1, _, V1 = fn1.scaled_tables(D)
     *t2, _, V2 = fn2.scaled_tables(D)
-    # a * u / (V1 s1) + b * w / (V2 s2) for the spans s1, s2
-    ca = a.numerator * b.denominator * V2
-    cb = b.numerator * a.denominator * V1
-    den = a.denominator * b.denominator * V1 * V2
-
-    def at(p: int, bk, vals, rights, lefts):
-        """(value, right, left) numerators over V and the span at p / D."""
-        i = bisect_right(bk, p) - 1
-        if bk[i] == p:
-            return vals[i], rights[i], lefts[i], 1
-        span = bk[i + 1] - bk[i]
-        v = rights[i] * span + (lefts[i + 1] - rights[i]) * (p - bk[i])
-        return v, v, v, span
-
     ticks = sorted(set(t1[0]).union(t2[0]))
-    triples = []
-    for p in ticks:
-        *u, s1 = at(p, *t1)
-        *w, s2 = at(p, *t2)
-        c1, c2, d = ca * s2, cb * s1, den * s1 * s2
-        triples.append(tuple(Fraction(c1 * x + c2 * y, d)
-                             for x, y in zip(u, w)))
+    u, W1 = _scan.limit_table(*t1, V1, ticks)
+    w, W2 = _scan.limit_table(*t2, V2, ticks)
+    # a * u / W1 + b * w / W2
+    ca = a.numerator * b.denominator * W2
+    cb = b.numerator * a.denominator * W1
+    den = a.denominator * b.denominator * W1 * W2
+    triples = [tuple(Fraction(ca * x + cb * y, den) for x, y in zip(u[p], w[p]))
+               for p in ticks]
     ff = f if f is not None else fn1.f
     return from_breakpoints_and_limits([Fraction(p, D) for p in ticks],
                                        triples, f=ff, merge=True)

@@ -18,9 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .complex2d import (AdditiveFaceSet, _convex_hull,
-                        generate_additive_faces,
-                        generate_maximal_additive_faces,
+from .complex2d import (_convex_hull, generate_maximal_additive_faces,
                         scan_vertex_slacks)
 from .covering import (CoveredComponentSet, directly_covered_components,
                        generate_covered_components)
@@ -271,16 +269,14 @@ def plot_2d_diagram_with_cones(fn: PiecewiseFunction,
 
 
 def plot_2d_diagram(fn: PiecewiseFunction,
-                    spec: Optional[DiagramSpec] = None,
-                    additive: Optional[AdditiveFaceSet] = None) -> str:
+                    spec: Optional[DiagramSpec] = None) -> str:
     """Maximal additive faces shaded green; the projections of the
     two-dimensional ones drawn as gray shadows on the three axes."""
     spec = spec or DiagramSpec()
     sq = _Square(fn, spec)
     sq.draw_grid()
     sq.draw_border_functions()
-    if additive is None:
-        additive = generate_maximal_additive_faces(fn)
+    additive = generate_maximal_additive_faces(fn)
     shadow = ROLE_COLORS["shadow"]
     for face in additive.maximal_faces():
         if face.dimension == 2:

@@ -90,6 +90,11 @@ def oracle_additive_faces(fn):
     key order.  Valid for continuous and discontinuous functions."""
     all_faces = faces_of_complex(fn)
     two = [f for f in all_faces if f.dimension == 2]
+    # a vertex of the complex lies in a face only as one of its vertices
+    at_vertex: dict = {}
+    for g in all_faces:
+        for v in g.vertices:
+            at_vertex.setdefault(v, []).append(g)
     # each (face, vertex) limit is taken once
     zero = cache(lambda face, v: oracle_delta_pi_limit(fn, face, v) == 0)
     additive = []
@@ -102,7 +107,7 @@ def oracle_additive_faces(fn):
                      for g in containers)
         else:
             v = face.vertices[0]
-            ok = any(zero(g, v) for g in all_faces if g.contains_point(v))
+            ok = any(zero(g, v) for g in at_vertex[v])
         if ok:
             additive.append(face)
     return [(f.key(), not any(g.dimension > f.dimension and g.contains_face(f)

@@ -109,6 +109,37 @@ class TestFaceFromTriple:
             assert m.proj1 == face.proj2 and m.proj2 == face.proj1
             assert m.proj3 == face.proj3
 
+    def test_a_face_is_the_set_its_key_cuts_out(self):
+        # below the API a face is its key: each projection is the (min,
+        # max) of the vertices' x, y and x + y, so the integer key gives
+        # the Fraction face, the mirror key gives the mirror, and one face
+        # lies in another exactly when its projections lie in the other's
+        from conftest import random_subadditive_functions
+
+        fns = [fn for continuous in (True, False)
+               for fn in random_subadditive_functions(20, 5, continuous)]
+        fns += [gc.multiplicative_homomorphism(make(), lam)
+                for make in (gc.gj_2_slope, gc.hildebrand_discont_3_slope_1)
+                for lam in (1, 2, 3)]
+        for fn in fns:
+            D = complex2d.vertex_slacks(fn).D
+            for face in faces_of_complex(fn):
+                coords = [[x for x, _ in face.vertices],
+                          [y for _, y in face.vertices],
+                          [x + y for x, y in face.vertices]]
+                assert face.key() == tuple((min(c), max(c)) for c in coords)
+                key = tuple((lo.numerator * (D // lo.denominator),
+                             hi.numerator * (D // hi.denominator))
+                            for lo, hi in face.key())
+                assert complex2d.grid_face(key, D) == face_from_triple(
+                    *face.key()) == face
+                assert mirror_face(mirror_face(face)) == face
+        faces = faces_of_complex(gc.gj_2_slope())
+        for f in faces:
+            for g in faces:
+                assert g.contains_face(f) == all(
+                    g.contains_point(v) for v in f.vertices)
+
 
 class TestDeltaPiLimit:
     def test_published_limits(self, equiv5):
@@ -226,25 +257,25 @@ class TestAdditiveFaces:
         ids=["gj_2_slope-6", "hildebrand_discont_3_slope_1-2"])
     def test_faces_are_built_from_tight_vertices_only(self, monkeypatch,
                                                       make, lam, most):
-        # the enumerator builds the vertices of a 2-face only when it is
+        # the walk builds the vertices of a 2-face only when it is
         # additive (zero limit slack at a tight vertex, one slope on I, J
-        # and K), once per face with key <= mirror key, and mirrors the
-        # rest: on gj_2_slope under lam = 6 that is 135 of the 252 additive
-        # 2-faces, and far fewer than the 1,116 2-faces that a walk
-        # building every 2-face at a tight vertex builds
+        # and K), once per face with key <= mirror key: on gj_2_slope under
+        # lam = 6 that is 135 of the 252 additive 2-faces, and far fewer
+        # than the 1,116 2-faces that a walk building every 2-face at a
+        # tight vertex builds; the public list builds one per face
         fn = gc.multiplicative_homomorphism(make(), lam)
         calls = []
         build = complex2d._face_vertices
         monkeypatch.setattr(complex2d, "_face_vertices",
                             lambda key: calls.append(key) or build(key))
-        faces = gc.generate_additive_faces(fn)
+        D, _ = complex2d._grid_additive_faces(fn)
         monkeypatch.undo()
-        D = complex2d.vertex_slacks(fn).D
+        faces = gc.generate_additive_faces(fn)
         assert len(faces) and calls
         assert len(calls) == len(set(calls)) <= most
         built = set()
         for key in calls:
-            face = complex2d.grid_vertices_face(build(key), D)
+            face = complex2d.grid_face(key, D)
             assert face.dimension == 2
             assert sum(gc.delta_pi_limit(fn, face, v) == 0
                        for v in face.vertices) >= 3
@@ -258,6 +289,7 @@ class TestAdditiveFaces:
         # F(J, I, K) of each face, with the mirrored vertices and the same
         # flag; a face with I = J is its own mirror and straddles the
         # diagonal, as does the edge along x + y = k from (a, b) to (b, a)
+        face_vertices = complex2d._face_vertices
         from conftest import random_subadditive_functions
 
         gj6 = gc.multiplicative_homomorphism(gc.gj_2_slope(), 6)
@@ -278,17 +310,20 @@ class TestAdditiveFaces:
             assert {tuple((lo * D, hi * D) for lo, hi in key)
                     for key in flags if key <= (key[1], key[0], key[2])} \
                 == set(half)
-            for (p1, p2, _), (verts, _) in half.items():
-                if p1 == p2 and len(verts) > 1:
+            for key in half:
+                verts = face_vertices(key)
+                if key[0] == key[1] and len(verts) > 1:
                     straddling[len(verts) > 2] += 1
         assert straddling[True] and straddling[False]
         # on the grid 1/180: the 2-face [0, 7/180]^2 below x + y = 7/180,
         # whose limit slack vanishes at (0, 0) and at the mirrored pair
         # (0, 7/180), (7/180, 0), and its diagonal edge
         additive = complex2d._grid_additive_faces(gj6)[1]
-        assert additive[(0, 7), (0, 7), (0, 7)] == (
-            ((0, 0), (0, 7), (7, 0)), True)
-        assert additive[(0, 7), (0, 7), (7, 7)] == (((0, 7), (7, 0)), False)
+        assert additive[(0, 7), (0, 7), (0, 7)] is True
+        assert face_vertices(((0, 7), (0, 7), (0, 7))) == (
+            (0, 0), (0, 7), (7, 0))
+        assert additive[(0, 7), (0, 7), (7, 7)] is False
+        assert face_vertices(((0, 7), (0, 7), (7, 7))) == ((0, 7), (7, 0))
 
 
 class TestMeritIndex:

@@ -337,7 +337,7 @@ def test_a_face_and_its_mirror_are_joined_once(monkeypatch):
                         lambda self, *args: joins.append(1) or join(self, *args))
     fn = gc.multiplicative_homomorphism(gc.gj_2_slope(), 6)
     D, faces = _grid_additive_faces(fn)
-    half = {key: verts for key, (verts, maximal) in faces.items() if maximal}
+    half = [key for key, maximal in faces.items() if maximal]
     covering._cover_directly(fn, D, half)
     from_walk = len(joins)
     twofaces = [f for f in generate_additive_faces(fn).faces
