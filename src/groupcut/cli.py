@@ -396,6 +396,9 @@ def main(argv=None) -> int:
         # would, and keep the exit-time flush off the closed pipe
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 141
+    except Exception as exc:  # a fault, never a verdict: 0 and 1 are those
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
     return code
 
 

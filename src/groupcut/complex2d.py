@@ -34,13 +34,17 @@ Below the API a face is its key: its projections onto x, y and x + y,
 integers over the D of fn.scaled_tables().  A face is exactly the set
 that its key cuts out, so the key gives its dimension, its edge kind,
 the faces it contains and its mirror F(J, I, K) (the first two
-projections swapped).  The walk returns {key: maximal}; covering reads
-the half's maximal keys, and the public generate_*_additive_faces add
-the mirror of each face with I != J.  Vertices are derived from a key,
-by one closed-form routine, only where a Fraction Face is returned
-(grid_face, face_from_triple) and where the walk needs them to tell
-whether a vertex lies in a larger face.  faces_of_complex lists every
-face of the complex, the brute-force reference that checks need.
+projections swapped).  The walk (_additive_walk) is a generator that
+yields each additive 2-face and edge of the half, with its maximal flag,
+as it finds it: covering takes the maximal keys one at a time and stops
+the walk once it is saturated.  _grid_additive_faces runs the whole walk
+into {key: maximal} and adds the tight vertices, and the public
+generate_*_additive_faces add the mirror of each face with I != J.
+Vertices are derived from a key, by one closed-form routine, only where
+a Fraction Face is returned (grid_face, face_from_triple) and where
+_grid_additive_faces needs them to tell whether a vertex lies in a
+larger face.  faces_of_complex lists every face of the complex, the
+brute-force reference that checks need.
 """
 
 from __future__ import annotations
@@ -402,7 +406,7 @@ def _pieces_at(grid: Sequence[int], t: int) -> list:
             (grid[i - 1], t) if i else None]
 
 
-# The cones that the walk of _grid_additive_faces follows from a tight
+# The cones that the walk of _additive_walk follows from a tight
 # vertex (x, y) with x <= y: the six sectors, which reach every 2-face at
 # the vertex, then the three rays toward larger x, or larger y at equal x,
 # each of which starts the edge that has the vertex as its lower end.
@@ -418,10 +422,14 @@ _BESIDE = {r: [s for s in _WALK_CONES if all(s) and all(
     a == c for a, c in zip(r, s) if a)] for r in _WALK_CONES if not all(r)}
 
 
-def _grid_additive_faces(fn: PiecewiseFunction) -> tuple[int, dict]:
-    """The additive faces of generate_additive_faces in the half x <= y on
-    the integer grid of fn.scaled_tables(): (D, {key: maximal}), the
-    faces with key <= mirror key.
+def _additive_walk(fn: PiecewiseFunction):
+    """The tight-vertex walk over the additive faces of
+    generate_additive_faces in the half x <= y on the integer grid of
+    fn.scaled_tables(): (D, tight, walk), with tight the tight vertices
+    (x, y), x <= y, and walk a generator that yields (key, maximal) for
+    each additive 2-face and edge as it is found, faces with key <= mirror
+    key.  The vertices are left to the caller: they are the tight ones.
+    The subadditivity refusal is raised here, before anything is walked.
 
     On a face's relative interior pi is affine on each moving piece (I, J
     or K of positive length), so the slack is affine there and its limits
@@ -436,19 +444,12 @@ def _grid_additive_faces(fn: PiecewiseFunction) -> tuple[int, dict]:
     three pieces share a slope.  A ray's edge is additive when its two
     moving pieces share a slope and its own test passes or that of a
     2-cell that contains it, the cell of a sector beside the ray, and
-    maximal when none of those 2-cells is additive.  The additive vertices
-    are the tight ones; a vertex is maximal when it is no vertex of a
-    larger additive face, so the walk builds the vertices of each
-    additive 2-cell once, in closed form, and the two ends of each edge.
-
-    A face with I != J lies in one closed half of the square, and its
-    mirror F(J, I, K) is additive, with the same flag, exactly when it is;
-    _fraction_face_set adds it.
+    maximal when none of those 2-cells is additive (the sectors come
+    first, so the flag is final when the edge is yielded).  Each 2-cell is
+    yielded once, and each edge once, from its lower end.
     """
     rec = _require_subadditive(fn)
     b, D = fn.scaled_tables()[0], rec.D
-    ext = b + [t + D for t in b[1:]]
-    continuous = fn.is_continuous
     # the vertices (x <= y) with a cone of zero slack that stays in the
     # square: no side points below 0 or above D (2D for x + y), which only
     # a cone on x = 0 or y = D can do
@@ -456,55 +457,75 @@ def _grid_additive_faces(fn: PiecewiseFunction) -> tuple[int, dict]:
              if 0 < x and y < D or not any(
                  s and t == (e if s > 0 else 0) for s, t, e in
                  zip(sides, (x, y, x + y), (D, D, 2 * D)))}
-    # piece of b or ext -> a small integer per distinct slope
-    ids: dict = {}
-    sid = [ids.setdefault(s, len(ids)) for s in fn.interval_slopes()]
-    slope = dict(zip(zip(ext, ext[1:]), sid + sid))
 
-    on_b: dict = {}  # coordinate -> _pieces_at(b, .), once per walk
-    on_ext: dict = {}  # the same for x + y on ext
-    additive: dict = {}  # key -> maximal, x <= y
-    built = set()  # the additive 2-cells
+    def walk():
+        ext = b + [t + D for t in b[1:]]
+        continuous = fn.is_continuous
+        # piece of b or ext -> a small integer per distinct slope
+        ids: dict = {}
+        sid = [ids.setdefault(s, len(ids)) for s in fn.interval_slopes()]
+        slope = dict(zip(zip(ext, ext[1:]), sid + sid))
+        on_b: dict = {}  # coordinate -> _pieces_at(b, .), once per walk
+        on_ext: dict = {}  # the same for x + y on ext
+        built = set()  # the additive 2-cells
+        for x, y in tight:
+            px = on_b.get(x) or on_b.setdefault(x, _pieces_at(b, x))
+            py = on_b.get(y) or on_b.setdefault(y, _pieces_at(b, y))
+            ps = on_ext.get(x + y) or on_ext.setdefault(
+                x + y, _pieces_at(ext, x + y))
+            passed: dict = {}  # sector of zero limit slack -> additive
+            for sides in _WALK_CONES:
+                cell = (px[sides[0]], py[sides[1]], ps[sides[2]])
+                if None in cell:
+                    continue  # the cone leaves the square
+                I, J, K = cell
+                if x == y and I > J:
+                    continue  # the mirror of a cell walked here
+                if I[0] < I[1] and J[0] < J[1] and K[0] < K[1]:
+                    if continuous or rec.is_tight(x, y, sides):
+                        passed[sides] = same = (
+                            slope[I] == slope[J] == slope[K])
+                        if same and cell not in built:
+                            built.add(cell)
+                            yield _projections(*cell), True
+                    continue
+                # a ray along a grid line, after the sectors beside it
+                if len({slope[p] for p in cell if p[0] < p[1]}) > 1:
+                    continue  # the two moving pieces have two slopes
+                around = [passed[s] for s in _BESIDE[sides] if s in passed]
+                if around or continuous or rec.is_tight(x, y, sides):
+                    yield _projections(*cell), not any(around)
+
+    return D, tight, walk()
+
+
+def _grid_additive_faces(fn: PiecewiseFunction) -> tuple[int, dict]:
+    """The additive faces of generate_additive_faces in the half x <= y on
+    the integer grid of fn.scaled_tables(): (D, {key: maximal}), the
+    faces with key <= mirror key.
+
+    The 2-faces and edges are the whole of _additive_walk(fn); the
+    additive vertices are its tight ones, and a vertex is maximal when it
+    is no vertex of a larger additive face, so the vertices of each
+    2-face are built once, in closed form, and the two ends of each edge.
+    A face with I != J lies in one closed half of the square, and its
+    mirror F(J, I, K) is additive, with the same flag, exactly when it
+    is; _fraction_face_set adds it.
+    """
+    D, tight, walk = _additive_walk(fn)
+    additive = dict(walk)
     in_larger = set()  # the vertices of the additive 2-faces and edges
-    for v in tight:
-        x, y = v
-        px = on_b.get(x) or on_b.setdefault(x, _pieces_at(b, x))
-        py = on_b.get(y) or on_b.setdefault(y, _pieces_at(b, y))
-        ps = on_ext.get(x + y) or on_ext.setdefault(x + y,
-                                                   _pieces_at(ext, x + y))
-        passed: dict = {}  # sector of zero limit slack at v -> additive
-        for sides in _WALK_CONES:
-            cell = (px[sides[0]], py[sides[1]], ps[sides[2]])
-            if None in cell:
-                continue  # the cone leaves the square
-            I, J, K = cell
-            if x == y and I > J:
-                continue  # the mirror of a cell walked here
-            if I[0] < I[1] and J[0] < J[1] and K[0] < K[1]:
-                if continuous or rec.is_tight(x, y, sides):
-                    passed[sides] = same = slope[I] == slope[J] == slope[K]
-                    if same and cell not in built:
-                        built.add(cell)
-                        key = _projections(*cell)
-                        additive[key] = True
-                        in_larger.update(_face_vertices(key))
-                continue
-            # a ray along a grid line, after the sectors beside it
-            if len({slope[p] for p in cell if p[0] < p[1]}) > 1:
-                continue  # the two moving pieces have two slopes
-            around = [passed[s] for s in _BESIDE[sides] if s in passed]
-            if around or continuous or rec.is_tight(x, y, sides):
-                key = _projections(*cell)
-                additive[key] = not any(around)
-                # v and the far end, at the largest x and x + y of the edge
-                (_, x1), _, (_, s1) = key
-                in_larger.update((v, (x1, s1 - x1)))
+    for key in additive:
+        (x0, x1), (y0, y1), (s0, s1) = key
+        if x0 < x1 and y0 < y1 and s0 < s1:
+            in_larger.update(_face_vertices(key))
+        else:  # an edge's ends, at its least and largest x and x + y
+            in_larger.update(((x0, s0 - x0), (x1, s1 - x1)))
     # (x, y) is a vertex of a face exactly when (y, x) is a vertex of its
     # mirror, so the half tells whether a vertex lies in a larger face
     for x, y in tight:
         additive[(x, x), (y, y), (x + y, x + y)] = (
             (x, y) not in in_larger and (y, x) not in in_larger)
-
     return D, additive
 
 

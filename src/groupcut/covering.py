@@ -9,41 +9,63 @@ additive face connects its two proper projections through a translation
 subinterval of one projection is covered, its image becomes covered in the
 same component.
 
-Both phases work on one sorted integer grid P on the grid 1/D of the
-function.  A face is its integer key, its projections onto x, y and
-x + y over D.  The maximal additive faces come from the tight-vertex
-walk of complex2d as such keys over fn's D, in its half x <= y: the
-mirror F(J, I, K) of a face has the same projections, so it adds no
-covered interval and no edge map.  The single points of a key give the
-face's dimension and edge kind.  P holds the projection and window
-endpoints of the faces, closed under the edge maps (the images of the
-points of P inside a window are added until none is new, which ends
-because P stays in {0, ..., D}).  The points and open cells of P are the
-elements of one union-find (Tarjan 1975); a component is a class of
-covered elements, and an uncovered element is a class of its own.  Phase
-one joins the elements inside the projections of each 2-face.  Phase two
+Both phases work on the grid 1/D of the function.  A face is its integer
+key, its projections onto x, y and x + y over D.  The maximal additive
+faces come from the tight-vertex walk of complex2d (_additive_walk) as
+such keys over fn's D, in its half x <= y, one at a time as the walk
+finds them: the mirror F(J, I, K) of a face has the same projections, so
+it adds no covered interval and no edge map.  The single points of a key
+give the face's dimension and edge kind.
+
+The points and open cells of the grid are the elements of one union-find
+(Tarjan 1975); a component is a class of covered elements, and an
+uncovered element is a class of its own.  It is kept as runs: only the
+grid points where a window or an image has ended are cut, and the cell
+element of a cut stands for the grid up to the next cut, so its size
+follows the faces, not D.  Every key endpoint and every edge-map image
+lies on the grid, and a maximal run of one class spans the same interval
+however finely the grid is cut, so the union-find needs no grid worked
+out in advance and takes each face as it comes.
+
+Phase one joins the elements inside the three windows of each 2-face
+the moment it arrives and holds the edges back.  It stops taking faces,
+and so stops the walk, once the covering is saturated:
+  - no open cell is uncovered;
+  - for a discontinuous function, every grid point inside (0, 1) is
+    covered unless it is a breakpoint of the function;
+  - the covered classes are as many as the function's distinct slopes.
+The stop is exact.  Every join stays inside one slope class: a 2-face's
+three windows lie in pieces of one slope (an additive face has one slope
+on its moving pieces), and so do an edge's source and image windows.  So
+once every slope is covered, by one class each, a later 2-face covers
+nothing new (no window holds a breakpoint, as windows lie inside pieces)
+and joins nothing, and phase two records no move.  Without the point
+condition a component could come out split at a grid point that a later
+face covers.
+
+Phase two, when phase one ends unsaturated (the walk has then finished),
 passes over the distinct edge maps, each for the first edge in key order
 that has it, and joins each maximal covered run of a source window with
 its image, logged as an EdgeMove naming that edge, until a pass changes
-nothing; every change joins two classes, so there are at most as many
-passes as elements.  Components are read off as runs of one class: open
+nothing; a map that moved nothing is skipped until another map moves
+something.  Components are read off as runs of one class: open
 intervals end at a point outside the class, closed ones (continuous
 functions) join when they touch.  Fractions appear only for the returned
 intervals, the logged moves (an EdgeMove's face is built from the edge's
 key) and the additive= argument, an AdditiveFaceSet whose keys are scaled
-once to integers on the grid of their endpoints; with or without the
-mirrors of its faces it covers alike.
+once to integers on the grid of their endpoints and taken in the set's
+order; with or without the mirrors of its faces it covers alike.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 from typing import Optional
 
-from .complex2d import AdditiveFaceSet, Face, _grid_additive_faces, grid_face
+from .complex2d import AdditiveFaceSet, Face, _additive_walk, grid_face
 from .errors import UnsupportedCaseError
 from .pwl import PiecewiseFunction
 
@@ -112,36 +134,52 @@ def _edge_maps(key, D: int):
     return [("translation", src, dst), ("translation", dst, src)]
 
 
-def _closed_grid(points: set, maps) -> list[int]:
-    """Sorted points, with the image of every point inside a map's source
-    window added until nothing is new."""
-    grid = sorted(points)
-    while True:
-        new = {u - src[0] + dst[0] if kind == "translation"
-               else src[1] + dst[0] - u
-               for _, kind, src, dst in maps
-               for u in grid[bisect_left(grid, src[0]):
-                             bisect_right(grid, src[1])]}.difference(grid)
-        if not new:
-            return grid
-        grid = sorted(new.union(grid))
-
-
 class _Classes:
-    """Union-find over the elements of the grid P: element 2i is the point
-    P[i], element 2i + 1 the open cell (P[i], P[i + 1]).  For closed
-    intervals only the cells are used."""
+    """Union-find over the points and open cells of the grid 1/D, kept as
+    runs.  Element 2u is the point u/D and element 2u + 1 the cell
+    (u/D, (u + 1)/D).  Only the grid points in cuts, where a window or an
+    image has ended, hold elements: a cut's cell element stands for every
+    point and cell of the grid up to the next cut, all in its class, and a
+    new cut inside it gives the new point and cell that class.  Covered
+    elements are the keys of parent; an uncovered one is a class of its
+    own.  For closed intervals only the cells are used.
 
-    def __init__(self, grid: list[int], D: int, closed: bool):
-        self.grid, self.D, self.closed = grid, D, closed
-        self.step = 2 if closed else 1
-        self.index = {u: i for i, u in enumerate(grid)}
-        self.parent = list(range(2 * len(grid) - 1))
-        self.covered = [False] * len(self.parent)
+    It counts what saturation needs: the covered classes, and the
+    uncovered elements other than the points at breakpoints of fn (no
+    additive face covers a breakpoint)."""
 
-    def elements(self, lo: int, hi: int) -> range:
-        """Elements inside the interval (lo, hi) of grid points."""
-        return range(2 * self.index[lo] + 1, 2 * self.index[hi], self.step)
+    def __init__(self, fn: PiecewiseFunction, D: int):
+        self.D, self.closed = D, fn.is_continuous
+        self.cuts, self.cutset, self.parent = [0, D], {0, D}, {}
+        self.classes, self.slopes = 0, fn.number_of_slopes()
+        self.uncovered = 1  # the cell (0, D)
+        self.exempt = {2 * b.numerator * (D // b.denominator)
+                       for b in fn.breakpoints if D % b.denominator == 0}
+
+    def cut(self, u: int) -> None:
+        """Make the grid point u a cut."""
+        if u in self.cutset:
+            return
+        self.cutset.add(u)
+        cuts = self.cuts
+        i = bisect_left(cuts, u)
+        cuts.insert(i, u)
+        new = [2 * u + 1] if self.closed else [2 * u, 2 * u + 1]
+        run = 2 * cuts[i - 1] + 1
+        if run in self.parent:
+            root = self.find(run)
+            self.parent.update(dict.fromkeys(new, root))
+        else:
+            self.uncovered += sum(e not in self.exempt for e in new)
+
+    def elements(self, lo: int, hi: int) -> list[int]:
+        """The elements inside the interval (lo, hi) between cuts: its
+        cells, then its points."""
+        cuts = self.cuts
+        i = bisect_left(cuts, lo)
+        j = bisect_left(cuts, hi, i)
+        cells = [2 * u + 1 for u in cuts[i:j]]
+        return cells if self.closed else cells + [2 * u for u in cuts[i + 1:j]]
 
     def find(self, e: int) -> int:
         parent = self.parent
@@ -150,84 +188,107 @@ class _Classes:
             e = parent[e]
         return e
 
-    def join(self, elements, root: int) -> bool:
-        """Cover the elements in root's class; True when classes joined."""
-        roots = {self.find(e) for e in elements} - {root}
-        for r in roots:
-            self.parent[r] = root
-        for e in elements:
-            self.covered[e] = True
-        return bool(roots)
+    def cover(self, windows, root: Optional[int] = None) -> bool:
+        """Cover the grid intervals windows in one class, root's when
+        given; True when an element was covered or classes joined."""
+        for lo, hi in windows:
+            self.cut(lo)
+            self.cut(hi)
+        parent = self.parent
+        elements = [e for lo, hi in windows for e in self.elements(lo, hi)]
+        got = list(map(parent.get, elements))
+        roots = {self.find(p) for p in set(got) if p is not None}
+        new = {e for e, p in zip(elements, got) if p is None}
+        if root is None:
+            root = min(roots) if roots else elements[0]
+        else:
+            roots.add(root)
+        self.classes += 1 - len(roots)
+        self.uncovered -= len(new - self.exempt)
+        roots.discard(root)
+        parent.update(dict.fromkeys(new, root))
+        parent.update(dict.fromkeys(roots, root))
+        return bool(new or roots)
 
-    def runs(self, elements, key=None) -> list[list]:
-        """Maximal runs [key, first, last] of consecutive elements with one
-        key, by default the class of a covered element and None otherwise."""
-        key = key or (lambda e: self.find(e) if self.covered[e] else None)
+    def saturated(self) -> bool:
+        """Nothing is left that an additive face of fn could cover or
+        join: every element that one can cover is covered, and the classes
+        are as many as fn's slopes (each class lies inside one slope)."""
+        return not self.uncovered and self.classes == self.slopes
+
+    def runs(self, lo: int, hi: int) -> list[list]:
+        """Maximal runs [class, start, end] of the consecutive elements
+        inside (lo, hi) in one class, None for uncovered ones; a point
+        starts and ends at itself."""
+        self.cut(lo)
+        self.cut(hi)
+        cuts, parent = self.cuts, self.parent
+        i, j = bisect_left(cuts, lo), bisect_left(cuts, hi)
         out: list[list] = []
-        for e in elements:
-            k = key(e)
-            if out and out[-1][0] == k:
-                out[-1][2] = e
-            else:
-                out.append([k, e, e])
+        for k in range(i, j):
+            u = cuts[k]
+            parts = [(2 * u + 1, cuts[k + 1])]
+            if k > i and not self.closed:
+                parts.insert(0, (2 * u, u))
+            for e, end in parts:
+                c = self.find(e) if e in parent else None
+                if out and out[-1][0] == c:
+                    out[-1][2] = end
+                else:
+                    out.append([c, u, end])
         return out
 
-    def interval(self, first: int, last: int) -> Interval:
-        """Interval spanned by the cells first..last."""
-        return (Fraction(self.grid[first // 2], self.D),
-                Fraction(self.grid[last // 2 + 1], self.D))
+    def interval(self, a: int, b: int) -> Interval:
+        return (Fraction(a, self.D), Fraction(b, self.D))
 
     def result(self, moves: tuple) -> CoveredComponentSet:
-        n = len(self.parent)
         components: dict = {}
-        for root, a, b in self.runs(range(1, n, self.step)):
+        gaps = []
+        for root, a, b in self.runs(0, self.D):
             if root is not None:
                 components.setdefault(root, []).append(self.interval(a, b))
-        gaps = self.runs(range(1, n, 2), self.covered.__getitem__)
+            elif a < b:  # a lone uncovered point is no gap
+                gaps.append(self.interval(a, b))
         return CoveredComponentSet(
-            tuple(tuple(c) for c in components.values()),
-            tuple(self.interval(a, b) for covered, a, b in gaps if not covered),
+            tuple(tuple(c) for c in components.values()), tuple(gaps),
             moves, self.closed)
 
 
 def _scaled_faces(additive: AdditiveFaceSet) -> tuple[int, list]:
     """The keys of an AdditiveFaceSet's faces as (D, [integer key]) on the
-    grid 1/D of the keys' endpoints (the grid of the faces' vertices)."""
+    grid 1/D of the keys' endpoints (the grid of the faces' vertices), in
+    the set's order.  A face whose mirror F(J, I, K) is in the set and
+    comes first in key order is left out: it has the mirror's windows and
+    edge maps, so it covers and joins nothing more."""
     keys = [f.key() for f in additive.faces]
     D = lcm(*{t.denominator for key in keys for iv in key for t in iv})
-    return D, [tuple((lo.numerator * (D // lo.denominator),
-                      hi.numerator * (D // hi.denominator)) for lo, hi in key)
-               for key in keys]
+    keys = [tuple((lo.numerator * (D // lo.denominator),
+                   hi.numerator * (D // hi.denominator)) for lo, hi in key)
+            for key in keys]
+    present = set(keys)
+    return D, [k for k in keys if k <= (k[1], k[0], k[2])
+               or (k[1], k[0], k[2]) not in present]
 
 
 def _cover_directly(fn: PiecewiseFunction, D: int, faces):
-    """Phase one on the grid P closed under the edge maps, for the face
-    keys faces on the grid 1/D: the classes and the distinct maps (edge
-    key, kind, source window, image window) in edge key order.  A key's
-    single points give the face's dimension: none for a 2-face, one for
-    an edge."""
-    singles = {key: sum(lo == hi for lo, hi in key) for key in faces}
-    # a 2-face and its mirror F(J, I, K) have one window: each once, keyed
-    # by its unordered first two projections and its third, first seen
-    windows: dict = {}
-    for (p1, p2, p3), n in singles.items():
-        if not n:
-            p3 = _mod_one(p3, D)
-            windows.setdefault((min(p1, p2), max(p1, p2), p3), (p1, p2, p3))
-    # an edge and its mirror have the same maps: each map once, for the
-    # first edge in key order with it
-    first: dict = {}
-    for key in sorted(key for key, n in singles.items() if n == 1):
-        for m in _edge_maps(key, D):
-            first.setdefault(m, key)
-    maps = [(key, *m) for m, key in first.items()]
-    points = {0, D}.union(*(iv for w in windows for iv in w),
-                          *(m[2] for m in maps))
-    classes = _Classes(_closed_grid(points, maps), D, fn.is_continuous)
-    for window in windows.values():
-        elements = [e for iv in window for e in classes.elements(*iv)]
-        classes.join(elements, classes.find(elements[0]))
-    return classes, maps
+    """Phase one for the face keys faces on the grid 1/D, taken in the
+    order given: (classes, edges), with edges the keys of the
+    one-dimensional faces among those taken.  Each 2-face's three windows
+    are joined as it comes, and faces stop being taken once the covering
+    is saturated.  A key's single points give the face's dimension: none
+    for a 2-face, one for an edge."""
+    classes = _Classes(fn, D)
+    edges = []
+    for key in faces:
+        p1, p2, p3 = key
+        n = (p1[0] == p1[1]) + (p2[0] == p2[1]) + (p3[0] == p3[1])
+        if n == 1:
+            edges.append(key)
+        elif not n:
+            classes.cover((p1, p2, _mod_one(p3, D)))
+            if classes.saturated():
+                break
+    return classes, edges
 
 
 def directly_covered_components(fn: PiecewiseFunction,
@@ -240,7 +301,9 @@ def directly_covered_components(fn: PiecewiseFunction,
 def generate_covered_components(fn: PiecewiseFunction,
                                 additive: Optional[AdditiveFaceSet] = None) -> CoveredComponentSet:
     """Phase one plus phase two: propagate covering through one-dimensional
-    additive faces until no further change.
+    additive faces until no further change.  Phase one stops the face walk
+    as soon as the covering is saturated, which leaves the result as the
+    whole walk gives it (see the module notes).
 
     The function must be at least one-sided continuous at the origin; a
     two-sided discontinuity there is rejected as unsupported.
@@ -254,30 +317,49 @@ def generate_covered_components(fn: PiecewiseFunction,
         # maximal faces suffice: a subface of an additive face has all its
         # projections nested in the container's, so it can neither extend
         # nor merge components
-        D, faces = _grid_additive_faces(fn)
-        faces = [key for key, maximal in faces.items() if maximal]
+        D, _, walk = _additive_walk(fn)
+        faces = (key for key, maximal in walk if maximal)
     else:
         D, faces = _scaled_faces(additive)
-    classes, maps = _cover_directly(fn, D, faces)
-    index, step = classes.index, classes.step
+    classes, edges = _cover_directly(fn, D, faces)
+    if classes.saturated():
+        return classes.result(())
+    # an edge and its mirror have the same maps: each map once, for the
+    # first edge in key order with it
+    maps: dict = {}
+    for key in sorted(edges):
+        for m in _edge_maps(key, D):
+            maps.setdefault(m, key)
     moves: list[EdgeMove] = []
-    changed = True
-    while changed:  # a change joins two classes: passes <= elements
-        changed = False
-        for edge, kind, src, dst in maps:
-            # element e of the source window maps to base + sign * e
+    # a map that changed nothing changes nothing again until another does:
+    # each map's count of moves when it last changed nothing
+    idle: dict = {}
+    # a move covers some of the 2D + 1 points and cells of the grid or
+    # joins two classes: at most 4D + 2 moves, and a pass without one ends
+    while True:
+        before = len(moves)
+        for m, edge in maps.items():
+            if idle.get(m) == len(moves):
+                continue
+            kind, src, dst = m
+            # the grid point u of the source window maps to base + sign * u
             if kind == "translation":
-                base, sign = 2 * (index[dst[0]] - index[src[0]]), 1
+                base, sign = dst[0] - src[0], 1
             else:
-                base, sign = 2 * (index[src[0]] + index[dst[1]]), -1
-            for root, first, last in classes.runs(classes.elements(*src)):
-                lo, hi = sorted((base + sign * first, base + sign * last))
-                if root is not None and classes.join(
-                        range(lo, hi + 1, step), classes.find(first)):
-                    moves.append(EdgeMove(grid_face(edge, D),
-                                          kind, classes.interval(first, last),
+                base, sign = src[0] + dst[1], -1
+            start = len(moves)
+            for root, a, b in classes.runs(*src):
+                lo, hi = ((base + a, base + b) if sign > 0
+                          else (base - b, base - a))
+                if root is not None and classes.cover(
+                        [(lo, hi)], classes.find(root)):
+                    moves.append(EdgeMove(grid_face(edge, D), kind,
+                                          classes.interval(a, b),
                                           classes.interval(lo, hi)))
-                    changed = True
+            if len(moves) == start:
+                idle[m] = start
+        if len(moves) == before:
+            break
     return classes.result(tuple(moves))
 
 

@@ -43,21 +43,40 @@ def function_to_dict(fn: FunctionLike) -> dict:
     }
 
 
+# the list fields of each function kind, of equal lengths
+_FIELDS = {"piecewise": ("breakpoints", "limits"),
+           "discrete": ("points", "values")}
+
+
 def function_from_dict(data: dict) -> FunctionLike:
+    """The function of a document as function_to_dict writes it.  A
+    document of the wrong shape (no object, an unknown kind, a missing or
+    non-list field, lists of unequal lengths, a limit that is no triple)
+    raises ConstructionError, and a bad rational ValueError."""
     if not isinstance(data, dict):
         raise ConstructionError(
             f"a function document is a JSON object, got {type(data).__name__}")
     kind = data.get("kind")
-    f = parse_rational(data["f"]) if data.get("f") else None
-    if kind == "piecewise":
-        bkpt = [parse_rational(b) for b in data["breakpoints"]]
-        limits = [tuple(parse_rational(v) for v in t) for t in data["limits"]]
-        return from_breakpoints_and_limits(bkpt, limits, f=f, merge=False)
+    fields = _FIELDS.get(kind) if isinstance(kind, str) else None
+    if fields is None:
+        raise ConstructionError(f"unknown function kind {kind!r}")
+    for name in fields:
+        if not isinstance(data.get(name), list):
+            raise ConstructionError(f"a {kind} function needs a list {name!r}")
+    first, second = (data[name] for name in fields)
+    if len(first) != len(second):
+        raise ConstructionError(f"{fields[0]!r} and {fields[1]!r} differ "
+                                "in length")
+    f = None if data.get("f") is None else parse_rational(data["f"])
+    first = [parse_rational(t) for t in first]
     if kind == "discrete":
-        points = [parse_rational(p) for p in data["points"]]
-        values = [parse_rational(v) for v in data["values"]]
-        return discrete_from_points_and_values(points, values, f=f)
-    raise ConstructionError(f"unknown function kind {kind!r}")
+        return discrete_from_points_and_values(
+            first, [parse_rational(v) for v in second], f=f)
+    if not all(isinstance(t, list) and len(t) == 3 for t in second):
+        raise ConstructionError(
+            "each limit is a [value, right, left] list of three rationals")
+    limits = [tuple(parse_rational(v) for v in t) for t in second]
+    return from_breakpoints_and_limits(first, limits, f=f, merge=False)
 
 
 def dumps_function(fn: FunctionLike) -> str:

@@ -64,23 +64,37 @@ def oracle_maximal_additive_faces(fn):
     )
 
 
+def _oracle_limit(fn):
+    """oracle_delta_pi_limit for one function: the lcm of its breakpoint
+    denominators is found once, and each value of fn once."""
+    value = cache(fn)
+    den = lcm(*(x.denominator for x in fn.breakpoints))
+
+    def delta(x, y):
+        return value(x) + value(y) - value(x + y)
+
+    def limit(face, v):
+        if face.dimension == 0:
+            return delta(*face.vertices[0])
+        n = len(face.vertices)
+        cx = sum((p[0] for p in face.vertices), F(0)) / n
+        cy = sum((p[1] for p in face.vertices), F(0)) / n
+        dx, dy = cx - v[0], cy - v[1]
+        D = lcm(den, v[0].denominator, v[1].denominator)
+        t1 = F(1, 4 * D)
+        t2 = F(1, 8 * D)
+        d1 = delta(v[0] + t1 * dx, v[1] + t1 * dy)
+        d2 = delta(v[0] + t2 * dx, v[1] + t2 * dy)
+        return 2 * d2 - d1
+
+    return limit
+
+
 def oracle_delta_pi_limit(fn, face, v):
     """Directional limit by exact extrapolation: the slack is affine on a
     short initial segment from v toward the face centroid, so two samples
     determine the limit."""
-    if face.dimension == 0:
-        return delta_pi(fn, *face.vertices[0])
-    n = len(face.vertices)
-    cx = sum((p[0] for p in face.vertices), F(0)) / n
-    cy = sum((p[1] for p in face.vertices), F(0)) / n
-    dx, dy = cx - v[0], cy - v[1]
-    D = lcm(*(x.denominator for x in fn.breakpoints),
-            v[0].denominator, v[1].denominator)
-    t1 = F(1, 4 * D)
-    t2 = F(1, 8 * D)
-    d1 = delta_pi(fn, v[0] + t1 * dx, v[1] + t1 * dy)
-    d2 = delta_pi(fn, v[0] + t2 * dx, v[1] + t2 * dy)
-    return 2 * d2 - d1
+    return _oracle_limit(fn)(face, v)
 
 
 def oracle_additive_faces(fn):
@@ -96,7 +110,8 @@ def oracle_additive_faces(fn):
         for v in g.vertices:
             at_vertex.setdefault(v, []).append(g)
     # each (face, vertex) limit is taken once
-    zero = cache(lambda face, v: oracle_delta_pi_limit(fn, face, v) == 0)
+    limit = _oracle_limit(fn)
+    zero = cache(lambda face, v: limit(face, v) == 0)
     additive = []
     for face in all_faces:
         if face.dimension == 2:

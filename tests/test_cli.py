@@ -226,6 +226,31 @@ class TestDataVerbs:
         assert code == 2 and not out
         assert "JSON object" in err
 
+    def test_a_function_file_of_the_wrong_shape_is_an_error(self, capsys,
+                                                            tmp_path):
+        # exit 2 (error), neither 0 nor 1 (a verdict), and no traceback
+        doc = {"kind": "piecewise", "f": "4/5",
+               "breakpoints": ["0", "4/5", "1"], "limits": True}
+        for name, bad in (("bool", doc), ("missing", {
+                k: v for k, v in doc.items() if k != "limits"})):
+            path = tmp_path / f"{name}.json"
+            path.write_text(json.dumps(bad))
+            code, out, err = run(capsys, "extremality", str(path))
+            assert code == 2 and not out
+            assert err.startswith("error: ") and "'limits'" in err
+
+    def test_an_unexpected_exception_is_no_verdict(self, capsys, monkeypatch):
+        # a fault inside a verb exits 3, never 0 or 1 (the verdicts)
+        from groupcut import cli
+
+        def broken(args):
+            raise TypeError("unexpected")
+
+        monkeypatch.setitem(cli._COMMANDS, "extremality", broken)
+        code, out, err = run(capsys, "extremality", "gmic")
+        assert code == 3 and not out
+        assert err == "internal error: TypeError: unexpected\n"
+
     def test_json_numbers_in_a_function_file_are_refused(self, capsys,
                                                          tmp_path):
         # exit 2 (error), not 1 (not minimal)

@@ -324,26 +324,76 @@ def test_integer_faces_and_additive_argument_agree():
             _covering(directly_covered_components, fn, maximal)
 
 
-def test_a_face_and_its_mirror_are_joined_once(monkeypatch):
-    # a public face set holds each 2-face with its mirror F(J, I, K), whose
-    # window is the same three intervals: phase one joins it once, as
-    # many joins as the walk's half x <= y makes
-    from groupcut import covering
-    from groupcut.complex2d import _grid_additive_faces
+def test_covering_is_independent_of_the_face_order():
+    # phase one may stop at saturation, so the order of the faces decides
+    # where: the maximal faces in key order and reversed give the walk's
+    # result, components, uncovered intervals and moves with their faces
+    for fn in _agreement_inputs():
+        walk = _covering(gc.generate_covered_components, fn)
+        maximal = _covering(generate_maximal_additive_faces, fn)
+        if not isinstance(maximal, gc.AdditiveFaceSet):
+            assert walk == maximal
+            continue
+        for faces in (maximal.faces, maximal.faces[::-1]):
+            additive = gc.AdditiveFaceSet(faces, (True,) * len(faces))
+            assert _covering(gc.generate_covered_components, fn,
+                             additive) == walk
 
-    joins = []
-    join = covering._Classes.join
-    monkeypatch.setattr(covering._Classes, "join",
-                        lambda self, *args: joins.append(1) or join(self, *args))
+
+def test_covering_stops_the_walk_once_saturated(monkeypatch):
+    # gj_2_slope under lam = 6 is covered, with one class per slope, after
+    # a short prefix of the walk: covering takes fewer 2-faces and edges
+    # from it than the whole walk yields
+    from groupcut import complex2d, covering
+
     fn = gc.multiplicative_homomorphism(gc.gj_2_slope(), 6)
-    D, faces = _grid_additive_faces(fn)
-    half = [key for key, maximal in faces.items() if maximal]
-    covering._cover_directly(fn, D, half)
-    from_walk = len(joins)
-    twofaces = [f for f in generate_additive_faces(fn).faces
-                if f.dimension == 2]
-    assert from_walk == sum(not any(lo == hi for lo, hi in key)
-                            for key in half) < len(twofaces)
-    joins.clear()
-    directly_covered_components(fn, generate_additive_faces(fn))
-    assert len(joins) == from_walk
+    taken = []
+    walk = complex2d._additive_walk
+
+    def counted(fn):
+        D, tight, faces = walk(fn)
+        return D, tight, (taken.append(face) or face for face in faces)
+
+    monkeypatch.setattr(covering, "_additive_walk", counted)
+    cc = gc.generate_covered_components(fn)
+    assert len(cc.components) == 2 and not cc.uncovered and not cc.edges_used
+    D, faces = complex2d._grid_additive_faces(fn)
+    walked = [key for key in faces if sum(lo == hi for lo, hi in key) < 3]
+    assert 0 < len(taken) < len(walked) / 2
+
+
+def test_the_stop_waits_for_the_points_inside_a_component():
+    # every cell of this discontinuous function is covered, in as many
+    # classes as slopes, while the grid point 1/4, no breakpoint, is not
+    # yet: stopping there would split the component at 1/4
+    fn = gc.random_piecewise_function(4, 4, F(1, 2), True, seed=227)
+    assert not fn.is_continuous and F(1, 4) not in fn.breakpoints
+    cc = gc.generate_covered_components(fn)
+    assert cc.components == (((0, F(1, 2)), (F(1, 2), F(3, 4)),
+                              (F(3, 4), 1)),)
+    assert cc.uncovered == () and cc.edges_used == ()
+
+
+def test_a_face_and_its_mirror_are_joined_once(monkeypatch):
+    # a public face set holds each face with its mirror F(J, I, K), whose
+    # windows and edge maps are the same: phase one covers each 2-face
+    # once, as the half x <= y does; drlm is uncovered, so phase one never
+    # stops early and covers every 2-face of the half
+    from groupcut import covering
+
+    covers = []
+    cover = covering._Classes.cover
+    monkeypatch.setattr(covering._Classes, "cover",
+                        lambda self, *args: covers.append(1) or cover(self, *args))
+    hom = gc.multiplicative_homomorphism
+    for fn in (hom(gc.gj_2_slope(), 6), hom(gc.drlm_backward_3_slope(), 2)):
+        every = generate_additive_faces(fn)
+        half = tuple(f for f in every.faces if f.key() <= f.mirror_key())
+        counts = []
+        for faces in (every, gc.AdditiveFaceSet(half, (True,) * len(half))):
+            covers.clear()
+            directly_covered_components(fn, faces)
+            counts.append(len(covers))
+        twofaces = sum(f.dimension == 2 for f in half)
+        assert counts[0] == counts[1] <= twofaces < len(every.faces_of_dim(2))
+    assert counts[0] == twofaces

@@ -44,6 +44,47 @@ class TestFunctionFormat:
         with pytest.raises(ConstructionError):
             loads_function("[1, 2]")
 
+    @pytest.mark.parametrize("change", [
+        {"limits": True}, {"limits": None}, {"breakpoints": 7},
+        {"breakpoints": ["0", "1"]}, {"limits": [["0", "0"]] * 3},
+        {"limits": [["0", "0", "0"], "0", ["0", "0", "0"]]},
+        {"kind": None}, {"kind": ["piecewise"]}],
+        ids=["limits-bool", "limits-null", "breakpoints-number",
+             "unequal-lengths", "short-triple", "triple-not-a-list",
+             "no-kind", "kind-not-a-string"])
+    def test_a_document_of_the_wrong_shape_is_refused(self, change):
+        doc = {"kind": "piecewise", "f": "4/5",
+               "breakpoints": ["0", "4/5", "1"],
+               "limits": [["0", "0", "0"], ["1", "1", "1"], ["0", "0", "0"]]}
+        assert function_from_dict(doc).f == F(4, 5)
+        with pytest.raises(ConstructionError):
+            function_from_dict({**doc, **change})
+
+    @pytest.mark.parametrize("f", [0, "", False, []])
+    def test_an_f_that_is_no_rational_string_is_refused(self, gmic45, f):
+        # only a missing f or null means "no f"; 0 is no "p/q" string
+        doc = function_to_dict(gmic45)
+        assert function_from_dict({**doc, "f": None}).f is None
+        with pytest.raises(ValueError, match="not a rational literal"):
+            function_from_dict({**doc, "f": f})
+
+    @pytest.mark.parametrize("kind, field", [
+        ("piecewise", "breakpoints"), ("piecewise", "limits"),
+        ("discrete", "points"), ("discrete", "values")])
+    def test_a_missing_field_is_refused(self, gmic45, kind, field):
+        fn = gmic45 if kind == "piecewise" else \
+            gc.restrict_to_finite_group(gmic45)
+        doc = function_to_dict(fn)
+        del doc[field]
+        with pytest.raises(ConstructionError, match=field):
+            function_from_dict(doc)
+
+    def test_discrete_lists_of_unequal_lengths_are_refused(self, gmic45):
+        doc = function_to_dict(gc.restrict_to_finite_group(gmic45))
+        doc["values"] = doc["values"][:-1]
+        with pytest.raises(ConstructionError):
+            function_from_dict(doc)
+
     def test_file_round_trip(self, tmp_path, hildebrand):
         from groupcut.jsonio import load_function, save_function
 
