@@ -24,7 +24,11 @@ still check every row's length first.
 
 The kernel entries first run the same elimination modulo the prime
 P = 2^61 - 1, on word-sized residues with monic pivot rows, and note the
-rows that raised the rank there (the rank rows).  A rank that is full
+rows that raised the rank there (the rank rows).  That pass reads a row by
+accumulating it against the basis in one dict of plain integer products,
+then tests the sums for zero modulo P: a dependent row, the common case,
+is dropped there, and only a row that raises the rank is reduced modulo
+P, made monic and cleared from the basis rows.  A rank that is full
 modulo P is full over Q: the ncols x ncols minor of the rank rows is
 nonzero modulo P, so it is a nonzero integer.  The kernel is then empty
 and no exact step runs.  A rank that is short modulo P proves nothing (P
@@ -82,29 +86,36 @@ def _reduce(rows, ncols: int):
 def _rank_rows(rows, ncols: int) -> list[int]:
     """Indices of the rows that raise the rank modulo P, read in order up
     to ncols of them: `_reduce` over GF(P), each basis row monic with its
-    pivot entry 1 left out."""
+    pivot entry 1 left out and zero in the other pivot columns, so one
+    pass of products clears a row of every pivot column."""
     basis: dict[int, dict] = {}
     picked = []
     for i, row in enumerate(rows):
-        row = {j: x for j, v in row if (x := v % P)}
-        for c in [c for c in row if c in basis]:
-            a = row.pop(c)
-            for j, x in basis[c].items():
-                row[j] = (row.get(j, 0) - a * x) % P
-        row = {j: x for j, x in row.items() if x}
-        if row:
-            c = min(row)
-            inv = pow(row.pop(c), -1, P)
-            row = {j: x * inv % P for j, x in row.items()}
-            for p in basis.values():
-                if c in p:
-                    b = p.pop(c)
-                    for j, x in row.items():
-                        p[j] = (p.get(j, 0) - b * x) % P
-            basis[c] = row
-            picked.append(i)
-            if len(basis) == ncols:
-                break  # full rank: every later row is dependent
+        acc = {}
+        for j, v in row:
+            if (p := basis.get(j)) is None:
+                acc[j] = acc.get(j, 0) + v
+            else:
+                for k, x in p.items():
+                    acc[k] = acc.get(k, 0) - v * x
+        for a in acc.values():
+            if a % P:
+                break
+        else:
+            continue  # dependent modulo P
+        row = {j: x for j, a in acc.items() if (x := a % P)}
+        c = min(row)
+        inv = pow(row.pop(c), -1, P)
+        row = {j: x * inv % P for j, x in row.items()}
+        for p in basis.values():
+            if c in p:
+                b = p.pop(c)
+                for j, x in row.items():
+                    p[j] = (p.get(j, 0) - b * x) % P
+        basis[c] = row
+        picked.append(i)
+        if len(basis) == ncols:
+            break  # full rank: every later row is dependent
     return picked
 
 
@@ -153,11 +164,24 @@ def _kernel_and_rank_rows(rows: Sequence, ncols: int):
     if len(rank_rows) == ncols:
         return [], rank_rows
     basis = _kernel(*_reduce([rows[i] for i in rank_rows], ncols), ncols)
-    picked = set(rank_rows)
-    if any(sum(v * vec[j] for j, v in row)
-           for i, row in enumerate(rows) if i not in picked for vec in basis):
+    if not _vanishes(rows, set(rank_rows), basis):
         basis = _kernel(*_reduce(rows, ncols), ncols)
     return [tuple(map(Fraction, vec)) for vec in basis], rank_rows
+
+
+def _vanishes(rows, skip, basis) -> bool:
+    """Whether every row outside skip has a zero integer dot product with
+    every vector of basis; stops at the first nonzero."""
+    for vec in basis:
+        at = vec.__getitem__
+        for i, row in enumerate(rows):
+            if i not in skip:
+                dot = 0
+                for j, v in row:
+                    dot += v * at(j)
+                if dot:
+                    return False
+    return True
 
 
 def _kernel(reduced, pivots, ncols: int) -> list[list[int]]:

@@ -178,6 +178,29 @@ def oracle_kernel_dimension(rows, ncols):
     return ncols - m.rank()
 
 
+def oracle_rank_rows(rows, ncols):
+    """Indices of the sparse integer rows that raise the rank of their
+    prefix over GF(2^61 - 1): dense rows, each kept row stored with its
+    first nonzero column scaled to 1, and a row kept exactly when
+    eliminating it against the kept rows leaves a nonzero entry."""
+    p = (1 << 61) - 1
+    kept = []  # (pivot column, dense row with 1 there)
+    out = []
+    for i, sparse in enumerate(rows):
+        row = [0] * ncols
+        for j, v in sparse:
+            row[j] = (row[j] + v) % p
+        for c, r in kept:
+            if row[c]:
+                row = [(a - row[c] * b) % p for a, b in zip(row, r)]
+        nz = [j for j in range(ncols) if row[j]]
+        if nz:
+            inv = pow(row[nz[0]], p - 2, p)
+            kept.append((nz[0], [a * inv % p for a in row]))
+            out.append(i)
+    return out
+
+
 def oracle_kernel_basis(rows, ncols):
     """kernel_basis by Gauss-Jordan elimination in Fractions, row by row
     with the first nonzero column as pivot: per free column, the primitive

@@ -9,6 +9,126 @@ def run(capsys, *argv):
     return code, out.out, out.err
 
 
+_RATIONALS = ("0", "1", "-1", "1/2", "1/4", "3/4", "1/5", "2/5", "4/5",
+              "1/3", "2/3", "3/2")
+# JSON texts, so that each use is a fresh object
+_JUNK = ("null", "true", "7", "0.5", '"x"', '""', '"1.5"', '"1/0"', "[]", "{}",
+         '["0"]', "[[]]", '{"f": "1/2"}')
+
+
+def _mutated(rng, doc):
+    """A copy of a function document with one or two random changes: a
+    field dropped or replaced, the kind changed, or an entry of a list (or
+    of a limit triple) replaced by a rational or by junk, dropped, or a
+    rational inserted."""
+    doc = json.loads(json.dumps(doc))
+    for _ in range(rng.randint(1, 2)):
+        op = rng.random()
+        if op < 0.2:
+            key = rng.choice(sorted(doc) or ["f"])
+            if op < 0.1:
+                doc.pop(key, None)
+            else:
+                doc[key] = json.loads(rng.choice(_JUNK)) if op < 0.15 \
+                    else rng.choice(_RATIONALS)
+        elif op < 0.25:
+            doc["kind"] = rng.choice(("piecewise", "discrete", "finite", 3,
+                                      None))
+        else:
+            lists = [v for v in doc.values() if isinstance(v, list) and v]
+            if not lists:
+                continue
+            target = rng.choice(lists)
+            triples = [t for t in target if isinstance(t, list) and t]
+            if triples and rng.random() < 0.5:
+                target = rng.choice(triples)
+            i = rng.randrange(len(target))
+            if op < 0.8:
+                target[i] = rng.choice(_RATIONALS)
+            elif op < 0.87:
+                target[i] = json.loads(rng.choice(_JUNK))
+            elif op < 0.94:
+                del target[i]
+            else:
+                target.insert(i, rng.choice(_RATIONALS))
+    return doc
+
+
+def _raised_in(exc, function):
+    tb = exc.__traceback__
+    while tb.tb_next is not None:
+        tb = tb.tb_next
+    return tb.tb_frame.f_code.co_name == function
+
+
+def test_mutated_function_documents_end_in_a_verdict_or_a_typed_error(
+        capsys, monkeypatch):
+    # 2,000 seeded mutations of documents of both kinds go through the
+    # loader, both tests and the CLI.  Each ends in a report or a typed
+    # error; the one untyped error allowed is parse_rational's ValueError
+    # (tests/test_rational.py).  The CLI exits 0 or 1 only with the
+    # library's verdict, and 2 on every error.
+    import random
+    from collections import Counter
+    from fractions import Fraction as F
+    from functools import cache
+
+    import groupcut as gc
+    from groupcut import cli
+    from groupcut.jsonio import (function_from_dict, function_to_dict,
+                                 loads_function)
+
+    def codes(doc):
+        """The exit codes of the minimality and extremality verbs."""
+        try:
+            fn = function_from_dict(doc)
+        except gc.GroupCutError:
+            return 2, 2
+        except ValueError as exc:
+            assert type(exc) is ValueError, exc
+            assert _raised_in(exc, "parse_rational"), exc
+            return 2, 2
+        out = []
+        for test in (gc.minimality_test, gc.extremality_test):
+            try:
+                rep = test(fn)
+            except gc.GroupCutError:
+                out.append(2)
+                continue
+            out.append(0 if getattr(rep, "is_extreme", rep.is_minimal) else 1)
+        return tuple(out)
+
+    # the parser is built once and each document is read from memory, so
+    # that the 4,000 CLI runs fit the tier-1 time
+    texts = {}
+    monkeypatch.setattr(cli, "build_parser", cache(cli.build_parser))
+    monkeypatch.setattr(cli, "load_function",
+                        lambda name: loads_function(texts[name]))
+    bases = [function_to_dict(fn) for fn in (
+        gc.gmic(F(4, 5)), gc.gj_2_slope(),
+        gc.random_piecewise_function(4, 4, F(1, 2), True, seed=227),
+        gc.restrict_to_finite_group(gc.gmic(F(4, 5))),
+        gc.restrict_to_finite_group(gc.drlm_backward_3_slope()))]
+    rng = random.Random(2)
+    seen = Counter()
+    for n in range(2000):
+        base = bases[n % len(bases)]
+        doc = _mutated(rng, base)
+        want = codes(doc)
+        name = f"doc{n}.json"
+        texts[name] = json.dumps(doc)
+        for verb, code in zip(("minimality", "extremality"), want):
+            got = main([verb, name])
+            err = capsys.readouterr().err
+            assert got == code, (verb, doc, err)
+            assert not err if code < 2 else err.startswith("error: ")
+            seen[base["kind"], verb, code] += 1
+    for kind in ("piecewise", "discrete"):
+        for verb in ("minimality", "extremality"):
+            assert all(seen[kind, verb, code] >= 10 for code in (0, 1, 2)), \
+                seen
+
+
 def test_closed_output_pipe_exits_141_without_traceback(tmp_path):
     # the --json report of the q = 90 restriction of gj_2_slope is about
     # 1 MB, far more than a pipe holds, so the writer meets the closed pipe

@@ -375,6 +375,50 @@ def test_kernel_matches_fraction_oracle_on_random_sparse_systems(monkeypatch):
     assert set(paths) == {0, 1, 2} and min(paths.values()) >= 20, paths
 
 
+def _workload_systems():
+    """(integer rows, ncols) of the extremality system of every benchmark
+    workload instance at seed 1 whose verdict builds one."""
+    import sys
+    from pathlib import Path
+
+    bench = str(Path(__file__).resolve().parent.parent / "perfbench")
+    if bench not in sys.path:
+        sys.path.insert(0, bench)
+    import instances
+
+    out = []
+    for workload in instances.WORKLOADS:
+        for inst in instances.build(workload, 1):
+            try:
+                system = gc.extremality_test(inst.fn).system
+            except gc.GroupCutError:
+                continue  # not subadditive, or discontinuous on both sides
+            if system is not None:
+                out.append((system.integer_rows, system.ncols))
+    return out
+
+
+def test_rank_rows_match_a_dense_oracle():
+    # the rows that raise the rank of their prefix modulo P, on systems
+    # whose rank modulo P falls short of the rank over Q and on the
+    # systems the benchmark's verdicts build
+    import random
+
+    from groupcut.exactlinalg import _rank_rows
+
+    from conftest import oracle_rank_rows
+
+    systems = _random_sparse_systems(random.Random(61), 600)
+    workload = _workload_systems()
+    assert len(workload) >= 30
+    full = 0
+    for rows, ncols in systems + workload:
+        want = oracle_rank_rows(rows, ncols)
+        assert _rank_rows(rows, ncols) == want
+        full += len(want) == ncols
+    assert 0 < full < len(systems) + len(workload)
+
+
 def test_rank_rows_prove_full_rank_of_every_extreme_report():
     # an extreme verdict carries ncols rows of full rank over Q, in order;
     # a report that is not extreme carries none
