@@ -13,6 +13,7 @@ import argparse
 import json
 import os
 import sys
+from functools import cache
 from pathlib import Path
 
 from . import __version__
@@ -285,6 +286,7 @@ def _add_input(p, with_f: bool = True):
         p.add_argument("--f", help="f parameter as p/q")
 
 
+@cache  # the tree of every verb, built once per process
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="groupcut",

@@ -462,9 +462,7 @@ def _additive_walk(fn: PiecewiseFunction):
         ext = b + [t + D for t in b[1:]]
         continuous = fn.is_continuous
         # piece of b or ext -> a small integer per distinct slope
-        ids: dict = {}
-        sid = [ids.setdefault(s, len(ids)) for s in fn.interval_slopes()]
-        slope = dict(zip(zip(ext, ext[1:]), sid + sid))
+        slope = dict(zip(zip(ext, ext[1:]), fn._slope_ids() * 2))
         on_b: dict = {}  # coordinate -> _pieces_at(b, .), once per walk
         on_ext: dict = {}  # the same for x + y on ext
         built = set()  # the additive 2-cells

@@ -48,13 +48,13 @@ passes over the distinct edge maps, each for the first edge in key order
 that has it, and joins each maximal covered run of a source window with
 its image, logged as an EdgeMove naming that edge, until a pass changes
 nothing; a map that moved nothing is skipped until another map moves
-something.  Components are read off as runs of one class: open
-intervals end at a point outside the class, closed ones (continuous
-functions) join when they touch.  Fractions appear only for the returned
-intervals, the logged moves (an EdgeMove's face is built from the edge's
-key) and the additive= argument, an AdditiveFaceSet whose keys are scaled
-once to integers on the grid of their endpoints and taken in the set's
-order; with or without the mirrors of its faces it covers alike.
+something, and a translation by 0 (on x = 0 or y = 1) is dropped.
+Components are read off as runs of one class: open intervals end at a
+point outside the class, closed ones (continuous functions) join when
+they touch.  Fractions appear only for the returned intervals, the logged
+moves and the additive= argument, an AdditiveFaceSet whose keys are
+scaled once to integers on the grid of their endpoints and taken in the
+set's order; with or without the mirrors of its faces it covers alike.
 """
 
 from __future__ import annotations
@@ -131,6 +131,8 @@ def _edge_maps(key, D: int):
         return [("reflection", p1, p2), ("reflection", p2, p1)]
     src = p2 if p1[0] == p1[1] else p1  # vertical, else horizontal
     dst = _mod_one(p3, D)
+    if src == dst:  # a translation by 0 (x = 0 or y = 1)
+        return []
     return [("translation", src, dst), ("translation", dst, src)]
 
 
@@ -151,7 +153,7 @@ class _Classes:
     def __init__(self, fn: PiecewiseFunction, D: int):
         self.D, self.closed = D, fn.is_continuous
         self.cuts, self.cutset, self.parent = [0, D], {0, D}, {}
-        self.classes, self.slopes = 0, fn.number_of_slopes()
+        self.classes, self.slopes = 0, len(set(fn._slope_ids()))
         self.uncovered = 1  # the cell (0, D)
         self.exempt = {2 * b.numerator * (D // b.denominator)
                        for b in fn.breakpoints if D % b.denominator == 0}

@@ -153,20 +153,18 @@ def kernel_basis(rows: Sequence[Sequence[Fraction]], ncols: int) -> list[tuple[F
 
 def integer_kernel_basis(rows, ncols: int) -> list[tuple[Fraction, ...]]:
     """kernel_basis of sparse integer rows ((column, coefficient), ...)."""
-    return _kernel_and_rank_rows(list(rows), ncols)[0]
+    rank_rows = _rank_rows(rows := list(rows), ncols)
+    return [] if len(rank_rows) == ncols else _exact_kernel(
+        rows, rank_rows, ncols)
 
 
-def _kernel_and_rank_rows(rows: Sequence, ncols: int):
-    """(kernel basis, rank rows) of sparse integer rows: the kernel is
-    empty when the rank rows number ncols, else it is computed exactly,
-    from the rank rows when every other row vanishes on their kernel."""
-    rank_rows = _rank_rows(rows, ncols)
-    if len(rank_rows) == ncols:
-        return [], rank_rows
+def _exact_kernel(rows: Sequence, rank_rows, ncols: int):
+    """The kernel basis of sparse integer rows with fewer than ncols rank
+    rows: that of the rank rows if every other row vanishes on it."""
     basis = _kernel(*_reduce([rows[i] for i in rank_rows], ncols), ncols)
     if not _vanishes(rows, set(rank_rows), basis):
         basis = _kernel(*_reduce(rows, ncols), ncols)
-    return [tuple(map(Fraction, vec)) for vec in basis], rank_rows
+    return [tuple(map(Fraction, vec)) for vec in basis]
 
 
 def _vanishes(rows, skip, basis) -> bool:

@@ -17,25 +17,22 @@ are the interior values of a perturbation; the rest of the test is shared.
 Both systems are held in one row format, the sparse integer row
 ((column, coefficient), ...).  On the grid 1/D of g (the breakpoints and
 the component endpoints), D*g is an integer vector at every grid point: a
-slope entry is a grid length, a jump entry is D.  g is built on integer
-ticks, each piece's component read by bisect from the components' integer
-spans.  Each tight cone of the function's vertex slack record gives D
-times its relation, summed from these vectors: each (point, side) is read
-from g once and its vector interned as a small id, and a row is summed
-once per distinct triple of ids, the first two unordered.  The finite
-rows are integer already.  The elimination takes the integer rows as they
-are; a kernel vector becomes the perturbation by one integer dot product
-with D*g per entry.  EquationSystem.rows, SymbolicPerturbation's limit and
-value and the perturbation are the Fraction views.
+slope entry is a grid length, a jump entry is D.  Each tight cone of the
+function's vertex slack record gives D times its relation, summed from
+these vectors (see build_equation_system); the finite rows are integer
+already.  A kernel vector becomes the perturbation by one integer dot
+product with D*g per entry; EquationSystem.rows, SymbolicPerturbation's
+limit and value and the perturbation are the Fraction views.
 
 The kernel is decided by one rank pass modulo the prime P = 2^61 - 1
-first (see exactlinalg).  When the rows that raise the rank modulo P
-number ncols, their square minor is nonzero modulo P, hence a nonzero
-integer, so the rank is full over Q and the function is extreme; the
-report keeps those rows' indices into system.integer_rows as rank_rows,
-the certificate of full rank, and no exact step runs.  A rank short
-modulo P decides nothing: the exact elimination then computes the kernel,
-which it alone ever supplies.
+first (see exactlinalg), on the rows as they are made.  When the rows
+that raise the rank modulo P number ncols, their square minor is nonzero
+modulo P, hence a nonzero integer, so the rank is full over Q and the
+function is extreme: the report keeps those rows' indices into
+system.integer_rows as rank_rows, the certificate of full rank, no exact
+step runs, and the later rows are made only if the system is read.  A
+rank short modulo P decides nothing: the exact elimination then computes
+the kernel, from the whole system, which it alone ever supplies.
 
 With f fixed every minimality condition is linear in the function, so the
 eps for which pi +- eps*pi~ are minimal valid form an interval [0, eps*]:
@@ -49,9 +46,10 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, partial
+from itertools import chain
 from math import ceil, lcm
 from operator import add, mul, sub
-from typing import Optional
+from typing import Iterator, Optional
 
 from . import _scan
 from .complex2d import vertex_slacks
@@ -59,7 +57,7 @@ from .covering import (CoveredComponentSet, format_intervals,
                        generate_covered_components)
 from .errors import (ConstructionError, InternalConsistencyError,
                      ParameterError)
-from .exactlinalg import _kernel_and_rank_rows
+from .exactlinalg import _exact_kernel, _rank_rows
 from .minimality import (MinimalityReport, _FiniteModel, _InfiniteModel,
                          _find_f, _minimality_test, _model)
 from .pwl import DiscreteFunction, PiecewiseFunction, from_breakpoints_and_limits
@@ -131,22 +129,38 @@ class EquationSystem:
     denominator; `rows` is their dense Fraction view, built on first read.
     The provenance is held as sources (grid, ((template, t, ...), ...)),
     one format template per row with the integer points t / grid it names;
-    its strings are built on the first read of `provenance`."""
+    its strings are built on the first read of `provenance`.  Both are
+    made by stream, which adds each row and source to drawn as `_read`
+    reaches it; __getattr__ drains it on the first read of either."""
 
-    integer_rows: tuple[tuple[tuple[int, int], ...], ...]
+    integer_rows: tuple[tuple[tuple[int, int], ...], ...] = field(init=False)
     denominator: int
     provenance: tuple[str, ...] = field(init=False)  # set by __getattr__
     ncols: int
-    sources: tuple = field(repr=False, compare=False)
+    sources: tuple = field(init=False, repr=False, compare=False)
+    grid: int = field(repr=False, compare=False)
+    drawn: tuple = field(repr=False, compare=False)  # (rows, sources)
+    stream: Iterator = field(default=iter(()), repr=False, compare=False)
+
+    def _read(self):
+        """The integer rows drawn so far, then the rest of the stream."""
+        return chain(self.drawn[0], self.stream)
 
     def __getattr__(self, name):
-        if name != "provenance":
+        if name in ("integer_rows", "sources"):
+            self.__dict__.update(integer_rows=tuple(self._read()),
+                                 sources=(self.grid, tuple(self.drawn[1])))
+        elif name == "provenance":
+            grid, rows = self.sources
+            self.__dict__[name] = tuple(template.format(*(
+                Fraction(t, grid) for t in ts)) for template, *ts in rows)
+        else:
             raise AttributeError(name)
-        grid, rows = self.sources
-        provenance = tuple(template.format(*(Fraction(t, grid) for t in ts))
-                           for template, *ts in rows)
-        object.__setattr__(self, "provenance", provenance)
-        return provenance
+        return self.__dict__[name]
+
+    def __reduce__(self):
+        return EquationSystem, (self.denominator, self.ncols, self.grid,
+                                (self.integer_rows, self.sources[1]))
 
     @cached_property
     def rows(self) -> tuple[Vector, ...]:
@@ -241,7 +255,7 @@ def generate_symbolic(fn: PiecewiseFunction,
 
 
 class _VectorIds(dict):
-    """(point t on the grid 1/(D / scale), side) -> id of the vector D*g
+    """(point t on the grid 1/(D / scale), side) -> (id, vector) of D*g
     there, filled on first read; `vectors` maps each distinct vector to its
     id, in first-seen order."""
 
@@ -249,7 +263,7 @@ class _VectorIds(dict):
         super().__init__()
         self.sym, self.scale, self.vectors = sym, scale, {}
 
-    def __missing__(self, key: tuple[int, int]) -> int:
+    def __missing__(self, key: tuple[int, int]) -> tuple[int, tuple]:
         t, side = key
         D = self.sym.D
         # sums lie in [0, 2D]: fold into [0, D], then 1+ is 0+ and 0- is 1-
@@ -260,18 +274,19 @@ class _VectorIds(dict):
             u = 0
         elif u == 0 and side < 0:
             u = D
-        i = self[key] = self.vectors.setdefault(self.sym.scaled(u, side),
-                                                len(self.vectors))
-        return i
+        v = self.sym.scaled(u, side)
+        self[key] = out = self.vectors.setdefault(v, len(self.vectors)), v
+        return out
 
 
 def build_equation_system(fn: PiecewiseFunction, sym: SymbolicPerturbation,
                           f: Fraction) -> EquationSystem:
-    """Normalization rows plus one row per tight cone of fn's vertex slack
-    record, in its scan order; duplicates are removed keeping the first
-    provenance.  Each row is D times the relation over the grid 1/D of g,
-    summed from the integer vectors D*g; each kept row keeps its
-    provenance template and grid points.
+    """Normalization rows, made now, and one row per tight cone of fn's
+    vertex slack record in its scan order, made as the system's stream is
+    read; duplicates are removed keeping the first provenance.  Each row
+    is D times the relation over the grid 1/D of g, summed from the
+    integer vectors D*g; each kept row keeps its provenance template and
+    grid points.
 
     Each (point, side) of a tight cone is folded and read from g once, and
     its vector D*g interned as a small integer id; a cone is keyed by the
@@ -282,29 +297,36 @@ def build_equation_system(fn: PiecewiseFunction, sym: SymbolicPerturbation,
     fD = to_rational(f) * D
     if fD.denominator != 1 or not 0 <= fD <= D:
         raise ParameterError(f"f = {f} is not on the grid 1/{D} in [0, 1]")
-    rows: dict[tuple[int, ...], tuple] = {}
-    for t in (0, int(fD), D):
-        rows.setdefault(sym.scaled(t, 0), ("normalization pi~({}) = 0", t))
 
-    rec = vertex_slacks(fn)
-    scale = D // rec.D
-    ids = _VectorIds(sym, scale)
-    first: dict[tuple[int, int, int], tuple] = {}
-    for cone in rec.tight:
-        x, y, (sx, sy, ss) = cone
-        ix, iy, isum = ids[x, sx], ids[y, sy], ids[x + y, ss]
-        first.setdefault((ix, iy, isum) if ix < iy else (iy, ix, isum), cone)
-    g = list(ids.vectors)
-    side_sym = {0: "", 1: "+", -1: "-"}
-    for (ix, iy, isum), (x, y, (sx, sy, ss)) in first.items():
-        row = tuple(map(sub, map(add, g[ix], g[iy]), g[isum]))
-        if row not in rows:
-            x, y = x * scale, y * scale
-            rows[row] = ("pi~({}%s) + pi~({}%s) = pi~({}%s)" % (
-                side_sym[sx], side_sym[sy], side_sym[ss]), x, y, x + y)
-    return EquationSystem(
-        tuple(tuple((c, v) for c, v in enumerate(row) if v) for row in rows),
-        D, sym.dim, (D, tuple(rows.values())))
+    def sparse(row):
+        return tuple((c, v) for c, v in enumerate(row) if v)
+
+    seen: dict = {}  # dense row -> source, in the order made
+    for t in (0, int(fD), D):
+        seen.setdefault(sym.scaled(t, 0), ("normalization pi~({}) = 0", t))
+    rows, sources = [sparse(row) for row in seen], list(seen.values())
+
+    def stream():
+        rec = vertex_slacks(fn)
+        scale = D // rec.D
+        at, keys = _VectorIds(sym, scale), set()
+        side_sym = {0: "", 1: "+", -1: "-"}
+        for x, y, (sx, sy, ss) in rec.tight:
+            (ix, gx), (iy, gy), (iz, gz) = at[x, sx], at[y, sy], at[x + y, ss]
+            key = (ix, iy, iz) if ix < iy else (iy, ix, iz)
+            if key in keys:
+                continue
+            keys.add(key)
+            row = tuple(map(sub, map(add, gx, gy), gz))
+            if row not in seen:
+                x, y = x * scale, y * scale
+                seen[row] = ("pi~({}%s) + pi~({}%s) = pi~({}%s)" % (
+                    side_sym[sx], side_sym[sy], side_sym[ss]), x, y, x + y)
+                rows.append(sparse(row))
+                sources.append(seen[row])
+                yield rows[-1]
+
+    return EquationSystem(D, sym.dim, D, (rows, sources), stream())
 
 
 def perturbation_from_vector(sym: SymbolicPerturbation, vec: Vector,
@@ -413,8 +435,7 @@ class _FiniteExtremality(_FiniteModel):
                 key = ((i - 1, 1), (j - 1, 1), (c - 1, -1))
             if key not in kept:
                 kept[key] = ("pi~({}) + pi~({}) = pi~({})", i, j, c)
-        system = EquationSystem(tuple(kept), 1, q - 1,
-                                (q, tuple(kept.values())))
+        system = EquationSystem(1, q - 1, q, (kept, kept.values()))
         return None, system, lambda vec: DiscreteFunction(
             q, fn.points, (ZERO, *vec, ZERO), f)
 
@@ -517,8 +538,9 @@ def extremality_test(fn: PiecewiseFunction | DiscreteFunction,
             False, True, rep, covered, None, None, None, None,
             (f"uncovered intervals: [{format_intervals(covered.uncovered)}]",
              "perturbation unavailable: uncovered case"))
-    basis, rank_rows = _kernel_and_rank_rows(system.integer_rows,
-                                             system.ncols)
+    rank_rows = _rank_rows(system._read(), system.ncols)
+    basis = [] if len(rank_rows) == system.ncols else _exact_kernel(
+        system.integer_rows, rank_rows, system.ncols)
     dim = len(basis)
     if dim == 0:
         return ExtremalityReport(True, True, rep, covered, system, 0, None,

@@ -64,9 +64,6 @@ def function_from_dict(data: dict) -> FunctionLike:
         if not isinstance(data.get(name), list):
             raise ConstructionError(f"a {kind} function needs a list {name!r}")
     first, second = (data[name] for name in fields)
-    if len(first) != len(second):
-        raise ConstructionError(f"{fields[0]!r} and {fields[1]!r} differ "
-                                "in length")
     f = None if data.get("f") is None else parse_rational(data["f"])
     first = [parse_rational(t) for t in first]
     if kind == "discrete":

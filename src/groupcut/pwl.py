@@ -20,7 +20,7 @@ from __future__ import annotations
 import random
 from bisect import bisect_right
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import Optional, Sequence
 
 from . import _scan
@@ -111,6 +111,17 @@ class PiecewiseFunction:
 
     def number_of_slopes(self) -> int:
         return len(set(self.interval_slopes()))
+
+    def _slope_ids(self) -> list[int]:
+        """A small id per piece, shared exactly by the pieces of one slope."""
+        if "slope_ids" not in self._cache:
+            b, _, rights, lefts, _, _ = self.scaled_tables()
+            ids, out = {}, self._cache.setdefault("slope_ids", [])
+            for i in range(len(b) - 1):
+                rise, run = lefts[i + 1] - rights[i], b[i + 1] - b[i]
+                g = gcd(rise, run)
+                out.append(ids.setdefault((rise // g, run // g), len(ids)))
+        return self._cache["slope_ids"]
 
     # -- evaluation --------------------------------------------------------
 

@@ -71,7 +71,6 @@ def test_mutated_function_documents_end_in_a_verdict_or_a_typed_error(
     import random
     from collections import Counter
     from fractions import Fraction as F
-    from functools import cache
 
     import groupcut as gc
     from groupcut import cli
@@ -98,10 +97,9 @@ def test_mutated_function_documents_end_in_a_verdict_or_a_typed_error(
             out.append(0 if getattr(rep, "is_extreme", rep.is_minimal) else 1)
         return tuple(out)
 
-    # the parser is built once and each document is read from memory, so
-    # that the 4,000 CLI runs fit the tier-1 time
+    # each document is read from memory, and cli.main builds its parser
+    # once, so that the 4,000 CLI runs fit the tier-1 time
     texts = {}
-    monkeypatch.setattr(cli, "build_parser", cache(cli.build_parser))
     monkeypatch.setattr(cli, "load_function",
                         lambda name: loads_function(texts[name]))
     bases = [function_to_dict(fn) for fn in (

@@ -416,6 +416,107 @@ class TestSystemAgainstOracle:
             assert len(system.rows) == len(system) > 0
 
 
+class TestStreamedSystem:
+    """A verdict reads the system's rows as they are made and stops at
+    ncols rank rows; the first read of the system makes the rest."""
+
+    @staticmethod
+    def _counted(monkeypatch):
+        """The (point, side) pairs the system interns and the tight cones
+        it reads, counted as they happen."""
+        from types import SimpleNamespace
+
+        from groupcut import extremality
+
+        interned, cones = [], []
+        missing = extremality._VectorIds.__missing__
+        monkeypatch.setattr(extremality._VectorIds, "__missing__",
+                            lambda ids, key: interned.append(key) or
+                            missing(ids, key))
+
+        def counted(rec):
+            for cone in rec.tight:
+                cones.append(cone)
+                yield cone
+
+        slacks = extremality.vertex_slacks
+        monkeypatch.setattr(extremality, "vertex_slacks", lambda fn: (
+            SimpleNamespace(D=slacks(fn).D, tight=counted(slacks(fn)))))
+        return interned, cones
+
+    def test_gj_2_slope_is_decided_on_its_normalization_rows(self,
+                                                             monkeypatch):
+        interned, cones = self._counted(monkeypatch)
+        rep = gc.extremality_test(_hom(gc.gj_2_slope(), 6))
+        assert rep.is_extreme and interned == [] and cones == []
+        assert rep.rank_rows == (1, 2)
+        assert len(rep.system) == 3 and interned and len(cones) == 247
+
+    def test_hildebrand_reads_part_of_its_cones(self, monkeypatch):
+        interned, cones = self._counted(monkeypatch)
+        rep = gc.extremality_test(_hom(gc.hildebrand_discont_3_slope_1(), 2))
+        assert rep.is_extreme and rep.rank_rows[-1] == 17
+        assert 0 < len(cones) < 562
+        before = len(interned)
+        assert len(rep.system) == 45 and len(cones) == 562
+        assert len(interned) > before
+
+    def test_the_completed_system_is_the_whole_one(self):
+        from groupcut.exactlinalg import _rank_rows
+
+        hb = gc.hildebrand_discont_3_slope_1()
+        fns = [fn for fn, _ in _covered_inputs()]
+        fns += [_hom(hb, 6), _hom(gc.gj_2_slope(), 4), gc.gmic(F(4, 5))]
+        minimal = random_minimal_functions(20)
+        fns += minimal
+        fns += [gc.restrict_to_finite_group(fn, oversampling=os)
+                for fn in (gc.gj_2_slope(), gc.drlm_backward_3_slope(),
+                           *minimal[:6])
+                for os in (1, 3)]
+        seen = Counter()
+        for fn in fns:
+            if isinstance(fn, gc.DiscreteFunction):
+                whole = gc.extremality_test(fn).system
+            else:
+                covered = gc.generate_covered_components(fn)
+                if covered.uncovered:
+                    continue
+                whole = gc.build_equation_system(
+                    fn, gc.generate_symbolic(fn, covered),
+                    gc.minimality_test(fn).f_used)
+            rows = whole.integer_rows  # drained before any rank pass
+            rep = gc.extremality_test(fn)
+            system = rep.system
+            # only a short rank (not extreme here) reads the whole system
+            assert ("integer_rows" in vars(system)) != rep.is_extreme
+            assert system == whole and system.sources == whole.sources
+            assert system.integer_rows == rows and len(system) == len(rows)
+            rank_rows = _rank_rows(rows, system.ncols)
+            if rep.is_extreme:
+                assert rep.rank_rows == tuple(rank_rows)
+            else:
+                assert len(rank_rows) < system.ncols and rep.rank_rows == ()
+            seen[rep.is_extreme, type(fn)] += 1
+        assert len(seen) == 4 and sum(seen.values()) >= 30
+
+    @pytest.mark.parametrize("read", ["copy", "deepcopy", "pickle"])
+    def test_copy_and_pickle_read_the_whole_system(self, read):
+        import copy
+        import pickle
+
+        read = {"copy": copy.copy, "deepcopy": copy.deepcopy,
+                "pickle": lambda s: pickle.loads(pickle.dumps(s))}[read]
+        fn = _hom(gc.hildebrand_discont_3_slope_1(), 2)
+        system = gc.extremality_test(fn).system
+        assert "integer_rows" not in vars(system)
+        other = read(system)
+        whole = gc.extremality_test(fn).system
+        assert len(whole) == 45
+        assert other == whole and other.sources == whole.sources
+        assert other.provenance == whole.provenance and len(other) == 45
+        assert system == whole
+
+
 def _covered_inputs():
     """Covered minimal functions with their covered components: hildebrand
     under lam = 2 and 6, random227 and random344 under lam = 1 and 2 (not

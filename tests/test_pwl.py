@@ -262,3 +262,28 @@ def test_scaled_tables_equal_fraction_products():
             assert b == [int(x * D) for x in fn.breakpoints]
             assert [vals, rights, lefts] == [
                 [int(t[i] * V) for t in fn.limits] for i in range(3)]
+
+
+def test_slope_ids_are_the_classes_of_equal_slopes():
+    # the walk and the covering saturation count read the integer slope
+    # ids: two pieces share an id exactly when their Fraction slopes agree
+    from itertools import combinations
+
+    from groupcut.compendium import REGISTRY
+
+    fns = [gc.random_piecewise_function(x, x, p, True, seed=seed)
+           for seed in range(60) for x, p in ((4, F(1, 2)), (6, F(1)))]
+    fns += [entry.construct() for entry in REGISTRY.values()
+            if entry.sourced and entry.builder is not None]
+    fns += [gc.multiplicative_homomorphism(base, lam)
+            for base in (gc.hildebrand_discont_3_slope_1(), gc.gj_2_slope(),
+                         gc.drlm_backward_3_slope())
+            for lam in (2, 3, 5)]
+    fns = [fn for fn in fns if isinstance(fn, gc.PiecewiseFunction)]
+    assert len(fns) >= 130
+    for fn in fns:
+        ids, slopes = fn._slope_ids(), fn.interval_slopes()
+        assert len(ids) == len(slopes)
+        assert sorted(set(ids)) == list(range(fn.number_of_slopes()))
+        for i, j in combinations(range(len(ids)), 2):
+            assert (ids[i] == ids[j]) == (slopes[i] == slopes[j]), fn
