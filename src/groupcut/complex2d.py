@@ -40,11 +40,13 @@ as it finds it: covering takes the maximal keys one at a time and stops
 the walk once it is saturated.  _grid_additive_faces runs the whole walk
 into {key: maximal} and adds the tight vertices, and the public
 generate_*_additive_faces add the mirror of each face with I != J.
-Vertices are derived from a key, by one closed-form routine, only where
-a Fraction Face is returned (grid_face, face_from_triple) and where
-_grid_additive_faces needs them to tell whether a vertex lies in a
-larger face.  faces_of_complex lists every face of the complex, the
-brute-force reference that checks need.
+A face's shape comes from its key: one closed form (_corners) lists its
+corners counterclockwise, which give its sorted vertices and its boundary,
+and face_area is its projection box less two corner triangles.  Vertices
+are derived only where a Fraction Face is returned (grid_face,
+face_from_triple) and where _grid_additive_faces needs them to tell
+whether a vertex lies in a larger face.  faces_of_complex lists every face
+of the complex, the brute-force reference that checks need.
 """
 
 from __future__ import annotations
@@ -182,19 +184,34 @@ def _projections(I, J, K) -> tuple:
             (max(k0, i0 + j0), min(k1, i1 + j1)))
 
 
+def _corners(key) -> tuple:
+    """The ends of the slices of the nonempty face with the projections
+    key on its lines x = x0, y = y0, x = x1 and y = y1, counterclockwise
+    from the least point, repeats included.  Each line supports the face,
+    so each end is a vertex, and every vertex lies on one of the lines."""
+    (x0, x1), (y0, y1), (s0, s1) = key
+    return ((x0, max(y0, s0 - x0)),
+            (max(x0, s0 - y0), y0), (min(x1, s1 - y0), y0),
+            (x1, max(y0, s0 - x1)), (x1, min(y1, s1 - x1)),
+            (min(x1, s1 - y1), y1), (max(x0, s0 - y1), y1),
+            (x0, min(y1, s1 - x0)))
+
+
 def _face_vertices(key) -> tuple:
     """Sorted vertices of the face with the projections key, () when the
-    face is empty.  Every vertex lies on a line x = x0, x = x1, y = y0 or
-    y = y1 of the projections, so the vertices are the ends of the face's
-    slices there."""
+    face is empty."""
     (x0, x1), (y0, y1), (s0, s1) = key
     if x0 > x1 or y0 > y1 or s0 > s1:
         return ()
-    return tuple(sorted({
-        (x0, max(y0, s0 - x0)), (x0, min(y1, s1 - x0)),
-        (x1, max(y0, s0 - x1)), (x1, min(y1, s1 - x1)),
-        (max(x0, s0 - y0), y0), (min(x1, s1 - y0), y0),
-        (max(x0, s0 - y1), y1), (min(x1, s1 - y1), y1)}))
+    return tuple(sorted(set(_corners(key))))
+
+
+def _boundary(key) -> tuple:
+    """The vertices of the nonempty face with the projections key,
+    counterclockwise from the least one: each run of equal corners (the
+    last and the first are neighbours) keeps its last."""
+    c = _corners(key)
+    return tuple(p for p, q in zip(c, c[1:] + c[:1]) if p != q) or c[:1]
 
 
 def _face(key, vertices) -> Face:
@@ -289,13 +306,6 @@ class VertexSlacks:
     neg: list
     tight: dict
     min_pos: Optional[Fraction]
-
-    def is_tight(self, x: int, y: int, sides) -> bool:
-        """Zero slack at (x, y) approached per sides; the slack is
-        symmetric, so x > y reads the mirror cone (y, x, (sy, sx, ss))."""
-        if x > y:
-            x, y, sides = y, x, (sides[1], sides[0], sides[2])
-        return (x, y, sides) in self.tight
 
 
 def vertex_slacks(fn: PiecewiseFunction) -> VertexSlacks:
@@ -416,10 +426,12 @@ def _pieces_at(grid: Sequence[int], t: int) -> list:
 _WALK_CONES = sorted(
     (s for s in _scan.SIDE_TRIPLES if all(s) or s > (0, 0, 0)),
     key=lambda s: not all(s))
-# each ray of _WALK_CONES -> the two sectors beside it: the 2-cells that
-# contain the ray's edge are the ones these sectors enter
-_BESIDE = {r: [s for s in _WALK_CONES if all(s) and all(
-    a == c for a, c in zip(r, s) if a)] for r in _WALK_CONES if not all(r)}
+# each ray (a cone with a zero side) -> the two sectors beside it, whose
+# sides agree with its nonzero sides: the 2-cells that contain the ray's
+# edge are the ones these sectors enter
+_BESIDE = {r: [s for s in _scan.SIDE_TRIPLES if all(s) and all(
+    a == c for a, c in zip(r, s) if a)] for r in _scan.SIDE_TRIPLES
+    if any(r) and not all(r)}
 
 
 def _additive_walk(fn: PiecewiseFunction):
@@ -480,7 +492,7 @@ def _additive_walk(fn: PiecewiseFunction):
                 if x == y and I > J:
                     continue  # the mirror of a cell walked here
                 if I[0] < I[1] and J[0] < J[1] and K[0] < K[1]:
-                    if continuous or rec.is_tight(x, y, sides):
+                    if continuous or (x, y, sides) in rec.tight:
                         passed[sides] = same = (
                             slope[I] == slope[J] == slope[K])
                         if same and cell not in built:
@@ -491,7 +503,7 @@ def _additive_walk(fn: PiecewiseFunction):
                 if len({slope[p] for p in cell if p[0] < p[1]}) > 1:
                     continue  # the two moving pieces have two slopes
                 around = [passed[s] for s in _BESIDE[sides] if s in passed]
-                if around or continuous or rec.is_tight(x, y, sides):
+                if around or continuous or (x, y, sides) in rec.tight:
                     yield _projections(*cell), not any(around)
 
     return D, tight, walk()
@@ -569,37 +581,14 @@ def generate_maximal_additive_faces(fn: PiecewiseFunction) -> AdditiveFaceSet:
 
 # -- areas and the merit index ------------------------------------------------
 
-def _convex_hull(points: Sequence[Point]) -> list[Point]:
-    pts = sorted(set(points))
-    if len(pts) <= 2:
-        return pts
-
-    def cross(o, a, b):
-        return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
-
-    lower: list[Point] = []
-    for p in pts:
-        while len(lower) >= 2 and cross(lower[-2], lower[-1], p) <= 0:
-            lower.pop()
-        lower.append(p)
-    upper: list[Point] = []
-    for p in reversed(pts):
-        while len(upper) >= 2 and cross(upper[-2], upper[-1], p) <= 0:
-            upper.pop()
-        upper.append(p)
-    return lower[:-1] + upper[:-1]
-
-
 def face_area(face: Face) -> Fraction:
+    """The area of the face: its projection box less the corners that
+    x + y = s0 and x + y = s1 cut off, each a right isosceles triangle."""
     if face.dimension < 2:
         return ZERO
-    hull = _convex_hull(face.vertices)
-    area2 = ZERO
-    for i in range(len(hull)):
-        x1, y1 = hull[i]
-        x2, y2 = hull[(i + 1) % len(hull)]
-        area2 += x1 * y2 - x2 * y1
-    return abs(area2) / 2
+    (x0, x1), (y0, y1), (s0, s1) = face.key()
+    return ((x1 - x0) * (y1 - y0)
+            - ((s0 - x0 - y0) ** 2 + (x1 + y1 - s1) ** 2) / 2)
 
 
 def merit_index(fn: PiecewiseFunction) -> Fraction:

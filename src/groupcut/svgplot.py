@@ -10,6 +10,11 @@ Conventions: the x-axis runs along the top border, the y-axis down the left
 border, and the (x+y)-axis is a ruler along the bottom border (values in
 [0, 1]) continuing down the right border (values in [1, 2]).  Output is
 plain SVG 1.1 text, byte-for-byte reproducible for equal input.
+
+A 2-face is drawn along its boundary, which complex2d derives from its
+key, and an edge or a vertex from its sorted vertices.  A limit cone's rays
+come from its sides and from the face walk's table of the sectors beside
+each ray (complex2d._BESIDE).
 """
 
 from __future__ import annotations
@@ -18,10 +23,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .complex2d import (_convex_hull, generate_maximal_additive_faces,
+from ._scan import SIDE_TRIPLES
+from .complex2d import (_BESIDE, _boundary, generate_maximal_additive_faces,
                         scan_vertex_slacks)
 from .covering import (CoveredComponentSet, directly_covered_components,
                        generate_covered_components)
+from .errors import ParameterError
 from .pwl import PiecewiseFunction
 
 ROLE_COLORS = {
@@ -46,9 +53,13 @@ COMPONENT_PALETTE = (
 
 @dataclass(frozen=True)
 class DiagramSpec:
-    """Rendering parameters shared by the diagram builders."""
+    """Rendering parameters shared by the diagram builders; size >= 1."""
 
     size: int = 600
+
+    def __post_init__(self):
+        if self.size < 1:
+            raise ParameterError(f"diagram size must be at least 1, got {self.size}")
 
 
 def _fmt(x) -> str:
@@ -73,10 +84,9 @@ class _Doc:
     def add(self, element: str):
         self.parts.append(element + "\n")
 
-    def line(self, x1, y1, x2, y2, color, width=1.0, dash=None):
-        d = f' stroke-dasharray="{dash}"' if dash else ""
+    def line(self, x1, y1, x2, y2, color, width=1.0):
         self.add(f'<line x1="{_fmt(x1)}" y1="{_fmt(y1)}" x2="{_fmt(x2)}" '
-                 f'y2="{_fmt(y2)}" stroke="{color}" stroke-width="{_fmt(width)}"{d}/>')
+                 f'y2="{_fmt(y2)}" stroke="{color}" stroke-width="{_fmt(width)}"/>')
 
     def circle(self, cx, cy, r, color, fill=True):
         style = (f'fill="{color}"' if fill
@@ -93,22 +103,15 @@ class _Doc:
         self.add(f'<rect x="{_fmt(x)}" y="{_fmt(y)}" width="{_fmt(w)}" '
                  f'height="{_fmt(h)}" fill="{color}" fill-opacity="{_fmt(opacity)}"/>')
 
-    def text(self, x, y, s, size=10, color="#333333"):
-        self.add(f'<text x="{_fmt(x)}" y="{_fmt(y)}" font-size="{_fmt(size)}" '
-                 f'fill="{color}" font-family="monospace">{s}</text>')
-
     def finish(self) -> str:
         return "".join(self.parts) + "</svg>\n"
 
 
 def _graph_segments(fn: PiecewiseFunction):
-    """Per-piece segments ((x1, v1), (x2, v2), slope) and the marker triples."""
-    segs = []
+    """Per-piece segments ((x1, v1), (x2, v2), slope)."""
     bk, lm = fn.breakpoints, fn.limits
-    slopes = fn.interval_slopes()
-    for i in range(len(bk) - 1):
-        segs.append(((bk[i], lm[i][1]), (bk[i + 1], lm[i + 1][2]), slopes[i]))
-    return segs
+    return [((bk[i], lm[i][1]), (bk[i + 1], lm[i + 1][2]), slope)
+            for i, slope in enumerate(fn.interval_slopes())]
 
 
 def plot_function(fn: PiecewiseFunction,
@@ -142,26 +145,22 @@ def plot_function(fn: PiecewiseFunction,
             doc.circle(X(x), Y(left), r, "#555555", fill=False)
         if right != v:
             doc.circle(X(x), Y(right), r, "#555555", fill=False)
-        filled = (left != v) or (right != v)
-        if filled:
+        if left != v or right != v:
             doc.circle(X(x), Y(v), r, "#222222", fill=True)
     return doc.finish()
 
 
-_RAY_DIRS = {
-    (1, 0, 1): ((1, 0),),
-    (-1, 0, -1): ((-1, 0),),
-    (0, 1, 1): ((0, 1),),
-    (0, -1, -1): ((0, -1),),
-    (1, -1, 0): ((1, -1),),
-    (-1, 1, 0): ((-1, 1),),
-    (1, 1, 1): ((1, 0), (0, 1)),
-    (-1, -1, -1): ((-1, 0), (0, -1)),
-    (1, -1, -1): ((0, -1), (1, -1)),
-    (1, -1, 1): ((1, -1), (1, 0)),
-    (-1, 1, 1): ((0, 1), (-1, 1)),
-    (-1, 1, -1): ((-1, 1), (-1, 0)),
-}
+def _cone_rays(sides) -> tuple:
+    """The directions (dx, dy) of a limit cone's rays: a ray (a cone with
+    a zero side) points along (sx, sy); a sector spans the two rays beside
+    it, the second a left turn from the first."""
+    if sides in _BESIDE:
+        return (sides[:2],)
+    a, b = (r[:2] for r, beside in _BESIDE.items() if sides in beside)
+    return (a, b) if a[0] * b[1] > a[1] * b[0] else (b, a)
+
+
+_CONE_RAYS = {s: _cone_rays(s) for s in SIDE_TRIPLES if any(s)}
 
 
 class _Square:
@@ -169,32 +168,35 @@ class _Square:
 
     def __init__(self, fn, spec):
         self.fn = fn
-        self.spec = spec
         self.M = spec.size * 0.16
         self.S = spec.size
         self.doc = _Doc(spec.size + self.M, spec.size + self.M)
         self.doc.rect(0, 0, spec.size + self.M, spec.size + self.M, "#ffffff")
 
-    def X(self, x):
-        return self.M + float(x) * (self.S - self.M)
+    def at(self, t):
+        """The canvas coordinate of t in [0, 1] on either axis."""
+        return self.M + float(t) * (self.S - self.M)
 
-    def Y(self, y):
-        return self.M + float(y) * (self.S - self.M)
+    def shade(self, face, opacity, stroke=None):
+        """A 2-face filled green, drawn along its boundary."""
+        self.doc.polygon([(self.at(x), self.at(y))
+                          for x, y in _boundary(face.key())],
+                         ROLE_COLORS["additive"], opacity, stroke)
 
     def draw_grid(self):
         fn, doc = self.fn, self.doc
         for b in fn.breakpoints:
-            doc.line(self.X(b), self.Y(0), self.X(b), self.Y(1),
+            doc.line(self.at(b), self.at(0), self.at(b), self.at(1),
                      ROLE_COLORS["grid"], 0.6)
-            doc.line(self.X(0), self.Y(b), self.X(1), self.Y(b),
+            doc.line(self.at(0), self.at(b), self.at(1), self.at(b),
                      ROLE_COLORS["grid"], 0.6)
         diagonals = sorted({b for b in fn.breakpoints}
                            | {b + 1 for b in fn.breakpoints[1:]})
         for c in diagonals:
             lo = max(0, float(c) - 1)
             hi = min(1, float(c))
-            doc.line(self.X(lo), self.Y(float(c) - lo),
-                     self.X(hi), self.Y(float(c) - hi),
+            doc.line(self.at(lo), self.at(float(c) - lo),
+                     self.at(hi), self.at(float(c) - hi),
                      ROLE_COLORS["grid"], 0.6)
 
     def draw_border_functions(self):
@@ -203,16 +205,13 @@ class _Square:
         vmax = float(max(max(vs), 1))
         band = self.M * 0.75
 
-        def top_y(v):
-            return self.M * 0.9 - (float(v) / vmax) * band * 0.9
-
-        def left_x(v):
+        def strip(v):  # the value v's distance from the canvas edge
             return self.M * 0.9 - (float(v) / vmax) * band * 0.9
 
         for (x1, v1), (x2, v2), _ in _graph_segments(fn):
-            doc.line(self.X(x1), top_y(v1), self.X(x2), top_y(v2),
+            doc.line(self.at(x1), strip(v1), self.at(x2), strip(v2),
                      ROLE_COLORS["function"], 1.2)
-            doc.line(left_x(v1), self.Y(x1), left_x(v2), self.Y(x2),
+            doc.line(strip(v1), self.at(x1), strip(v2), self.at(x2),
                      ROLE_COLORS["function"], 1.2)
 
     def sum_ruler_rect(self, lo, hi, color, opacity):
@@ -221,14 +220,11 @@ class _Square:
         thick = self.M * 0.25
         a, b = float(lo), float(hi)
         if b <= 1:
-            doc.rect(self.X(a), self.Y(1) + thick * 0.2,
-                     self.X(b) - self.X(a), thick, color, opacity)
+            doc.rect(self.at(a), self.at(1) + thick * 0.2,
+                     self.at(b) - self.at(a), thick, color, opacity)
         else:
-            doc.rect(self.X(1) + thick * 0.2, self.Y(a - 1),
-                     thick, self.Y(b - 1) - self.Y(a - 1), color, opacity)
-
-    def finish(self):
-        return self.doc.finish()
+            doc.rect(self.at(1) + thick * 0.2, self.at(a - 1),
+                     thick, self.at(b - 1) - self.at(a - 1), color, opacity)
 
 
 def plot_2d_diagram_with_cones(fn: PiecewiseFunction,
@@ -244,11 +240,11 @@ def plot_2d_diagram_with_cones(fn: PiecewiseFunction,
     dot = max(2.2, spec.size * 0.005)
 
     def draw(pt, sides, color):
-        px, py = sq.X(pt[0]), sq.Y(pt[1])
+        px, py = sq.at(pt[0]), sq.at(pt[1])
         if sides == (0, 0, 0):
             sq.doc.circle(px, py, dot, color)
             return
-        dirs = _RAY_DIRS[sides]
+        dirs = _CONE_RAYS[sides]
         if len(dirs) == 1:
             dx, dy = dirs[0]
             n = (dx * dx + dy * dy) ** 0.5
@@ -265,7 +261,7 @@ def plot_2d_diagram_with_cones(fn: PiecewiseFunction,
         draw(pt, sides, ROLE_COLORS["additive"])
     for pt, sides, _slack in sorted(neg):
         draw(pt, sides, ROLE_COLORS["violated"])
-    return sq.finish()
+    return sq.doc.finish()
 
 
 def plot_2d_diagram(fn: PiecewiseFunction,
@@ -280,24 +276,24 @@ def plot_2d_diagram(fn: PiecewiseFunction,
     shadow = ROLE_COLORS["shadow"]
     for face in additive.maximal_faces():
         if face.dimension == 2:
-            sq.doc.rect(sq.X(face.proj1[0]), sq.M * 0.2,
-                        sq.X(face.proj1[1]) - sq.X(face.proj1[0]),
+            sq.doc.rect(sq.at(face.proj1[0]), sq.M * 0.2,
+                        sq.at(face.proj1[1]) - sq.at(face.proj1[0]),
                         sq.M * 0.2, shadow, 0.8)
-            sq.doc.rect(sq.M * 0.2, sq.Y(face.proj2[0]),
+            sq.doc.rect(sq.M * 0.2, sq.at(face.proj2[0]),
                         sq.M * 0.2,
-                        sq.Y(face.proj2[1]) - sq.Y(face.proj2[0]), shadow, 0.8)
+                        sq.at(face.proj2[1]) - sq.at(face.proj2[0]), shadow, 0.8)
             sq.sum_ruler_rect(face.proj3[0], face.proj3[1], shadow, 0.8)
     green = ROLE_COLORS["additive"]
     for face in additive.maximal_faces():
-        pts = [(sq.X(x), sq.Y(y)) for x, y in _convex_hull(face.vertices)]
         if face.dimension == 2:
-            sq.doc.polygon(pts, green, opacity=0.45, stroke=green)
+            sq.shade(face, 0.45, stroke=green)
         elif face.dimension == 1:
-            (x1, y1), (x2, y2) = pts[0], pts[-1]
-            sq.doc.line(x1, y1, x2, y2, green, 2.4)
+            (x1, y1), (x2, y2) = face.vertices
+            sq.doc.line(sq.at(x1), sq.at(y1), sq.at(x2), sq.at(y2), green, 2.4)
         else:
-            sq.doc.circle(pts[0][0], pts[0][1], max(2.2, spec.size * 0.005), green)
-    return sq.finish()
+            (x, y), = face.vertices
+            sq.doc.circle(sq.at(x), sq.at(y), max(2.2, spec.size * 0.005), green)
+    return sq.doc.finish()
 
 
 def _covered_bars(sq: _Square, intervals: Sequence[tuple],
@@ -305,7 +301,7 @@ def _covered_bars(sq: _Square, intervals: Sequence[tuple],
     """One bar per interval, colored by the final component holding it."""
     for lo, hi in intervals:
         ci = final.component_of((lo + hi) / 2)
-        sq.doc.rect(sq.X(lo), sq.M * 0.55, sq.X(hi) - sq.X(lo), thick,
+        sq.doc.rect(sq.at(lo), sq.M * 0.55, sq.at(hi) - sq.at(lo), thick,
                     COMPONENT_PALETTE[ci % len(COMPONENT_PALETTE)], 0.9)
 
 
@@ -323,22 +319,19 @@ def covered_steps_frames(fn: PiecewiseFunction,
     def frame(active_edge, moved):
         sq = _Square(fn, spec)
         sq.draw_grid()
-        green = ROLE_COLORS["additive"]
         for face in additive.faces:
             if face.dimension == 2:
-                pts = [(sq.X(x), sq.Y(y)) for x, y in _convex_hull(face.vertices)]
-                sq.doc.polygon(pts, green, opacity=0.25)
+                sq.shade(face, 0.25)
         _covered_bars(sq, covered, final, sq.M * 0.25)
         if active_edge is not None:
-            (x1, y1) = active_edge.vertices[0]
-            (x2, y2) = active_edge.vertices[-1]
-            sq.doc.line(sq.X(x1), sq.Y(y1), sq.X(x2), sq.Y(y2),
+            (x1, y1), (x2, y2) = active_edge.vertices
+            sq.doc.line(sq.at(x1), sq.at(y1), sq.at(x2), sq.at(y2),
                         ROLE_COLORS["highlight"], 3.0)
         if moved is not None:
-            sq.doc.rect(sq.X(moved[0]), sq.M * 0.2,
-                        sq.X(moved[1]) - sq.X(moved[0]), sq.M * 0.25,
+            sq.doc.rect(sq.at(moved[0]), sq.M * 0.2,
+                        sq.at(moved[1]) - sq.at(moved[0]), sq.M * 0.25,
                         ROLE_COLORS["highlight"], 0.9)
-        return sq.finish()
+        return sq.doc.finish()
 
     frames = [frame(None, None)]
     for mv in final.edges_used:

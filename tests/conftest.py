@@ -142,6 +142,20 @@ def oracle_face_vertices(I, J, K):
         if I[0] <= x <= I[1] and J[0] <= y <= J[1] and K[0] <= x + y <= K[1]))
 
 
+def oracle_face_area(face):
+    """Area of a 2-face by exact integration of its slice length over x:
+    the length of {y in proj2, x + y in proj3} is affine between the
+    distinct x of the vertices, so the trapezoid rule is exact there."""
+    (y0, y1), (s0, s1) = face.proj2, face.proj3
+
+    def length(x):
+        return min(y1, s1 - x) - max(y0, s0 - x)
+
+    xs = sorted({x for x, _ in face.vertices})
+    return sum(((length(a) + length(b)) * (b - a) / 2
+                for a, b in zip(xs, xs[1:])), F(0))
+
+
 def oracle_additivity_area(fn):
     """Area of the zero-slack set: a two-dimensional face lies in it exactly
     when the slack vanishes at three affinely independent interior points

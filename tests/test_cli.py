@@ -444,3 +444,11 @@ class TestPlotVerb:
         code, _, _ = run(capsys, "plot", "equiv5_random_discont_1",
                          "--kind", "cones", "--out", str(out_file))
         assert code == 0 and out_file.exists()
+
+    def test_plot_size_below_one_refused(self, capsys, tmp_path):
+        out_file = tmp_path / "gmic.svg"
+        for size in ("0", "-5"):
+            code, out, err = run(capsys, "plot", "gmic", "--size", size,
+                                 "--out", str(out_file))
+            assert code == 2 and not out and "size" in err
+        assert not out_file.exists()

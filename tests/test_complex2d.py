@@ -12,8 +12,9 @@ from groupcut.complex2d import (face_area, face_from_triple, faces_of_complex,
 from groupcut.errors import ConstructionError, NotSubadditiveError
 
 from conftest import (oracle_additivity_area, oracle_delta_pi_limit,
-                      oracle_face_vertices, oracle_maximal_additive_faces,
-                      random_minimal_functions)
+                      oracle_face_area, oracle_face_vertices,
+                      oracle_maximal_additive_faces, random_minimal_functions,
+                      random_subadditive_functions)
 
 
 class TestDeltaPi:
@@ -139,6 +140,33 @@ class TestFaceFromTriple:
             for g in faces:
                 assert g.contains_face(f) == all(
                     g.contains_point(v) for v in f.vertices)
+
+
+class TestFaceGeometry:
+    @pytest.fixture(scope="class")
+    def two_faces(self, gj, hildebrand):
+        """Every 2-face of the complex of gj_2_slope and hildebrand under
+        lambda = 1, 2, 3 and of 20 random subadditive functions of each
+        continuity."""
+        fns = [gc.multiplicative_homomorphism(fn, lam)
+               for fn in (gj, hildebrand) for lam in (1, 2, 3)]
+        for continuous in (True, False):
+            fns += random_subadditive_functions(20, 11, continuous)
+        return [face for fn in fns for face in faces_of_complex(fn, dims=(2,))]
+
+    def test_area_integrates_the_slice_length(self, two_faces):
+        for face in two_faces:
+            assert face_area(face) == oracle_face_area(face) > 0
+
+    def test_boundary_turns_left_at_every_vertex(self, two_faces):
+        for face in two_faces:
+            b = complex2d._boundary(face.key())
+            assert len(b) == len(face.vertices) >= 3
+            assert set(b) == set(face.vertices)
+            assert b[0] == face.vertices[0]
+            for p, q, r in zip(b, b[1:] + b[:1], b[2:] + b[:2]):
+                assert (q[0] - p[0]) * (r[1] - q[1]) \
+                    > (q[1] - p[1]) * (r[0] - q[0])
 
 
 class TestDeltaPiLimit:

@@ -1,9 +1,12 @@
+import hashlib
 from fractions import Fraction as F
 
+import pytest
+
 import groupcut as gc
-from groupcut.svgplot import (covered_steps_frames, plot_2d_diagram,
-                              plot_2d_diagram_with_cones, plot_function,
-                              plot_perturbation, ROLE_COLORS)
+from groupcut.svgplot import (DiagramSpec, covered_steps_frames,
+                              plot_2d_diagram, plot_2d_diagram_with_cones,
+                              plot_function, plot_perturbation, ROLE_COLORS)
 
 RED = ROLE_COLORS["violated"]
 GREEN = ROLE_COLORS["additive"]
@@ -103,3 +106,35 @@ class TestPerturbationPlot:
         doc = plot_perturbation(fn, rep.perturbation, rep.epsilon)
         assert '#000000' in doc and '#cc00cc' in doc
         assert doc == plot_perturbation(fn, rep.perturbation, rep.epsilon)
+
+
+class TestPinnedDiagrams:
+    # sha256 of four diagrams at the default size, first drawn from the
+    # convex hull of each 2-face's vertices and a written-out table of the
+    # twelve cones' rays: an independent reference for the boundary and
+    # the rays that the key and the sides now give
+    PINNED = {
+        "cones_hildebrand": "4cd416bb6e17e7ef67944c5ca64413052fc806c856b6a7fa092c70380bd2a5bf",
+        "additive_gj_2_slope": "994b2c74ba2058a9a4e0008af92a43b5fa9ba3afe18226e10d2d7f1007adc6c9",
+        "additive_hildebrand": "e4e81ff7eacdacfb01dbc9e4b962330902797e196bb6dc05875ed4d970af5bfa",
+        "last_covered_frame_hildebrand": "f94beca0b2e5234750bea6c9b5f8b1a1b0f3f7a0204fb78626f954e467ef7cd1",
+    }
+
+    @pytest.mark.parametrize("name", sorted(PINNED))
+    def test_bytes(self, name, gj, hildebrand):
+        draw = {
+            "cones_hildebrand": lambda: plot_2d_diagram_with_cones(hildebrand),
+            "additive_gj_2_slope": lambda: plot_2d_diagram(gj),
+            "additive_hildebrand": lambda: plot_2d_diagram(hildebrand),
+            "last_covered_frame_hildebrand":
+                lambda: covered_steps_frames(hildebrand)[-1],
+        }[name]
+        assert hashlib.sha256(draw().encode()).hexdigest() == self.PINNED[name]
+
+
+class TestDiagramSpec:
+    def test_size_below_one_refused(self):
+        for size in (0, -5):
+            with pytest.raises(gc.ParameterError):
+                DiagramSpec(size=size)
+        assert DiagramSpec(size=1).size == 1
