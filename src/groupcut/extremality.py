@@ -440,15 +440,14 @@ class _FiniteExtremality(_FiniteModel):
             q, fn.points, (ZERO, *vec, ZERO), f)
 
     def epsilon_terms(self, p: _FiniteModel, f: Fraction):
-        """As for the infinite model, over all group points, each value
-        held as a 1-tuple at its points of [0, 2]."""
+        """As for the infinite model, over all group points, the value rows
+        of the tables read at their points of [0, 2]."""
         neg, _, min_pos = self.scan
-        q, (u, W), (v, X) = self.fn.q, self.scaled, p.scaled
-        if (f * q).denominator != 1:
-            raise ConstructionError(f"f = {f} is not a point of (1/{q})Z")
-        u, v = ([(a,) for a in w + w[1:]] for w in (u, v))
+        grid, u, W, fq, q = self.symmetry_table(f)
+        _, v, _, X = p.tables
+        u, v = u + u[1:], v + v[1:]
         points = [(i, j) for i in range(q + 1) for j in range(i, q + 1)]
-        mirrors = [(a, (int(f * q) - a) % q) for a in range(q)]
+        mirrors = [(a, (fq - a) % q) for a in grid]
         return (bool(neg), Fraction(min_pos, W) if min_pos else None,
                 *_epsilon_pairs(u, v, W, X, points, ((0, 0, 0),), set(points),
                                 mirrors), W, X)
@@ -494,7 +493,7 @@ def _find_epsilon(m, p, f: Fraction) -> Fraction:
     is the least with 2^k >= r = start / eps*: 0 when r <= 1, else the bit
     length of ceil(r) - 1.  A negative slack means fn is not minimal valid
     at f, a ParameterError; eps* = 0 otherwise admits no epsilon."""
-    if not any(v for _, t in p.table for v in t):
+    if not any(map(any, p.tables[1])):
         raise ParameterError("perturbation must be nonzero")
     has_neg, min_pos, max_abs, pairs, W, X = m.epsilon_terms(p, f)
     if has_neg or any(s < 0 for s, _ in pairs):

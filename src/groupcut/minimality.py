@@ -7,17 +7,19 @@ finitely checkable: the value conditions on the breakpoints (with one-sided
 limits), symmetry on the breakpoints together with their mirror images
 (again with limits), and subadditivity at the vertices of the additivity
 complex, including every limit cone when the function is discontinuous.
-Symmetry is checked in integers, on the limit table of the scan kernel
-(_scan.limit_table).  Subadditivity scanning is restricted to the triangle
-x <= y; the slack is symmetric in its arguments, so nothing is lost.  The
-scan is the function's vertex slack record (complex2d.vertex_slacks),
-which the later phases of an extremality verdict read again.  A
-subadditivity violation keeps its witness as an integer key on that
-record's grid and builds its point, its slack and its Fraction witness
-face only when they are first read, so a verdict that reads none of them
-builds no Fraction for it.  A function on the finite
-cyclic group (1/q)Z runs the same checks on its value table, with
-subadditivity over all group pairs.
+A function on the finite cyclic group (1/q)Z is checked on its q points,
+with subadditivity over all group pairs.
+
+Each model supplies only integer data: its points with their limit rows
+(`tables`, the limits named by `SIDES`), the limit table its symmetry
+check reads (`symmetry_table(f)`), and its subadditivity violations.  One
+path checks pi(0), the range and symmetry on that data and finds f; it
+builds a Fraction only for a failing entry or for the f it returns.  The
+subadditivity scan is the function's vertex slack record
+(complex2d.vertex_slacks) over x <= y, which loses nothing as the slack
+is symmetric; a violation keeps its witness as an integer key on that
+record's grid and builds its point, slack and Fraction witness face only
+when they are first read.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from itertools import islice
+from itertools import chain, islice
 from math import lcm
 from typing import Optional
 
@@ -33,7 +35,7 @@ from . import _scan
 from .complex2d import (Face, _pieces_at, _projections, grid_face,
                         vertex_slacks)
 from .errors import ConstructionError, NoCandidateFError, ParameterError
-from .pwl import DiscreteFunction, PiecewiseFunction, _reduce_mod_one
+from .pwl import DiscreteFunction, PiecewiseFunction
 from .rational import common_denominator, to_rational
 
 SIDE_NAMES = ("value", "right", "left")  # indexed by side 0, 1, -1
@@ -139,48 +141,32 @@ def _grid_witness_face(b: list[int], D: int, x: int, y: int, sides) -> Face:
 
 
 class _InfiniteModel:
-    """A PiecewiseFunction as the shared tests read it: `table` holds the
-    (x, limits) pairs at the breakpoints, the limits in the order of
-    SIDE_NAMES; `range_violations()` checks them on the integer tables of
-    fn.scaled_tables(); `symmetry_violations(f)` checks the breakpoints
-    and their mirrors f - x; `subadditivity_violations()` reads the
-    negative cones of the vertex slack record."""
+    """A PiecewiseFunction as the shared checks read it: the breakpoints
+    over D with their limit rows over V, the limit table of the breakpoints
+    and their mirrors, and the negative cones of the vertex slack record."""
+
+    SIDES = SIDE_NAMES
 
     def __init__(self, fn: PiecewiseFunction):
         self.fn = fn
-        self.table = tuple(zip(fn.breakpoints, fn.limits))
 
-    def range_violations(self):
-        """0 <= v <= V for every value and limit v over V of the integer
-        tables; the slack is built only for a failing entry."""
-        _, vals, rights, lefts, _, V = self.fn.scaled_tables()
-        for (x, t), scaled in zip(self.table, zip(vals, rights, lefts)):
-            for side, val, v in zip(SIDE_NAMES, t, scaled):
-                if not 0 <= v <= V:
-                    yield _range_violation(x, side, val)
+    @cached_property
+    def tables(self) -> tuple[list[int], list[tuple], int, int]:
+        b, vals, rights, lefts, D, V = self.fn.scaled_tables()
+        return b, list(zip(vals, rights, lefts)), D, V
 
-    def symmetry_violations(self, f: Fraction):
-        """pi(x) + pi(f - x) = 1 with every limit, at x in the breakpoints
-        and their mirrors f - x, in increasing order of x, checked on the
-        integer limit table of a grid that holds f; Fractions are built
-        only for a failing pair."""
-        fn = self.fn
-        tables = fn.scaled_tables()
+    def symmetry_table(self, f: Fraction):
+        """(grid, lim, W, fD, D): the breakpoints and their mirrors, on a
+        grid 1/D that holds f = fD / D, each with its limit row over W in
+        lim; the mirror of a grid point is a grid point, mod D."""
+        tables = self.fn.scaled_tables()
         if (f * tables[4]).denominator != 1:
-            tables = fn.scaled_tables(f.denominator)
+            tables = self.fn.scaled_tables(f.denominator)
         b, vals, rights, lefts, D, V = tables
         fD = int(f * D)
-        # the mirror of a point of grid is a point of grid, mod D
         grid = sorted({*b, *((fD - p) % D for p in b)})
-        lim, W = _scan.limit_table(b, vals, rights, lefts, V, grid)
-        for p in grid:
-            t, m = lim[p], lim[(fD - p) % D]
-            # value pairs with value, right with the mirror's left and
-            # vice versa (the mirror map reverses orientation)
-            for side, a, c in zip(SIDE_NAMES, t, (m[0], m[2], m[1])):
-                if a + c != W:
-                    yield Violation("symmetry", x=Fraction(p, D), sides=side,
-                                    slack=Fraction(a + c - W, W))
+        return (grid, *_scan.limit_table(b, vals, rights, lefts, V, grid),
+                fD, D)
 
     def subadditivity_violations(self):
         """One violation per negative cone (x <= y, every limit cone
@@ -192,46 +178,36 @@ class _InfiniteModel:
 
 
 class _FiniteModel:
-    """A DiscreteFunction as the shared tests read it, with one value per
-    point and all group pairs scanned once on the values scaled to
-    integers; `symmetry_violations` refuses an f that is not a group
-    point."""
+    """A DiscreteFunction as the shared checks read it: the group points
+    over q with their one-value rows over V, and all group pairs scanned
+    once on those values."""
+
+    SIDES = (None,)
 
     def __init__(self, fn: DiscreteFunction):
         self.fn = fn
-        self.table = tuple((p, (v,)) for p, v in zip(fn.points, fn.values))
 
     @cached_property
-    def scaled(self) -> tuple[list[int], int]:
+    def tables(self) -> tuple[range, list[tuple[int]], int, int]:
         V = common_denominator(self.fn.values)
-        return [v.numerator * (V // v.denominator) for v in self.fn.values], V
+        u = [v.numerator * (V // v.denominator) for v in self.fn.values]
+        return range(self.fn.q + 1), list(zip(u)), self.fn.q, V
 
     @cached_property
     def scan(self):
         """(neg, zero, min_pos) of `_scan.scan_discrete`, in units of 1/V."""
-        return _scan.scan_discrete(self.scaled[0], self.fn.q)
+        return _scan.scan_discrete([v for v, in self.tables[1]], self.fn.q)
 
-    def range_violations(self):
-        u, V = self.scaled
-        for (x, (val,)), v in zip(self.table, u):
-            if not 0 <= v <= V:
-                yield _range_violation(x, None, val)
-
-    def symmetry_violations(self, f: Fraction):
-        """pi(a) + pi(f - a) = 1 on the scaled values; Fractions are built
-        only for a failing point."""
-        q, points, (u, V) = self.fn.q, self.fn.points, self.scaled
-        fi = f * q
-        if fi.denominator != 1:
+    def symmetry_table(self, f: Fraction):
+        """As for the infinite model, over the q group points; an f that is
+        not a group point is refused here."""
+        points, rows, q, V = self.tables
+        if (f * q).denominator != 1:
             raise ConstructionError(f"f = {f} is not a point of (1/{q})Z")
-        for a in range(q):
-            s = u[a] + u[(fi.numerator - a) % q]
-            if s != V:
-                yield Violation("symmetry", x=points[a],
-                                slack=Fraction(s - V, V))
+        return points[:-1], rows, V, int(f * q), q
 
     def subadditivity_violations(self):
-        q, V = self.fn.q, self.scaled[1]
+        q, V = self.fn.q, self.tables[3]
         for i, j, d in self.scan[0]:
             yield Violation("subadditivity", x=Fraction(i, q),
                             y=Fraction(j, q), slack=Fraction(d, V))
@@ -254,11 +230,12 @@ def find_f(fn: PiecewiseFunction | DiscreteFunction) -> Fraction:
 
 
 def _find_f(m) -> Fraction:
-    inner = m.table[1:-1]  # the points of (0, 1)
-    for x, t in inner:
-        if t[0] == 1:
-            return x
-    if any(v == 1 for _, t in inner for v in t[1:]):
+    points, rows, D, V = m.tables
+    inner = rows[1:-1]  # the points of (0, 1)
+    for p, row in zip(points[1:], inner):
+        if row[0] == V:
+            return Fraction(p, D)
+    if any(V in row[1:] for row in inner):
         raise NoCandidateFError(
             "no value in (0, 1) equals 1 (only a one-sided limit does)")
     raise NoCandidateFError("no candidate f: no value in (0, 1) equals 1")
@@ -266,22 +243,33 @@ def _find_f(m) -> Fraction:
 
 def _value_violations(m):
     """pi(0) = 0, then the range [0, 1] of every value and limit."""
-    x0, (v0, *_) = m.table[0]
-    if v0 != 0:
-        yield Violation("value-at-0", x=x0, slack=v0)
-    yield from m.range_violations()
+    points, rows, D, V = m.tables
+    if rows[0][0]:
+        yield Violation("value-at-0", x=Fraction(points[0], D),
+                        slack=Fraction(rows[0][0], V))
+    n = len(m.SIDES)
+    for i, v in enumerate(chain.from_iterable(rows)):  # row i // n, side i % n
+        if not 0 <= v <= V:
+            yield Violation("range", x=Fraction(points[i // n], D),
+                            sides=m.SIDES[i % n],
+                            slack=Fraction(min(v, V - v), V))
 
 
-def _range_violation(x, side, val) -> Violation:
-    return Violation("range", x=x, sides=side, slack=min(val, 1 - val))
-
-
-def _pair_violations(m, f: Optional[Fraction]):
-    """Symmetry pi(x) + pi(f - x) = 1 when f is known, then
-    subadditivity."""
-    if f is not None:
-        yield from m.symmetry_violations(f)
-    yield from m.subadditivity_violations()
+def _symmetry_violations(m, f: Optional[Fraction]):
+    """pi(x) + pi(f - x) = 1 with every limit when f is known, at the
+    points x of the model's symmetry table, in increasing order."""
+    if f is None:
+        return
+    grid, lim, W, fD, D = m.symmetry_table(f)
+    sides = list(enumerate(m.SIDES))
+    for p in grid:
+        t, u = lim[p], lim[(fD - p) % D]
+        # side s pairs with side -s of the mirror (value with value, right
+        # with left): the mirror map reverses orientation
+        for s, side in sides:
+            if t[s] + u[-s] != W:
+                yield Violation("symmetry", x=Fraction(p, D), sides=side,
+                                slack=Fraction(t[s] + u[-s] - W, W))
 
 
 def _minimality_test(m, f, collect_all: bool) -> MinimalityReport:
@@ -300,7 +288,8 @@ def _minimality_test(m, f, collect_all: bool) -> MinimalityReport:
         ff = None
     if ff is not None and not 0 < ff < 1:
         raise ConstructionError(f"invalid f = {ff}, must lie in (0, 1)")
-    violations += islice(_pair_violations(m, ff), take)
+    violations += islice(chain(_symmetry_violations(m, ff),
+                               m.subadditivity_violations()), take)
     return MinimalityReport(not violations, ff, tuple(violations))
 
 
@@ -331,9 +320,8 @@ def detect_zero_period(fn: PiecewiseFunction) -> Optional[int]:
         return None
     q = b.denominator
     step = Fraction(1, q)
-    grid = sorted({x for x in fn.breakpoints}
-                  | {_reduce_mod_one(x + step) for x in fn.breakpoints})
-    for x in grid:
+    # limits_at reduces mod 1
+    for x in {*fn.breakpoints, *(x + step for x in fn.breakpoints)}:
         if fn.limits_at(x) != fn.limits_at(x + step):
             raise ConstructionError(
                 f"pi({b}) = 0 but pi is not 1/{q}-periodic; "

@@ -25,7 +25,7 @@ from typing import Optional, Sequence
 
 from ._scan import SIDE_TRIPLES
 from .complex2d import (_BESIDE, _boundary, generate_maximal_additive_faces,
-                        scan_vertex_slacks)
+                        vertex_slacks)
 from .covering import (CoveredComponentSet, directly_covered_components,
                        generate_covered_components)
 from .errors import ParameterError
@@ -151,13 +151,15 @@ def plot_function(fn: PiecewiseFunction,
 
 
 def _cone_rays(sides) -> tuple:
-    """The directions (dx, dy) of a limit cone's rays: a ray (a cone with
-    a zero side) points along (sx, sy); a sector spans the two rays beside
-    it, the second a left turn from the first."""
+    """The directions (dx, dy) of a limit cone's rays, each with its length:
+    a ray (a cone with a zero side) points along (sx, sy); a sector spans
+    the two rays beside it, the second a left turn from the first."""
     if sides in _BESIDE:
-        return (sides[:2],)
-    a, b = (r[:2] for r, beside in _BESIDE.items() if sides in beside)
-    return (a, b) if a[0] * b[1] > a[1] * b[0] else (b, a)
+        rays = (sides[:2],)
+    else:
+        a, b = (r[:2] for r, beside in _BESIDE.items() if sides in beside)
+        rays = (a, b) if a[0] * b[1] > a[1] * b[0] else (b, a)
+    return tuple((dx, dy, (dx * dx + dy * dy) ** 0.5) for dx, dy in rays)
 
 
 _CONE_RAYS = {s: _cone_rays(s) for s in SIDE_TRIPLES if any(s)}
@@ -235,32 +237,28 @@ def plot_2d_diagram_with_cones(fn: PiecewiseFunction,
     sq = _Square(fn, spec)
     sq.draw_grid()
     sq.draw_border_functions()
-    _, neg, zero, _ = scan_vertex_slacks(fn, upper_triangle=False)
+    rec = vertex_slacks(fn)
     radius = (sq.S - sq.M) * 0.035
     dot = max(2.2, spec.size * 0.005)
 
-    def draw(pt, sides, color):
-        px, py = sq.at(pt[0]), sq.at(pt[1])
-        if sides == (0, 0, 0):
-            sq.doc.circle(px, py, dot, color)
-            return
-        dirs = _CONE_RAYS[sides]
-        if len(dirs) == 1:
-            dx, dy = dirs[0]
-            n = (dx * dx + dy * dy) ** 0.5
-            sq.doc.line(px, py, px + radius * dx / n, py + radius * dy / n,
-                        color, 2.0)
-        else:
-            pts = [(px, py)]
-            for dx, dy in dirs:
-                n = (dx * dx + dy * dy) ** 0.5
-                pts.append((px + radius * dx / n, py + radius * dy / n))
-            sq.doc.polygon(pts, color, opacity=0.65)
-
-    for pt, sides in sorted(zero):
-        draw(pt, sides, ROLE_COLORS["additive"])
-    for pt, sides, _slack in sorted(neg):
-        draw(pt, sides, ROLE_COLORS["violated"])
+    for entries, color in ((rec.tight, ROLE_COLORS["additive"]),
+                           (rec.neg, ROLE_COLORS["violated"])):
+        # both halves of the square, sorted as integers: in point order
+        cones = [e[:3] for e in entries] + [
+            (y, x, (s[1], s[0], s[2])) for x, y, s, *_ in entries if x < y]
+        for x, y, sides in sorted(cones):
+            px, py = sq.at(x / rec.D), sq.at(y / rec.D)
+            rays = _CONE_RAYS.get(sides)
+            if rays is None:  # the value, a dot
+                sq.doc.circle(px, py, dot, color)
+            elif len(rays) == 1:
+                dx, dy, n = rays[0]
+                sq.doc.line(px, py, px + radius * dx / n, py + radius * dy / n,
+                            color, 2.0)
+            else:
+                sq.doc.polygon([(px, py)] + [
+                    (px + radius * dx / n, py + radius * dy / n)
+                    for dx, dy, n in rays], color, opacity=0.65)
     return sq.doc.finish()
 
 

@@ -20,38 +20,32 @@ from .pwl import (DiscreteFunction, PiecewiseFunction,
                   from_breakpoints_and_values)
 from .rational import common_denominator, to_rational
 
-ZERO = Fraction(0)
-ONE = Fraction(1)
-
 
 def multiplicative_homomorphism(fn: PiecewiseFunction, lam: int) -> PiecewiseFunction:
     """The function x -> fn(lam * x) for a nonzero integer lam.
 
-    Breakpoints are the preimages of the original breakpoints under
-    multiplication by lam (reduced to [0, 1]); one-sided limits swap
-    orientation when lam is negative.  f maps to the smallest
-    representative r in (0, 1) with lam * r = f (mod 1) and value 1.
+    Breakpoints are the preimages c of the original breakpoints b under
+    multiplication by lam (reduced to [0, 1]); lam * c = b (mod 1), so c
+    takes b's limit triple, with the one-sided limits swapped when lam is
+    negative.  f maps to the smallest representative r in (0, 1) with
+    lam * r = f (mod 1) when fn(f) = 1; each such r has fn(lam * r) = fn(f).
     """
     if int(lam) != lam or lam == 0:
         raise ParameterError("lam must be a nonzero integer")
     lam = int(lam)
     ts = range(min(0, lam), max(0, lam) + 1)
-    pts = sorted({(b + t) / Fraction(lam) for b in fn.breakpoints for t in ts
-                  if 0 <= (b + t) / Fraction(lam) <= 1} | {ZERO, ONE})
-    triples = []
-    for c in pts:
-        s = lam * c
-        value = fn(s)
-        if lam > 0:
-            triples.append((value, fn.limit(s, 1), fn.limit(s, -1)))
-        else:
-            triples.append((value, fn.limit(s, -1), fn.limit(s, 1)))
+    at = {}
+    for b, (v, r, l) in zip(fn.breakpoints, fn.limits):
+        triple = (v, r, l) if lam > 0 else (v, l, r)
+        for t in ts:
+            c = (b + t) / lam
+            if 0 <= c <= 1:
+                at[c] = triple
+    pts = sorted(at)
     new_f = None
-    if fn.f is not None:
-        cands = sorted(r for r in ((fn.f + t) / Fraction(lam) for t in ts)
-                       if 0 < r < 1)
-        new_f = next((r for r in cands if fn(lam * r) == 1), None)
-    return from_breakpoints_and_limits(pts, triples, f=new_f, merge=True)
+    if fn.f is not None and fn(fn.f) == 1:
+        new_f = min(r for r in ((fn.f + t) / lam for t in ts) if 0 < r < 1)
+    return from_breakpoints_and_limits(pts, [at[c] for c in pts], f=new_f)
 
 
 def automorphism(fn: Union[PiecewiseFunction, DiscreteFunction],
@@ -66,14 +60,10 @@ def automorphism(fn: Union[PiecewiseFunction, DiscreteFunction],
         if int(lam) != lam or gcd(int(lam), fn.q) != 1:
             raise ParameterError(
                 f"lam must be an integer coprime with the group order {fn.q}")
-        lam = int(lam) % fn.q
-        q = fn.q
+        q, lam = fn.q, int(lam) % fn.q
         values = tuple(fn.values[(lam * i) % q] for i in range(q)) + (fn.values[0],)
-        new_f = None
-        if fn.f is not None:
-            fi = int(fn.f * q) % q
-            inv = pow(lam, -1, q)
-            new_f = Fraction((inv * fi) % q, q)
+        new_f = None if fn.f is None else Fraction(
+            pow(lam, -1, q) * int(fn.f * q) % q, q)
         return DiscreteFunction(q, fn.points, values, new_f)
     if lam not in (1, -1):
         raise ParameterError(

@@ -49,6 +49,56 @@ def zero_fn():
 
 # -- independent oracles ------------------------------------------------------
 
+def oracle_value_violations(fn, f=None):
+    """The value conditions of minimality in Fractions, read from fn.limits
+    or fn.values: (violations, found).  The violations are (kind, x, sides,
+    slack) tuples in the order of minimality_test: pi(0) = 0, then
+    0 <= pi <= 1 at every breakpoint or group point and side, then
+    pi(x) + pi(f - x) = 1 with every limit, at f, else fn.f, else the
+    found f (skipped when there is none).  found is the first point of
+    (0, 1) with value 1, or the (type, message) of find_f's refusal.  An f
+    that is not a point of the finite group is a ConstructionError."""
+    if isinstance(fn, gc.DiscreteFunction):
+        names, entries = (None,), [(x, (v,)) for x, v in zip(fn.points, fn.values)]
+    else:
+        names, entries = ("value", "right", "left"), list(zip(fn.breakpoints,
+                                                              fn.limits))
+    out = []
+    x0, (v0, *_) = entries[0]
+    if v0 != 0:
+        out.append(("value-at-0", x0, None, v0))
+    for x, t in entries:
+        out += [("range", x, side, min(v, 1 - v))
+                for side, v in zip(names, t) if not 0 <= v <= 1]
+    inner = entries[1:-1]
+    found = next((x for x, t in inner if t[0] == 1), None)
+    if found is None:
+        found = (gc.NoCandidateFError, "no value in (0, 1) equals 1 (only a "
+                 "one-sided limit does)" if any(1 in t[1:] for _, t in inner)
+                 else "no candidate f: no value in (0, 1) equals 1")
+    if f is None:
+        f = fn.f if fn.f is not None else (
+            found if isinstance(found, F) else None)
+    if f is None:
+        return out, found
+    if isinstance(fn, gc.DiscreteFunction):
+        if (f * fn.q).denominator != 1:
+            raise gc.ConstructionError(
+                f"f = {f} is not a point of (1/{fn.q})Z")
+        for x, (v,) in entries[:-1]:
+            if v + fn(f - x) != 1:
+                out.append(("symmetry", x, None, v + fn(f - x) - 1))
+        return out, found
+    bk = fn.breakpoints
+    for x in sorted({*bk, *((f - b) % 1 for b in bk)}):
+        # the mirror x -> f - x swaps the right and the left limit
+        v, r, l = fn.limits_at(f - x)
+        for side, a, b in zip(names, fn.limits_at(x), (v, l, r)):
+            if a + b != 1:
+                out.append(("symmetry", x, side, a + b - 1))
+    return out, found
+
+
 def oracle_maximal_additive_faces(fn):
     """Brute force: mark every face whose vertices all have zero slack,
     then keep the inclusion-maximal ones.  Valid for continuous functions,

@@ -12,7 +12,7 @@ from groupcut.complex2d import (faces_of_complex, scan_vertex_slacks,
                                 vertex_slacks)
 from groupcut.minimality import witness_face
 
-from conftest import oracle_delta_pi_limit
+from conftest import oracle_delta_pi_limit, oracle_value_violations
 
 
 def _wrap(t, side):
@@ -312,6 +312,79 @@ def test_integer_symmetry_check_matches_fraction_limits():
             checked += 1
             failing += bool(want)
     assert checked > 40 and 0 < failing < checked
+
+
+def _value_check_inputs(count):
+    """(fn, f) pairs, half in each model: random piecewise functions of
+    mixed continuity and symmetry, some with a value or limit moved out of
+    [0, 1] or onto 1, each at f = None or at an f off the breakpoint grid;
+    random functions on (1/q)Z, partly symmetric, at f = None, a group
+    point, or a point off the group."""
+    import random
+
+    rng, out = random.Random(7), []
+    for seed in range(count // 2):
+        fn = gc.random_piecewise_function(
+            rng.randint(2, 6), rng.randint(2, 4), rng.choice([0, F(1, 2), 1]),
+            rng.random() < 0.7, seed=seed)
+        if rng.random() < 0.4:
+            lim = [list(t) for t in fn.limits]
+            lim[rng.randrange(len(lim) - 1)][rng.randrange(3)] = F(
+                rng.choice([-1, 4, 5]), 4)
+            lim[-1] = lim[0]
+            fn = gc.from_breakpoints_and_limits(fn.breakpoints, lim, f=fn.f)
+        out.append((fn, rng.choice([None, F(rng.randrange(1, 11), 11)])))
+    for _ in range(count - count // 2):
+        q = rng.randint(2, 10)
+        vals = [F(rng.randint(-1, 5) if rng.random() < 0.15 else
+                  rng.randint(0, 4), 4) for _ in range(q)]
+        fi = rng.randrange(1, q)
+        if rng.random() < 0.6:
+            for a in range(q):
+                if rng.random() < 0.8:
+                    vals[(fi - a) % q] = 1 - vals[a]
+            vals[0] = F(0) if rng.random() < 0.8 else vals[0]
+        fn = gc.discrete_from_points_and_values(
+            [F(i, q) for i in range(q + 1)], [*vals, vals[0]],
+            f=F(fi, q) if rng.random() < 0.5 else None)
+        out.append((fn, rng.choice([None, F(fi, q), F(1, q + 1)])))
+    return out
+
+
+def test_value_checks_match_the_fraction_oracle():
+    # value-at-0, range and symmetry violations, in order, and find_f's
+    # result or refusal, against Fraction limits in both models; an f off
+    # the finite group is refused
+    import re
+
+    kinds = Counter()
+    for fn, f in _value_check_inputs(1000):
+        _, found = oracle_value_violations(fn)
+        if isinstance(found, F):
+            assert gc.find_f(fn) == found
+        else:
+            with pytest.raises(found[0], match=re.escape(found[1])):
+                gc.find_f(fn)
+            found = None
+        try:
+            want, _ = oracle_value_violations(fn, f)
+        except gc.ConstructionError as e:
+            with pytest.raises(gc.ConstructionError, match=re.escape(str(e))):
+                gc.minimality_test(fn, f)
+            kinds["refused"] += 1
+            continue
+        f_used = next((g for g in (f, fn.f, found) if g is not None), None)
+        if f_used is None and not want:
+            with pytest.raises(gc.NoCandidateFError):
+                gc.minimality_test(fn, f)
+            kinds["no f"] += 1
+            continue
+        rep = gc.minimality_test(fn, f)
+        assert rep.f_used == f_used
+        assert [(v.kind, v.x, v.sides, v.slack) for v in rep.violations
+                if v.kind != "subadditivity"] == want
+        kinds.update(k for k, *_ in want)
+    assert min(kinds.values()) > 20, kinds
 
 
 def _random_sparse_systems(rng, count):

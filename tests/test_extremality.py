@@ -876,4 +876,4 @@ def test_one_vertex_scan_per_verdict(monkeypatch):
                hom(gc.gj_2_slope(), 2)):
         callers.clear()
         assert gc.extremality_test(fn).is_extreme
-        assert callers == {"scan_slacks": 1, "symmetry_violations": 1}
+        assert callers == {"scan_slacks": 1, "symmetry_table": 1}
