@@ -40,16 +40,20 @@ def _out_dir() -> Path:
     return Path(os.environ.get("GROUPCUT_OUT_DIR", "."))
 
 
-def _load(args):
+def _load(args, piecewise: bool = False):
     """Input resolution: an existing path or *.json is a function file,
     anything else a compendium name with --param arguments (p/q, an
     integer, true or false; each name once).  --param and --f are refused
-    on a function file, and --f next to --param f=."""
+    on a function file, and --f next to --param f=; with piecewise, so is
+    a discrete function file."""
     name, f = args.input, getattr(args, "f", None)
     if name.endswith(".json") or os.path.exists(name):
         if args.param or f:
             raise GroupCutError("--param and --f are for compendium names")
-        return load_function(name)
+        fn = load_function(name)
+        if piecewise and isinstance(fn, DiscreteFunction):
+            raise GroupCutError(f"{args.verb} expects a piecewise function")
+        return fn
     params = {}
     for item in args.param or []:
         key, _, raw = item.partition("=")
@@ -178,7 +182,7 @@ def cmd_extremality(args) -> int:
 
 
 def cmd_covered(args) -> int:
-    fn = _load(args)
+    fn = _load(args, piecewise=True)
     cc = generate_covered_components(fn)
     if args.json:
         print(json.dumps(components_to_dict(cc), indent=2))
@@ -202,7 +206,7 @@ def cmd_covered(args) -> int:
 
 
 def cmd_faces(args) -> int:
-    fn = _load(args)
+    fn = _load(args, piecewise=True)
     faces = (generate_maximal_additive_faces(fn) if args.maximal
              else generate_additive_faces(fn))
     if args.json:
@@ -215,13 +219,13 @@ def cmd_faces(args) -> int:
 
 
 def cmd_merit(args) -> int:
-    fn = _load(args)
+    fn = _load(args, piecewise=True)
     print(merit_index(fn))
     return 0
 
 
 def cmd_restrict(args) -> int:
-    fn = _load(args)
+    fn = _load(args, piecewise=True)
     dfn = restrict_to_finite_group(
         fn, oversampling=args.oversampling, order=args.order)
     print(dumps_function(dfn), end="")
@@ -237,7 +241,7 @@ def cmd_interpolate(args) -> int:
 
 
 def cmd_transform(args) -> int:
-    fn = _load(args)
+    fn = _load(args, piecewise=args.homomorphism is not None)
     if args.homomorphism is not None:
         out = multiplicative_homomorphism(fn, args.homomorphism)
     else:

@@ -153,7 +153,7 @@ class _Classes:
     def __init__(self, fn: PiecewiseFunction, D: int):
         self.D, self.closed = D, fn.is_continuous
         self.cuts, self.cutset, self.parent = [0, D], {0, D}, {}
-        self.classes, self.slopes = 0, len(set(fn._slope_ids()))
+        self.classes, self.slopes = 0, fn.number_of_slopes()
         self.uncovered = 1  # the cell (0, D)
         self.exempt = {2 * b.numerator * (D // b.denominator)
                        for b in fn.breakpoints if D % b.denominator == 0}

@@ -7,7 +7,9 @@ triple (value, right limit, left limit).  On each open interval
 at x_i and the left limit at x_{i+1}; this supports one-sided
 discontinuities.  Periodicity is implicit: the triples stored at 0 and at 1
 are equal and describe the one periodic point, so the slot lefts[0] is the
-left limit at 1 and rights[-1] the right limit at 0.
+left limit at 1 and rights[-1] the right limit at 0.  Merging and equality
+drop the interior points that are neither discontinuities nor slope
+changes, and decide equal slopes on the integer slope ids of the pieces.
 
 Discrete functions on the cyclic group (1/q)Z are represented by their full
 value table on [0, 1].
@@ -110,7 +112,7 @@ class PiecewiseFunction:
         return list(self._cache["slopes"])
 
     def number_of_slopes(self) -> int:
-        return len(set(self.interval_slopes()))
+        return len(set(self._slope_ids()))
 
     def _slope_ids(self) -> list[int]:
         """A small id per piece, shared exactly by the pieces of one slope."""
@@ -160,7 +162,7 @@ class PiecewiseFunction:
         bk, lm = self.breakpoints, self.limits
         if bk[i] == x:
             return AffinePiece(Fraction(0), lm[i][0], (bk[i], bk[i]))
-        slope = (lm[i + 1][2] - lm[i][1]) / (bk[i + 1] - bk[i])
+        slope = self.interval_slopes()[i]
         intercept = lm[i][1] - slope * bk[i]
         return AffinePiece(slope, intercept, (bk[i], bk[i + 1]))
 
@@ -187,8 +189,11 @@ class PiecewiseFunction:
 
     def _canonical(self):
         if "canon" not in self._cache:
-            bk, lm = _merge(self.breakpoints, self.limits)
-            self._cache["canon"] = (bk, lm)
+            ids, n = self._slope_ids(), len(self.breakpoints) - 1
+            keep = [i for i, (v, r, l) in enumerate(self.limits)
+                    if i in (0, n) or not v == r == l or ids[i - 1] != ids[i]]
+            self._cache["canon"] = (tuple(self.breakpoints[i] for i in keep),
+                                    tuple(self.limits[i] for i in keep))
         return self._cache["canon"]
 
     def __eq__(self, other):
@@ -215,31 +220,15 @@ def _validate_breakpoints(bkpt: Sequence) -> tuple[Fraction, ...]:
     return pts
 
 
-def _merge(bkpt: tuple[Fraction, ...], limits: tuple[Triple, ...]):
-    """Drop interior points that are neither slope changes nor
-    discontinuities.  0 and 1 are always retained."""
-    n = len(bkpt) - 1
-    keep = [True] * (n + 1)
-    for i in range(1, n):
-        v, r, l = limits[i]
-        if not (v == r == l):
-            continue
-        left_slope = (limits[i][2] - limits[i - 1][1]) / (bkpt[i] - bkpt[i - 1])
-        right_slope = (limits[i + 1][2] - limits[i][1]) / (bkpt[i + 1] - bkpt[i])
-        if left_slope == right_slope:
-            keep[i] = False
-    bk = tuple(b for b, k in zip(bkpt, keep) if k)
-    lm = tuple(t for t, k in zip(limits, keep) if k)
-    return bk, lm
-
-
 def from_breakpoints_and_limits(bkpt, limits, f=None, merge: bool = True) -> PiecewiseFunction:
     """Possibly discontinuous function from breakpoints and limit triples.
 
     Each triple is (value, right limit, left limit); the dict spelling
     {-1: left, 0: value, 1: right} is also accepted.  The triples given at 0
     and at 1 must be equal, since they describe the same periodic point
-    (value at 0, right limit at 0, left limit at 1).
+    (value at 0, right limit at 0, left limit at 1).  With merge, the
+    interior points that are neither discontinuities nor slope changes are
+    dropped; equal slopes are decided on the integer slope ids.
     """
     pts = _validate_breakpoints(bkpt)
     if len(limits) != len(pts):
@@ -250,7 +239,7 @@ def from_breakpoints_and_limits(bkpt, limits, f=None, merge: bool = True) -> Pie
         raise ConstructionError(
             "limit triples at 0 and 1 must agree (one periodic point)")
     if merge:
-        pts, triples = _merge(pts, triples)
+        pts, triples = PiecewiseFunction(pts, triples)._canonical()
     ff = to_rational(f) if f is not None else None
     if ff is not None and not (0 < ff < 1):
         raise ConstructionError("f must lie in (0, 1)")

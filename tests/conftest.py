@@ -99,6 +99,25 @@ def oracle_value_violations(fn, f=None):
     return out, found
 
 
+def oracle_canonical(bkpt, limits):
+    """(breakpoints, limits) with the interior points dropped that are
+    continuous and have equal Fraction slopes on both sides: each slope is
+    the rise from the right limit at one end to the left limit at the
+    other, over the run.  0 and 1 always stay."""
+    n = len(bkpt) - 1
+    keep = [True] * (n + 1)
+    for i in range(1, n):
+        v, r, l = limits[i]
+        if not (v == r == l):
+            continue
+        left_slope = (limits[i][2] - limits[i - 1][1]) / (bkpt[i] - bkpt[i - 1])
+        right_slope = (limits[i + 1][2] - limits[i][1]) / (bkpt[i + 1] - bkpt[i])
+        if left_slope == right_slope:
+            keep[i] = False
+    return (tuple(b for b, k in zip(bkpt, keep) if k),
+            tuple(t for t, k in zip(limits, keep) if k))
+
+
 def oracle_maximal_additive_faces(fn):
     """Brute force: mark every face whose vertices all have zero slack,
     then keep the inclusion-maximal ones.  Valid for continuous functions,

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from groupcut.cli import main
 
 
@@ -272,6 +274,20 @@ class TestDataVerbs:
     def test_transform_bad_automorphism(self, capsys):
         code, _, err = run(capsys, "transform", "gmic", "--automorphism", "2")
         assert code == 2
+
+    @pytest.mark.parametrize("verb", [
+        "covered", "faces", "merit", "restrict --oversampling 2",
+        "transform --homomorphism 2"])
+    def test_piecewise_verbs_refuse_a_discrete_file(self, capsys, tmp_path,
+                                                    verb):
+        # an error (exit 2), not a fault inside the verb (exit 3)
+        _, out, _ = run(capsys, "restrict", "gmic", "--oversampling", "2")
+        path = tmp_path / "discrete.json"
+        path.write_text(out)
+        name, *options = verb.split()
+        code, out, err = run(capsys, name, str(path), *options)
+        assert code == 2 and not out
+        assert err.startswith("error: ") and "internal error" not in err
 
     def test_random_deterministic(self, capsys):
         code, out1, _ = run(capsys, "random", "--seed", "5")

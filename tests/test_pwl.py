@@ -5,7 +5,7 @@ import pytest
 import groupcut as gc
 from groupcut.errors import ConstructionError
 
-from conftest import oracle_linear_combination
+from conftest import oracle_canonical, oracle_linear_combination
 
 
 class TestConstructors:
@@ -232,6 +232,37 @@ class TestMergeSemantics:
                 v, r, l = fn.limits[i]
                 genuine = not (v == r == l) or slopes[i - 1] != slopes[i]
                 assert genuine, f"non-breakpoint survived merge at index {i}"
+
+    def test_merge_and_canonical_match_the_fraction_merge(self):
+        # merging and == decide equal slopes on the integer slope ids, against
+        # the Fraction merge of oracle_canonical.  Breakpoints on 1/24, values
+        # on 1/2, about a fifth of the points one-sided discontinuous
+        import random
+
+        rng = random.Random(26)
+        half = [F(k, 2) for k in range(3)]
+        dropped = kept_jumps = 0
+        for _ in range(2000):
+            pts = [F(0), *sorted(F(k, 24) for k in rng.sample(
+                range(1, 24), rng.randint(1, 10))), F(1)]
+            triples = []
+            for _ in pts[:-1]:
+                v = rng.choice(half)
+                t = [v, v, v]
+                if rng.random() < 0.2:
+                    t[rng.choice((1, 2))] = rng.choice([h for h in half if h != v])
+                triples.append(tuple(t))
+            triples.append(triples[0])
+            want = oracle_canonical(tuple(pts), tuple(triples))
+            merged = gc.from_breakpoints_and_limits(pts, triples, merge=True)
+            raw = gc.from_breakpoints_and_limits(pts, triples, merge=False)
+            assert (merged.breakpoints, merged.limits) == want
+            assert raw._canonical() == want == merged._canonical()
+            for fn in (merged, raw):
+                assert fn.number_of_slopes() == len(set(fn.interval_slopes()))
+            dropped += len(pts) > len(want[0])
+            kept_jumps += any(not v == r == l for v, r, l in want[1][1:-1])
+        assert dropped >= 500 and kept_jumps >= 500, (dropped, kept_jumps)
 
 
 def test_random_symmetry_needs_interior_f():
