@@ -29,6 +29,10 @@ the vertices number O(n^2) with up to 13 cones each.  The symmetry check
 of minimality reads the same kind of table at the breakpoints and their
 mirror images.
 
+The finite scan walks the pairs of the group by diagonal, (i, i + d) in
+order of d = j - i and then i; its negative pairs are returned in (i, j)
+order, its tight pairs in diagonal order.
+
 This module has no package dependencies.
 """
 
@@ -144,22 +148,25 @@ def scan_discrete(v, q):
 
     v has q+1 entries (v[q] == v[0]), one common scale.  Returns
     (neg, zero, min_pos) with neg/zero lists of (i, j, slack) over i <= j
-    and min_pos the smallest positive slack (0 when none).
+    and min_pos the smallest positive slack (0 when none).  The pairs are
+    walked by diagonal, (i, i + d) in order of d and then i, so zero comes
+    out in that order: the sums 2i + d of one diagonal sweep the group,
+    and a system read in this order reaches full rank early.  neg is
+    sorted back to (i, j) order.
     """
     neg = []
     zero = []
     min_pos = 0
-    for i in range(q + 1):
-        vi = v[i]
-        for j in range(i, q + 1):
-            s = i + j
-            if s > q:
-                s -= q
-            d = vi + v[j] - v[s]
-            if d < 0:
-                neg.append((i, j, d))
-            elif d == 0:
-                zero.append((i, j, d))
-            elif min_pos == 0 or d < min_pos:
-                min_pos = d
+    ext = v + v[1:]  # ext[s] = v[s mod q] for 0 <= s <= 2q
+    for d in range(q + 1):
+        for i in range(q + 1 - d):
+            j = i + d
+            s = ext[i] + ext[j] - ext[i + j]
+            if s < 0:
+                neg.append((i, j, s))
+            elif s == 0:
+                zero.append((i, j, s))
+            elif min_pos == 0 or s < min_pos:
+                min_pos = s
+    neg.sort()
     return neg, zero, min_pos

@@ -396,11 +396,12 @@ class _FiniteExtremality(_FiniteModel):
 
     def system(self, f: Fraction):
         """The unknowns are the q - 1 interior values of a perturbation; the
-        rows are the normalization at f, the symmetry relations and every
-        tight additivity, in first-seen order, deduplicated by their sparse
-        integer key ((column, coefficient), ...), which is the row the
-        system keeps; each kept row keeps its provenance template and
-        group indices.  A key is built from the group indices directly:
+        rows are the normalization at f and the symmetry relations, made
+        now, then every tight additivity in the scan's diagonal order, made
+        as the system's stream is read; rows are deduplicated by their
+        sparse integer key ((column, coefficient), ...), which is the row
+        the system keeps, and each kept row keeps its provenance template
+        and group indices.  A key is built from the group indices directly:
         index a in 1..q-1 is column a - 1, and pi~(0) = 0 drops out."""
         fn = self.fn
         q, f_idx = fn.q, int(f * fn.q) % fn.q
@@ -418,24 +419,28 @@ class _FiniteExtremality(_FiniteModel):
             key = pair(a, m) if a <= m else pair(m, a)
             if key not in kept:
                 kept[key] = ("symmetry pi~({}) + pi~({}) = 0", a, m)
-        # the scan's tight pairs 0 <= i <= j <= q: pi~(i) + pi~(j) - pi~(c);
-        # for 0 < i <= j < q, c = i + j > j or c = i + j - q < i
-        for i, j, _ in self.scan[1]:
-            c = (i + j) % q
-            if not i or j == q:  # pi~(0) = 0 and c is the other index
-                key = ()
-            elif not c:
-                key = pair(i, j)
-            elif i == j:
-                key = ((i - 1, 2), (c - 1, -1)) if i < c else (
-                    (c - 1, -1), (i - 1, 2))
-            elif c < i:
-                key = ((c - 1, -1), (i - 1, 1), (j - 1, 1))
-            else:
-                key = ((i - 1, 1), (j - 1, 1), (c - 1, -1))
-            if key not in kept:
-                kept[key] = ("pi~({}) + pi~({}) = pi~({})", i, j, c)
-        system = EquationSystem(1, q - 1, q, (kept, kept.values()))
+
+        def stream():
+            """The scan's tight pairs 0 <= i <= j <= q: pi~(i) + pi~(j) -
+            pi~(c); for 0 < i <= j < q, c = i + j > j or c = i + j - q < i."""
+            for i, j, _ in self.scan[1]:
+                c = (i + j) % q
+                if not i or j == q:  # pi~(0) = 0 and c is the other index
+                    key = ()
+                elif not c:
+                    key = pair(i, j)
+                elif i == j:
+                    key = ((i - 1, 2), (c - 1, -1)) if i < c else (
+                        (c - 1, -1), (i - 1, 2))
+                elif c < i:
+                    key = ((c - 1, -1), (i - 1, 1), (j - 1, 1))
+                else:
+                    key = ((i - 1, 1), (j - 1, 1), (c - 1, -1))
+                if key not in kept:
+                    kept[key] = ("pi~({}) + pi~({}) = pi~({})", i, j, c)
+                    yield key
+
+        system = EquationSystem(1, q - 1, q, (kept, kept.values()), stream())
         return None, system, lambda vec: DiscreteFunction(
             q, fn.points, (ZERO, *vec, ZERO), f)
 

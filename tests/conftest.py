@@ -331,7 +331,8 @@ def oracle_equation_system(fn):
     its order, with sums in [0, 2] folded in two steps: t > 1 becomes
     t - 1, then 1 approached from the right is 0+ and 0 from the left 1-.
     Finite model: the normalization at f, the symmetry pairs, then every
-    pair (i, j), i <= j, of zero slack, found by evaluating the values."""
+    pair (i, i + d) of zero slack, by diagonal d and then i, found by
+    evaluating the values."""
     f = gc.minimality_test(fn).f_used
     rows = {}
     if isinstance(fn, gc.DiscreteFunction):
@@ -351,8 +352,9 @@ def oracle_equation_system(fn):
             put(((a, 1), (fi - a, 1)), "symmetry pi~({}) + pi~({}) = 0",
                 a, fi - a)
         v = fn.values
-        for i in range(q + 1):
-            for j in range(i, q + 1):
+        for d in range(q + 1):
+            for i in range(q + 1 - d):
+                j = i + d
                 if v[i] + v[j] == v[(i + j) % q]:
                     put(((i, 1), (j, 1), (i + j, -1)),
                         "pi~({}) + pi~({}) = pi~({})", i, j, i + j)

@@ -461,6 +461,21 @@ class TestStreamedSystem:
         assert len(rep.system) == 45 and len(cones) == 562
         assert len(interned) > before
 
+    @pytest.mark.parametrize("os, rows", [(1, 111), (2, 390), (3, 838),
+                                          (6, 3200)])
+    def test_finite_rows_are_made_up_to_the_last_rank_row(self, os, rows):
+        # read by diagonal, the tight pairs reach full rank three rows
+        # after ncols; the rows past the last rank row are made on the
+        # system's first read
+        rep = gc.extremality_test(
+            gc.restrict_to_finite_group(gc.gj_2_slope(), oversampling=os))
+        system = rep.system
+        assert rep.is_extreme and rep.rank_rows[-1] == system.ncols + 2
+        assert system.ncols + 2 == 30 * os + 1
+        assert len(system.drawn[0]) == rep.rank_rows[-1] + 1
+        assert "integer_rows" not in vars(system)
+        assert len(system) == rows
+
     def test_the_completed_system_is_the_whole_one(self):
         from groupcut.exactlinalg import _rank_rows
 

@@ -37,5 +37,24 @@ def test_complex_vertices_match_grid_line_intersections():
             (x, y) for x, y in pts if x <= y)
 
 
+def test_scan_discrete_matches_all_pairs():
+    # small values make negative, zero and positive slacks all common
+    rng = random.Random(27)
+    seen = set()
+    for q in range(1, 41):
+        for _ in range(3):
+            v = [rng.randint(-4, 4) for _ in range(q)]
+            v.append(v[0])
+            pairs = [(i, j, v[i] + v[j] - v[(i + j) % q])
+                     for i in range(q + 1) for j in range(i, q + 1)]
+            neg, zero, min_pos = _scan.scan_discrete(v, q)
+            assert neg == [p for p in pairs if p[2] < 0]
+            assert zero == sorted((p for p in pairs if p[2] == 0),
+                                  key=lambda p: (p[1] - p[0], p[0]))
+            assert min_pos == min((s for *_, s in pairs if s > 0), default=0)
+            seen.update((s > 0) - (s < 0) for *_, s in pairs)
+    assert seen == {-1, 0, 1}
+
+
 def test_default_selection_reports_implementation():
     assert kernels.implementation() == "pure-python"
