@@ -6,16 +6,17 @@ two-dimensional additivity complex (up to 12 limit cones per vertex), and the
 all-pairs scan for functions on a finite cyclic group.
 
 Everything here works on plain Python ints so results stay exact at any
-precision.  A piecewise function is passed as parallel tables:
+precision.  A piecewise function is passed as the table of
+PiecewiseFunction.scaled_tables():
 
     b       breakpoints scaled by a common denominator D, b[0] = 0, b[-1] = D
-    vals    value at each breakpoint, scaled by a common denominator V
-    rights  right limit at each breakpoint, scaled by V
-    lefts   left limit at each breakpoint, scaled by V
+    rows    rows[i] = (value, right limit, left limit) at b[i], each scaled
+            by a common denominator V
 
-The tables are periodic: entry 0 and entry n describe the same point of the
-circle, so lefts[0] is the left limit at 1 and rights[-1] the right limit
-at 0.  Query points are ints on the D-grid; sums up to 2*D are reduced here.
+The table is periodic: rows 0 and n describe the same point of the
+circle, so rows[0][2] is the left limit at 1 and rows[-1][1] the right
+limit at 0.  Query points are ints on the D-grid; sums up to 2*D are
+reduced here.
 
 A scan evaluates the function once per distinct coordinate, not once per
 cone: limit_table fills, for each coordinate p that the scan meets (x, y
@@ -61,21 +62,20 @@ SIDE_TRIPLES = (
 )
 
 
-def limit_table(b, vals, rights, lefts, V, coords):
+def limit_table(b, rows, V, coords):
     """The limits of the function at the grid points coords, once each.
 
     Returns (table, W): table[p] is the triple (value, right limit, left
     limit) at (p mod D) / D for each p of coords, each an integer over
     W = V * lcm(piece lengths), so it is indexed by side 0, 1 and -1.
     Keys are the points as given, so p and p + D are both keys when both
-    are met.  Reducing p mod D is what makes the periodic tables at 0/1
-    behave: the left limit at 0 reads lefts[0], stored as the left limit
+    are met.  Reducing p mod D is what makes the periodic table at 0/1
+    behave: the left limit at 0 reads rows[0][2], stored as the left limit
     at 1.
     """
     D = b[-1]
     L = lcm(*(hi - lo for lo, hi in zip(b, b[1:])))
-    at = {p: (vals[i] * L, rights[i] * L, lefts[i] * L)
-          for i, p in enumerate(b[:-1])}
+    at = {p: (v * L, r * L, l * L) for p, (v, r, l) in zip(b[:-1], rows)}
     table = {}
     for p in coords:
         r = p % D
@@ -83,15 +83,15 @@ def limit_table(b, vals, rights, lefts, V, coords):
         if t is None:
             # interior: interpolate from right(b[i]) to left(b[i + 1])
             i = bisect_right(b, r) - 1
-            lo, span = b[i], b[i + 1] - b[i]
-            v = ((rights[i] * span + (lefts[i + 1] - rights[i]) * (r - lo))
+            lo, span, right = b[i], b[i + 1] - b[i], rows[i][1]
+            v = ((right * span + (rows[i + 1][2] - right) * (r - lo))
                  * (L // span))
             t = (v, v, v)
         table[p] = t
     return table, V * L
 
 
-def scan_slacks(b, vals, rights, lefts, V, points, cones):
+def scan_slacks(b, rows, V, points, cones):
     """Classify slack signs at the query points (x, y), approached per each
     side triple of cones (SIDE_TRIPLES, or its first entry for the value).
 
@@ -100,7 +100,7 @@ def scan_slacks(b, vals, rights, lefts, V, points, cones):
     min_pos is the smallest positive slack as (num, den) (den == 0 when
     none was seen).  Every den is the W of limit_table.
     """
-    table, W = limit_table(b, vals, rights, lefts, V,
+    table, W = limit_table(b, rows, V,
                            {c for x, y in points for c in (x, y, x + y)})
     neg = []
     zero = []

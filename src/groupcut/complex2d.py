@@ -55,13 +55,12 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
 from typing import Iterable, Optional, Sequence
 
 from . import _scan
 from .errors import ConstructionError, NotSubadditiveError
 from .pwl import PiecewiseFunction
-from .rational import to_rational
+from .rational import on_grid, to_rational
 
 Interval = tuple[Fraction, Fraction]
 Point = tuple[Fraction, Fraction]
@@ -159,9 +158,8 @@ def face_from_triple(I, J, K) -> Face:
     of the intervals' common denominator."""
     ivs = (_coerce_interval(I, ZERO, ONE), _coerce_interval(J, ZERO, ONE),
            _coerce_interval(K, ZERO, TWO))
-    D = lcm(*(t.denominator for iv in ivs for t in iv))
-    return grid_face(_projections(*(
-        [t.numerator * (D // t.denominator) for t in iv] for iv in ivs)), D)
+    D, ends = on_grid(t for iv in ivs for t in iv)
+    return grid_face(_projections(*zip(ends[::2], ends[1::2])), D)
 
 
 def grid_face(key, D: int) -> Face:
@@ -284,7 +282,11 @@ def enumerate_complex_vertices(fn: PiecewiseFunction,
     grid lines x = x_i, y = x_j, x + y = x_k (+1), sorted and deduplicated,
     as fn's vertex slack record lists them.  With upper_triangle_only,
     restrict to x <= y."""
-    return scan_vertex_slacks(fn, upper_triangle_only)[0]
+    rec = vertex_slacks(fn)
+    points = rec.points
+    if not upper_triangle_only:
+        points = sorted(points + [(y, x) for x, y in points if x < y])
+    return [(Fraction(x, rec.D), Fraction(y, rec.D)) for x, y in points]
 
 
 @dataclass(frozen=True)
@@ -314,12 +316,11 @@ def vertex_slacks(fn: PiecewiseFunction) -> VertexSlacks:
     test), the system rows and the epsilon bounds all read it."""
     rec = fn._cache.get("vertex_slacks")
     if rec is None:
-        b, vals, rights, lefts, D, V = fn.scaled_tables()
+        b, rows, D, V = fn.scaled_tables()
         points = _scan.complex_vertices(b)
         # a continuous function has every limit equal to the value
         cones = _scan.SIDE_TRIPLES[:1 if fn.is_continuous else None]
-        neg, zero, mp = _scan.scan_slacks(b, vals, rights, lefts, V, points,
-                                          cones)
+        neg, zero, mp = _scan.scan_slacks(b, rows, V, points, cones)
         rec = fn._cache["vertex_slacks"] = VertexSlacks(
             D, points, neg, dict.fromkeys(zero),
             Fraction(*mp) if mp[1] else None)
@@ -339,20 +340,19 @@ def scan_vertex_slacks(fn: PiecewiseFunction, upper_triangle: bool = True):
     none).
     """
     rec = vertex_slacks(fn)
-    points, neg, zero = rec.points, rec.neg, list(rec.tight)
+    neg, zero = rec.neg, list(rec.tight)
     if not upper_triangle:
         def full(entries):
             entries = entries + [(y, x, (s[1], s[0], s[2]), *rest)
                                  for x, y, s, *rest in entries if x < y]
             return sorted(entries, key=lambda e: (
                 e[0], e[1], _scan.SIDE_TRIPLES.index(e[2])))
-        points = sorted(points + [(y, x) for x, y in points if x < y])
         neg, zero = full(neg), full(zero)
 
     def pt(x, y):
         return Fraction(x, rec.D), Fraction(y, rec.D)
 
-    return ([pt(*p) for p in points],
+    return (enumerate_complex_vertices(fn, upper_triangle),
             [(pt(x, y), s, Fraction(num, den)) for x, y, s, num, den in neg],
             [(pt(x, y), s) for x, y, s in zero], rec.min_pos)
 
@@ -363,7 +363,7 @@ def faces_of_complex(fn: PiecewiseFunction, dims: Iterable[int] = (0, 1, 2)) -> 
     The faces are found as a set of integer keys on the grid of
     fn.scaled_tables(), and each becomes a Fraction face once."""
     dims = set(dims)
-    b, _, _, _, D, _ = fn.scaled_tables()
+    b, _, D, _ = fn.scaled_tables()
     ext = b + [t + D for t in b[1:]]
     pieces = list(zip(b, b[1:])) + [(x, x) for x in b]
     kpieces = list(zip(ext, ext[1:])) + [(x, x) for x in ext]

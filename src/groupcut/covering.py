@@ -62,12 +62,12 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 from typing import Optional
 
 from .complex2d import AdditiveFaceSet, Face, _additive_walk, grid_face
 from .errors import UnsupportedCaseError
 from .pwl import PiecewiseFunction
+from .rational import on_grid
 
 Interval = tuple[Fraction, Fraction]
 
@@ -262,11 +262,9 @@ def _scaled_faces(additive: AdditiveFaceSet) -> tuple[int, list]:
     the set's order.  A face whose mirror F(J, I, K) is in the set and
     comes first in key order is left out: it has the mirror's windows and
     edge maps, so it covers and joins nothing more."""
-    keys = [f.key() for f in additive.faces]
-    D = lcm(*{t.denominator for key in keys for iv in key for t in iv})
-    keys = [tuple((lo.numerator * (D // lo.denominator),
-                   hi.numerator * (D // hi.denominator)) for lo, hi in key)
-            for key in keys]
+    D, ends = on_grid(t for f in additive.faces for iv in f.key() for t in iv)
+    keys = [((x0, x1), (y0, y1), (s0, s1)) for x0, x1, y0, y1, s0, s1
+            in zip(*[iter(ends)] * 6)]  # six ends to a key
     present = set(keys)
     return D, [k for k in keys if k <= (k[1], k[0], k[2])
                or (k[1], k[0], k[2]) not in present]

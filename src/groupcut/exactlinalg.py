@@ -47,6 +47,7 @@ from math import gcd, lcm
 from typing import Sequence
 
 from .errors import ParameterError
+from .rational import on_grid
 
 P = (1 << 61) - 1  # a Mersenne prime
 
@@ -126,9 +127,7 @@ def _integer_rows(rows: Sequence[Sequence[Fraction]], ncols: int):
     for row in rows:
         if len(row) != ncols:
             raise ParameterError(f"row of length {len(row)}, expected {ncols}")
-        den = lcm(*(e.denominator for e in row))
-        out.append([(j, e.numerator * (den // e.denominator))
-                    for j, e in enumerate(row) if e])
+        out.append([(j, e) for j, e in enumerate(on_grid(row)[1]) if e])
     return out
 
 

@@ -61,7 +61,7 @@ from .exactlinalg import _exact_kernel, _rank_rows
 from .minimality import (MinimalityReport, _FiniteModel, _InfiniteModel,
                          _find_f, _minimality_test, _model)
 from .pwl import DiscreteFunction, PiecewiseFunction, from_breakpoints_and_limits
-from .rational import common_denominator, to_rational
+from .rational import common_denominator, on_grid, to_rational
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -202,32 +202,30 @@ def generate_symbolic(fn: PiecewiseFunction,
     k = len(components.components)
     n = len(fn.breakpoints) - 1
 
-    jumps: list[tuple[Fraction, str]] = []
-    for i, (x, (v, r, l)) in enumerate(zip(fn.breakpoints, fn.limits)):
-        if i > 0 and l != v:
-            jumps.append((x, "left"))
-        if i < n and r != v:
-            jumps.append((x, "right"))
-
-    # the grid points by their integer tick on the grid 1/D
+    # the grid points by their integer tick on the grid 1/D: the
+    # breakpoints, then the ends of the component intervals
     points = [*fn.breakpoints,
               *(e for comp in components.components for iv in comp for e in iv)]
-    D = common_denominator(points)
-
-    def tick(x: Fraction) -> int:
-        return x.numerator * (D // x.denominator)
-
-    at = {tick(x): x for x in points}
+    D, ints = on_grid(points)
+    at = dict(zip(ints, points))
     ticks = sorted(at)
     if ticks[0] != 0 or ticks[-1] != D:
         raise InternalConsistencyError("component endpoints escape [0, 1]")
     grid = [at[t] for t in ticks]
-    jump_col = {(tick(x), side): k + j for j, (x, side) in enumerate(jumps)}
+
+    jumps: list[tuple[Fraction, str]] = []
+    jump_col = {}  # (tick, side) -> the jump's column
+    for i, (x, (v, r, l)) in enumerate(zip(fn.breakpoints, fn.limits)):
+        for side, jumped in (("left", i > 0 and l != v),
+                             ("right", i < n and r != v)):
+            if jumped:
+                jump_col[ints[i], side] = k + len(jumps)
+                jumps.append((x, side))
     # the component intervals as integer spans (lo, hi, component), sorted:
     # a piece lies in the span that starts last at or before its left end
-    spans = sorted((tick(lo), tick(hi), c)
-                   for c, comp in enumerate(components.components)
-                   for lo, hi in comp)
+    ends = ints[n + 1:]
+    spans = sorted(zip(ends[::2], ends[1::2], (
+        c for c, comp in enumerate(components.components) for _ in comp)))
     starts = [lo for lo, _, _ in spans]
 
     # walk the grid: each piece adds its length to its component's column
@@ -338,9 +336,7 @@ def perturbation_from_vector(sym: SymbolicPerturbation, vec: Vector,
     if len(vec) != sym.dim:
         raise ParameterError(
             f"vector of length {len(vec)}, expected {sym.dim}")
-    vec = [to_rational(a) for a in vec]
-    den = common_denominator(vec)
-    ivec = [a.numerator * (den // a.denominator) for a in vec]
+    den, ivec = on_grid(to_rational(a) for a in vec)
     scale = sym.D * den
     triples = [tuple(Fraction(sum(map(mul, part, ivec)), scale)
                      for part in t) for t in sym.triples]
@@ -382,8 +378,8 @@ class _InfiniteExtremality(_InfiniteModel):
         mirrors = [(x, (fD - x) % D) for x in b]
         coords = {c for x, y in points for c in (x, y, x + y)}
         coords.update(m for _, m in mirrors)
-        (u, W), (v, X) = (_scan.limit_table(*t[:4], t[5], coords)
-                          for t in tables)
+        (u, W), (v, X) = (_scan.limit_table(grid, rows, V, coords)
+                          for grid, rows, _, V in tables)
         cones = _scan.SIDE_TRIPLES[
             :1 if fn.is_continuous and p.fn.is_continuous else None]
         own = {(x * scale, y * scale) for x, y in rec.points}

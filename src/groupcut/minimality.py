@@ -28,7 +28,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain, islice
-from math import lcm
 from typing import Optional
 
 from . import _scan
@@ -36,7 +35,7 @@ from .complex2d import (Face, _pieces_at, _projections, grid_face,
                         vertex_slacks)
 from .errors import ConstructionError, NoCandidateFError, ParameterError
 from .pwl import DiscreteFunction, PiecewiseFunction
-from .rational import common_denominator, to_rational
+from .rational import common_denominator, on_grid, to_rational
 
 SIDE_NAMES = ("value", "right", "left")  # indexed by side 0, 1, -1
 _LAZY_FIELDS = frozenset(("x", "y", "slack", "face"))
@@ -123,7 +122,7 @@ def witness_face(fn: PiecewiseFunction, v, sides) -> Face:
     right of x = 1 is the cone to the right of x = 0).
     """
     x, y = to_rational(v[0]), to_rational(v[1])
-    b, _, _, _, D, _ = fn.scaled_tables(lcm(x.denominator, y.denominator))
+    b, _, D, _ = fn.scaled_tables(common_denominator((x, y)))
     return _grid_witness_face(b, D, int(x * D), int(y * D), sides)
 
 
@@ -152,27 +151,24 @@ class _InfiniteModel:
 
     @cached_property
     def tables(self) -> tuple[list[int], list[tuple], int, int]:
-        b, vals, rights, lefts, D, V = self.fn.scaled_tables()
-        return b, list(zip(vals, rights, lefts)), D, V
+        return self.fn.scaled_tables()
 
     def symmetry_table(self, f: Fraction):
         """(grid, lim, W, fD, D): the breakpoints and their mirrors, on a
         grid 1/D that holds f = fD / D, each with its limit row over W in
         lim; the mirror of a grid point is a grid point, mod D."""
-        tables = self.fn.scaled_tables()
-        if (f * tables[4]).denominator != 1:
-            tables = self.fn.scaled_tables(f.denominator)
-        b, vals, rights, lefts, D, V = tables
+        b, rows, D, V = self.tables
+        if (f * D).denominator != 1:
+            b, rows, D, V = self.fn.scaled_tables(f.denominator)
         fD = int(f * D)
         grid = sorted({*b, *((fD - p) % D for p in b)})
-        return (grid, *_scan.limit_table(b, vals, rights, lefts, V, grid),
-                fD, D)
+        return grid, *_scan.limit_table(b, rows, V, grid), fD, D
 
     def subadditivity_violations(self):
         """One violation per negative cone (x <= y, every limit cone
         included when fn is discontinuous) of the vertex slack record,
         kept on its integer grid."""
-        rec, b = vertex_slacks(self.fn), self.fn.scaled_tables()[0]
+        rec, b = vertex_slacks(self.fn), self.tables[0]
         for x, y, sides, num, den in rec.neg:
             yield Violation._on_grid(b, rec.D, x, y, sides, num, den)
 
@@ -189,8 +185,7 @@ class _FiniteModel:
 
     @cached_property
     def tables(self) -> tuple[range, list[tuple[int]], int, int]:
-        V = common_denominator(self.fn.values)
-        u = [v.numerator * (V // v.denominator) for v in self.fn.values]
+        V, u = on_grid(self.fn.values)
         return range(self.fn.q + 1), list(zip(u)), self.fn.q, V
 
     @cached_property

@@ -6,10 +6,11 @@ triple (value, right limit, left limit).  On each open interval
 (x_i, x_{i+1}) the function is the affine interpolation of the right limit
 at x_i and the left limit at x_{i+1}; this supports one-sided
 discontinuities.  Periodicity is implicit: the triples stored at 0 and at 1
-are equal and describe the one periodic point, so the slot lefts[0] is the
-left limit at 1 and rights[-1] the right limit at 0.  Merging and equality
-drop the interior points that are neither discontinuities nor slope
-changes, and decide equal slopes on the integer slope ids of the pieces.
+are equal and describe the one periodic point, so the left limit stored
+at 0 is the left limit at 1 and the right limit stored at 1 the right
+limit at 0.  Merging and equality drop the interior points that are
+neither discontinuities nor slope changes, and decide equal slopes on the
+integer slope ids of the pieces.
 
 Discrete functions on the cyclic group (1/q)Z are represented by their full
 value table on [0, 1].
@@ -22,12 +23,13 @@ from __future__ import annotations
 import random
 from bisect import bisect_right
 from fractions import Fraction
-from math import gcd, lcm
+from itertools import chain
+from math import gcd
 from typing import Optional, Sequence
 
 from . import _scan
 from .errors import ConstructionError
-from .rational import common_denominator, to_rational
+from .rational import common_denominator, on_grid, to_rational
 
 Triple = tuple[Fraction, Fraction, Fraction]  # (value, right limit, left limit)
 
@@ -117,10 +119,10 @@ class PiecewiseFunction:
     def _slope_ids(self) -> list[int]:
         """A small id per piece, shared exactly by the pieces of one slope."""
         if "slope_ids" not in self._cache:
-            b, _, rights, lefts, _, _ = self.scaled_tables()
+            b, rows, _, _ = self.scaled_tables()
             ids, out = {}, self._cache.setdefault("slope_ids", [])
             for i in range(len(b) - 1):
-                rise, run = lefts[i + 1] - rights[i], b[i + 1] - b[i]
+                rise, run = rows[i + 1][2] - rows[i][1], b[i + 1] - b[i]
                 g = gcd(rise, run)
                 out.append(ids.setdefault((rise // g, run // g), len(ids)))
         return self._cache["slope_ids"]
@@ -169,20 +171,16 @@ class PiecewiseFunction:
     # -- scaled integer tables for the scan kernels -------------------------
 
     def scaled_tables(self, extra_denominator: int = 1):
-        """(b, vals, rights, lefts, D, V): integer tables scaled so that all
-        breakpoints (and any query with denominator dividing
-        extra_denominator) are integers over D, and all limit data integers
-        over V."""
+        """(b, rows, D, V): the breakpoints as integers b over D, on a grid
+        that also holds every point whose denominator divides
+        extra_denominator, and rows[i] the integer (value, right limit,
+        left limit) at b[i] over V."""
         key = ("scaled", extra_denominator)
         if key not in self._cache:
-            D = lcm(common_denominator(self.breakpoints), extra_denominator)
-            V = common_denominator(v for t in self.limits for v in t)
-            # x * D on ints: the denominator divides D
-            b = [x.numerator * (D // x.denominator) for x in self.breakpoints]
-            vals, rights, lefts = (
-                [t[i].numerator * (V // t[i].denominator) for t in self.limits]
-                for i in range(3))
-            self._cache[key] = (b, vals, rights, lefts, D, V)
+            D, b = on_grid(self.breakpoints, extra_denominator)
+            V, lim = on_grid(chain.from_iterable(self.limits))
+            rows = list(zip(lim[::3], lim[1::3], lim[2::3]))
+            self._cache[key] = (b, rows, D, V)
         return self._cache[key]
 
     # -- equality as periodic functions -------------------------------------
@@ -271,13 +269,11 @@ def linear_combination(a, fn1: PiecewiseFunction, b, fn2: PiecewiseFunction,
     two W's."""
     a = to_rational(a)
     b = to_rational(b)
-    D = lcm(common_denominator(fn1.breakpoints),
-            common_denominator(fn2.breakpoints))
-    *t1, _, V1 = fn1.scaled_tables(D)
-    *t2, _, V2 = fn2.scaled_tables(D)
-    ticks = sorted(set(t1[0]).union(t2[0]))
-    u, W1 = _scan.limit_table(*t1, V1, ticks)
-    w, W2 = _scan.limit_table(*t2, V2, ticks)
+    D = common_denominator((*fn1.breakpoints, *fn2.breakpoints))
+    tables = fn1.scaled_tables(D), fn2.scaled_tables(D)
+    ticks = sorted({p for t in tables for p in t[0]})
+    (u, W1), (w, W2) = (_scan.limit_table(grid, rows, V, ticks)
+                        for grid, rows, _, V in tables)
     # a * u / W1 + b * w / W2
     ca = a.numerator * b.denominator * W2
     cb = b.numerator * a.denominator * W1

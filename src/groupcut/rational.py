@@ -48,7 +48,12 @@ def format_rational(value: Fraction) -> str:
 
 def common_denominator(values) -> int:
     """lcm of the denominators of an iterable of Fractions (at least 1)."""
-    d = 1
-    for v in values:
-        d = lcm(d, v.denominator)
-    return d
+    return lcm(*{v.denominator for v in values})
+
+
+def on_grid(values, D: int = 1) -> tuple[int, list[int]]:
+    """(G, ints): the Fractions values on their common grid 1/G, with G the
+    lcm of D and their denominators, and ints[i] = values[i] * G."""
+    values = list(values)
+    G = lcm(D, *{v.denominator for v in values})
+    return G, [v.numerator * (G // v.denominator) for v in values]

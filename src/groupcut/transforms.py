@@ -10,7 +10,7 @@ interpolate_to_infinite_group goes back by piecewise linear interpolation.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 from typing import Optional, Union
 
 from .errors import ParameterError
@@ -19,6 +19,14 @@ from .pwl import (DiscreteFunction, PiecewiseFunction,
                   discrete_from_points_and_values, from_breakpoints_and_limits,
                   from_breakpoints_and_values)
 from .rational import common_denominator, to_rational
+
+
+def _integer(name: str, value) -> int:
+    """value, refused unless it is an int: a bool, a float or a Fraction
+    is refused even when it equals an integer."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ParameterError(f"{name} must be an integer, got {value!r}")
+    return value
 
 
 def multiplicative_homomorphism(fn: PiecewiseFunction, lam: int) -> PiecewiseFunction:
@@ -30,9 +38,8 @@ def multiplicative_homomorphism(fn: PiecewiseFunction, lam: int) -> PiecewiseFun
     negative.  f maps to the smallest representative r in (0, 1) with
     lam * r = f (mod 1) when fn(f) = 1; each such r has fn(lam * r) = fn(f).
     """
-    if int(lam) != lam or lam == 0:
+    if _integer("lam", lam) == 0:
         raise ParameterError("lam must be a nonzero integer")
-    lam = int(lam)
     ts = range(min(0, lam), max(0, lam) + 1)
     at = {}
     for b, (v, r, l) in zip(fn.breakpoints, fn.limits):
@@ -56,11 +63,12 @@ def automorphism(fn: Union[PiecewiseFunction, DiscreteFunction],
     else is an error; for the cyclic group of order q any lam coprime
     with q works.
     """
+    _integer("lam", lam)
     if isinstance(fn, DiscreteFunction):
-        if int(lam) != lam or gcd(int(lam), fn.q) != 1:
+        if gcd(lam, fn.q) != 1:
             raise ParameterError(
                 f"lam must be an integer coprime with the group order {fn.q}")
-        q, lam = fn.q, int(lam) % fn.q
+        q, lam = fn.q, lam % fn.q
         values = tuple(fn.values[(lam * i) % q] for i in range(q)) + (fn.values[0],)
         new_f = None if fn.f is None else Fraction(
             pow(lam, -1, q) * int(fn.f * q) % q, q)
@@ -80,20 +88,20 @@ def restrict_to_finite_group(fn: PiecewiseFunction, f=None,
     oversampling factor refines it.  Assuming breakpoints and f lie in the
     group and fn is continuous, minimality of the restriction is equivalent
     to minimality of fn; extremality transfers from fn always, and in both
-    directions once oversampling >= 3.
+    directions once oversampling >= 3.  An order or oversampling that is
+    not an int is refused.
     """
     ff = to_rational(f) if f is not None else (
         fn.f if fn.f is not None else find_f(fn))
     if order is not None and oversampling is not None:
         raise ParameterError("give either order or oversampling, not both")
     if order is None:
-        order = lcm(common_denominator(fn.breakpoints), ff.denominator)
+        order = common_denominator((*fn.breakpoints, ff))
         if oversampling is not None:
-            if oversampling < 1:
+            if _integer("oversampling", oversampling) < 1:
                 raise ParameterError("oversampling must be a positive integer")
-            order *= int(oversampling)
-    order = int(order)
-    if order < 1 or (ff * order).denominator != 1:
+            order *= oversampling
+    if _integer("order", order) < 1 or (ff * order).denominator != 1:
         raise ParameterError(f"order {order} is incompatible with f = {ff}")
     points = [Fraction(i, order) for i in range(order + 1)]
     values = [fn(p) for p in points]

@@ -7,8 +7,8 @@ from groupcut import _scan, kernels
 
 
 def test_limit_table_periodic_tables():
-    b, vals, rights, lefts, V = [0, 20, 60], [0, 5, 0], [1, 6, 1], [7, 4, 7], 12
-    t, W = _scan.limit_table(b, vals, rights, lefts, V, [0, 10, 60, 80])
+    b, rows, V = [0, 20, 60], [(0, 1, 7), (5, 6, 4), (0, 1, 7)], 12
+    t, W = _scan.limit_table(b, rows, V, [0, 10, 60, 80])
     assert W == 12 * 40  # V * lcm(20, 40)
     # left limit at 0 reads the table entry stored for 1
     assert F(t[0][-1], W) == F(7, 12)

@@ -286,13 +286,12 @@ def test_scaled_tables_equal_fraction_products():
             for s in range(40) for x, y in ((4, 4), (6, 5), (8, 3))]
     for fn in fns:
         for extra in (1, 6, 35):
-            b, vals, rights, lefts, D, V = fn.scaled_tables(extra)
+            b, rows, D, V = fn.scaled_tables(extra)
             assert D % extra == 0
             assert all((x * D).denominator == 1 for x in fn.breakpoints)
             assert all((v * V).denominator == 1 for t in fn.limits for v in t)
             assert b == [int(x * D) for x in fn.breakpoints]
-            assert [vals, rights, lefts] == [
-                [int(t[i] * V) for t in fn.limits] for i in range(3)]
+            assert rows == [tuple(int(v * V) for v in t) for t in fn.limits]
 
 
 def test_slope_ids_are_the_classes_of_equal_slopes():

@@ -2,7 +2,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from groupcut.rational import (common_denominator, format_rational,
+from groupcut.rational import (common_denominator, format_rational, on_grid,
                                parse_rational, to_rational)
 
 
@@ -41,3 +41,10 @@ def test_roundtrip_format():
 def test_common_denominator():
     assert common_denominator([F(1, 4), F(1, 6), F(2)]) == 12
     assert common_denominator([]) == 1
+
+
+def test_on_grid():
+    # the grid holds D and every denominator; a generator is read once
+    assert on_grid([F(1, 4), F(-1, 6), F(2)]) == (12, [3, -2, 24])
+    assert on_grid((F(1, 4) for _ in range(2)), 10) == (20, [5, 5])
+    assert on_grid([], 7) == (7, [])

@@ -3,7 +3,7 @@ from fractions import Fraction as F
 import pytest
 
 import groupcut as gc
-from groupcut.errors import ParameterError
+from groupcut.errors import ConstructionError, ParameterError
 
 
 class TestMultiplicativeHomomorphism:
@@ -115,3 +115,49 @@ def test_restriction_of_discontinuous_function(hildebrand):
     assert dfn.values == (0, F(1, 4), F(1, 2), F(3, 4), 1,
                           F(3, 4), F(1, 2), F(1, 4), 0)
     assert gc.extremality_test_discrete(dfn).is_extreme
+
+
+@pytest.mark.parametrize("transform, finite, kwargs", [
+    ("restrict_to_finite_group", False, {"oversampling": 2.5}),
+    ("restrict_to_finite_group", False, {"oversampling": True}),
+    ("restrict_to_finite_group", False, {"order": 10.5}),
+    ("restrict_to_finite_group", False, {"order": F(10)}),
+    ("multiplicative_homomorphism", False, {"lam": True}),
+    ("multiplicative_homomorphism", False, {"lam": F(2)}),
+    ("automorphism", False, {"lam": True}),
+    ("automorphism", False, {"lam": -1.0}),
+    ("automorphism", True, {"lam": 2.0}),
+], ids=["oversampling-2.5", "oversampling-True", "order-10.5", "order-F(10)",
+        "lam-True", "lam-F(2)", "automorphism-True", "automorphism--1.0",
+        "finite-automorphism-2.0"])
+def test_non_integer_parameters_refused(gmic45, transform, finite, kwargs):
+    # an integral float, Fraction or bool is refused, not truncated
+    fn = gc.restrict_to_finite_group(gmic45) if finite else gmic45
+    with pytest.raises(ParameterError, match="must be an integer, got"):
+        getattr(gc, transform)(fn, **kwargs)
+
+
+def _gmic_symbolic():
+    fn = gc.gmic()
+    return gc.generate_symbolic(fn, gc.generate_covered_components(fn))
+
+
+@pytest.mark.parametrize("call, error, match", [
+    (lambda: gc.restrict_to_finite_group(gc.gmic(), order=10,
+                                         oversampling=2),
+     ParameterError, "either order or oversampling"),
+    (lambda: gc.restrict_to_finite_group(gc.gmic(), oversampling=0),
+     ParameterError, "oversampling must be a positive integer"),
+    (lambda: gc.random_piecewise_function(0, 4),
+     ConstructionError, "xgrid and ygrid must be at least 1"),
+    (lambda: gc.random_piecewise_function(continuous_proba=F(3, 2)),
+     ConstructionError, r"continuous_proba must lie in \[0, 1\]"),
+    (lambda: gc.face_from_triple([0, F(1, 2), 1], [0, 1], [0, 2]),
+     ConstructionError, "interval needs 1 or 2 endpoints"),
+    (lambda: _gmic_symbolic().limit(F(3, 2)),
+     ConstructionError, r"outside \[0, 1\]"),
+], ids=["order-and-oversampling", "oversampling-0", "xgrid-0",
+        "proba-above-1", "three-endpoints", "symbolic-limit-outside"])
+def test_typed_refusals(call, error, match):
+    with pytest.raises(error, match=match):
+        call()
