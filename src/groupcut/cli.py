@@ -27,7 +27,8 @@ from .jsonio import (components_to_dict, dumps_function,
                      extremality_report_to_dict, face_to_dict, load_function,
                      minimality_report_to_dict)
 from .minimality import minimality_test
-from .pwl import DiscreteFunction, random_piecewise_function
+from .pwl import (DiscreteFunction, PiecewiseFunction,
+                  random_piecewise_function)
 from .rational import parse_rational
 from .svgplot import (DiagramSpec, covered_steps_frames, plot_2d_diagram,
                       plot_2d_diagram_with_cones, plot_function,
@@ -40,34 +41,37 @@ def _out_dir() -> Path:
     return Path(os.environ.get("GROUPCUT_OUT_DIR", "."))
 
 
-def _load(args, piecewise: bool = False):
+def _load(args, kind=None):
     """Input resolution: an existing path or *.json is a function file,
     anything else a compendium name with --param arguments (p/q, an
     integer, true or false; each name once).  --param and --f are refused
-    on a function file, and --f next to --param f=; with piecewise, so is
-    a discrete function file."""
+    on a function file, and --f next to --param f=.  With kind
+    (PiecewiseFunction or DiscreteFunction), a function of the other kind
+    is refused, from either source."""
     name, f = args.input, getattr(args, "f", None)
     if name.endswith(".json") or os.path.exists(name):
         if args.param or f:
             raise GroupCutError("--param and --f are for compendium names")
         fn = load_function(name)
-        if piecewise and isinstance(fn, DiscreteFunction):
-            raise GroupCutError(f"{args.verb} expects a piecewise function")
-        return fn
-    params = {}
-    for item in args.param or []:
-        key, _, raw = item.partition("=")
-        if not raw:
-            raise GroupCutError(f"--param needs name=p/q, got {item!r}")
-        if key in params:
-            raise GroupCutError(f"--param {key}= is given twice")
-        params[key] = (raw == "true" if raw in ("true", "false")
-                       else parse_rational(raw))
-    if f:
-        if "f" in params:
-            raise GroupCutError("f is given both as --f and as --param f=")
-        params["f"] = parse_rational(f)
-    return construct(name, **params)
+    else:
+        params = {}
+        for item in args.param or []:
+            key, _, raw = item.partition("=")
+            if not raw:
+                raise GroupCutError(f"--param needs name=p/q, got {item!r}")
+            if key in params:
+                raise GroupCutError(f"--param {key}= is given twice")
+            params[key] = (raw == "true" if raw in ("true", "false")
+                           else parse_rational(raw))
+        if f:
+            if "f" in params:
+                raise GroupCutError("f is given both as --f and as --param f=")
+            params["f"] = parse_rational(f)
+        fn = construct(name, **params)
+    if kind is not None and not isinstance(fn, kind):
+        what = "piecewise" if kind is PiecewiseFunction else "discrete"
+        raise GroupCutError(f"{args.verb} expects a {what} function")
+    return fn
 
 
 def _emit(doc: str, args, default_name: str) -> Path:
@@ -182,7 +186,7 @@ def cmd_extremality(args) -> int:
 
 
 def cmd_covered(args) -> int:
-    fn = _load(args, piecewise=True)
+    fn = _load(args, PiecewiseFunction)
     cc = generate_covered_components(fn)
     if args.json:
         print(json.dumps(components_to_dict(cc), indent=2))
@@ -206,7 +210,7 @@ def cmd_covered(args) -> int:
 
 
 def cmd_faces(args) -> int:
-    fn = _load(args, piecewise=True)
+    fn = _load(args, PiecewiseFunction)
     faces = (generate_maximal_additive_faces(fn) if args.maximal
              else generate_additive_faces(fn))
     if args.json:
@@ -219,13 +223,13 @@ def cmd_faces(args) -> int:
 
 
 def cmd_merit(args) -> int:
-    fn = _load(args, piecewise=True)
+    fn = _load(args, PiecewiseFunction)
     print(merit_index(fn))
     return 0
 
 
 def cmd_restrict(args) -> int:
-    fn = _load(args, piecewise=True)
+    fn = _load(args, PiecewiseFunction)
     dfn = restrict_to_finite_group(
         fn, oversampling=args.oversampling, order=args.order)
     print(dumps_function(dfn), end="")
@@ -233,15 +237,13 @@ def cmd_restrict(args) -> int:
 
 
 def cmd_interpolate(args) -> int:
-    fn = _load(args)
-    if not isinstance(fn, DiscreteFunction):
-        raise GroupCutError("interpolate expects a discrete function")
+    fn = _load(args, DiscreteFunction)
     print(dumps_function(interpolate_to_infinite_group(fn)), end="")
     return 0
 
 
 def cmd_transform(args) -> int:
-    fn = _load(args, piecewise=args.homomorphism is not None)
+    fn = _load(args, PiecewiseFunction if args.homomorphism is not None else None)
     if args.homomorphism is not None:
         out = multiplicative_homomorphism(fn, args.homomorphism)
     else:

@@ -8,7 +8,10 @@ at x_i and the left limit at x_{i+1}; this supports one-sided
 discontinuities.  Periodicity is implicit: the triples stored at 0 and at 1
 are equal and describe the one periodic point, so the left limit stored
 at 0 is the left limit at 1 and the right limit stored at 1 the right
-limit at 0.  Merging and equality drop the interior points that are
+limit at 0.  ``__call__``, ``limit`` and ``limits_at`` share one
+interpolation: the first two read the triple ``limits_at`` returns, the
+stored one at a breakpoint and the interpolated value three times
+elsewhere.  Merging and equality drop the interior points that are
 neither discontinuities nor slope changes, and decide equal slopes on the
 integer slope ids of the pieces.
 
@@ -134,27 +137,21 @@ class PiecewiseFunction:
         return bisect_right(self.breakpoints, x) - 1
 
     def __call__(self, x) -> Fraction:
-        x = _reduce_mod_one(to_rational(x))
-        i = self._locate(x)
-        bk, lm = self.breakpoints, self.limits
-        if bk[i] == x:
-            return lm[i][0]
-        span = bk[i + 1] - bk[i]
-        return lm[i][1] + (lm[i + 1][2] - lm[i][1]) * (x - bk[i]) / span
+        return self.limits_at(x)[0]
 
     def limits_at(self, x) -> Triple:
         """(value, right limit, left limit) at x, periodically reduced."""
         x = _reduce_mod_one(to_rational(x))
         i = self._locate(x)
-        if self.breakpoints[i] == x:
-            return tuple(self.limits[i])
-        v = self(x)
+        bk, lm = self.breakpoints, self.limits
+        if bk[i] == x:
+            return lm[i]
+        v = lm[i][1] + (lm[i + 1][2] - lm[i][1]) * (x - bk[i]) / (bk[i + 1] - bk[i])
         return (v, v, v)
 
     def limit(self, x, side: int) -> Fraction:
         """One-sided evaluation: side 0 value, 1 right limit, -1 left limit."""
-        t = self.limits_at(x)
-        return t[0] if side == 0 else (t[1] if side > 0 else t[2])
+        return self.limits_at(x)[0 if side == 0 else 1 if side > 0 else 2]
 
     def which_function(self, x) -> AffinePiece:
         """Affine data of the smallest face containing x; a constant piece at
@@ -218,6 +215,15 @@ def _validate_breakpoints(bkpt: Sequence) -> tuple[Fraction, ...]:
     return pts
 
 
+def _checked_f(f) -> Optional[Fraction]:
+    if f is None:
+        return None
+    f = to_rational(f)
+    if not 0 < f < 1:
+        raise ConstructionError("f must lie in (0, 1)")
+    return f
+
+
 def from_breakpoints_and_limits(bkpt, limits, f=None, merge: bool = True) -> PiecewiseFunction:
     """Possibly discontinuous function from breakpoints and limit triples.
 
@@ -238,10 +244,7 @@ def from_breakpoints_and_limits(bkpt, limits, f=None, merge: bool = True) -> Pie
             "limit triples at 0 and 1 must agree (one periodic point)")
     if merge:
         pts, triples = PiecewiseFunction(pts, triples)._canonical()
-    ff = to_rational(f) if f is not None else None
-    if ff is not None and not (0 < ff < 1):
-        raise ConstructionError("f must lie in (0, 1)")
-    return PiecewiseFunction(pts, triples, ff)
+    return PiecewiseFunction(pts, triples, _checked_f(f))
 
 
 def from_breakpoints_and_values(bkpt, values, f=None, merge: bool = True) -> PiecewiseFunction:
@@ -336,10 +339,7 @@ def discrete_from_points_and_values(points, values, f=None) -> DiscreteFunction:
             f"points must be the full grid of (1/{q})Z in [0, 1]")
     if vals[0] != vals[-1]:
         raise ConstructionError("values at 0 and 1 must agree (periodicity)")
-    ff = to_rational(f) if f is not None else None
-    if ff is not None and not (0 < ff < 1):
-        raise ConstructionError("f must lie in (0, 1)")
-    return DiscreteFunction(q, pts, vals, ff)
+    return DiscreteFunction(q, pts, vals, _checked_f(f))
 
 
 # -- random generation ------------------------------------------------------
@@ -357,71 +357,47 @@ def random_piecewise_function(xgrid: int = 5, ygrid: int = 5,
     pi(x) + pi(f - x) = 1 holds including one-sided limits, enforced by
     mirroring x -> f - x; the midpoint of a mirror pair is pinned to 1/2
     even when 1/2 is off the y-grid.  Deterministic for a fixed seed.
+
+    The draw order is fixed: f first, then the origin, then the grid points
+    in index order, each its continuity coin and then its free values
+    (value, right limit, left limit); a mirrored point draws nothing.  The
+    seeded benchmark pools, perfbench/reference.json and the seeded test
+    corpora pin the functions each seed gives, so the order must not
+    change.
     """
     if xgrid < 1 or ygrid < 1:
         raise ConstructionError("xgrid and ygrid must be at least 1")
     proba = to_rational(continuous_proba)
     if not (0 <= proba <= 1):
         raise ConstructionError("continuous_proba must lie in [0, 1]")
+    if symmetry and xgrid < 2:
+        raise ConstructionError(
+            "symmetry needs xgrid >= 2 (f must be an interior grid point)")
     rng = random.Random(seed)
-
-    def coin() -> bool:
-        return rng.randrange(proba.denominator) < proba.numerator
+    fi = rng.randrange(1, xgrid) if symmetry else None  # f = fi / xgrid
 
     def yval() -> Fraction:
         return Fraction(rng.randrange(ygrid + 1), ygrid)
 
+    def draw(value: Optional[Fraction] = None, own_mirror: bool = False) -> Triple:
+        # a point that is its own mirror draws its left limit only, and its
+        # right limit is the mirror of that
+        continuous = rng.randrange(proba.denominator) < proba.numerator
+        v = yval() if value is None else value
+        if continuous:
+            return (v, v, v)
+        w = yval()
+        return (v, 1 - w, w) if own_mirror else (v, w, yval())
+
+    triples: list[Optional[Triple]] = [draw(Fraction(0))] + [None] * xgrid
+    for i in range(xgrid):
+        j = (fi - i) % xgrid if symmetry else None  # mirror grid index of x_i
+        if triples[i] is None:
+            triples[i] = draw(Fraction(1, 2), own_mirror=True) if j == i else draw()
+        if j is not None and triples[j] is None:
+            v, r, l = triples[i]
+            triples[j] = (1 - v, 1 - l, 1 - r)
+    triples[xgrid] = triples[0]
     pts = [Fraction(i, xgrid) for i in range(xgrid + 1)]
-    triples: list[Optional[Triple]] = [None] * (xgrid + 1)
-
-    f: Optional[Fraction] = None
-    if symmetry:
-        if xgrid < 2:
-            raise ConstructionError(
-                "symmetry needs xgrid >= 2 (f must be an interior grid point)")
-        f = Fraction(rng.randrange(1, xgrid), xgrid)
-
-    def assign(i: int, triple: Triple):
-        triples[i] = triple
-        if i == 0:
-            triples[xgrid] = triple
-
-    # origin first: pi(0) = 0, limits free unless the continuity coin says so
-    if coin():
-        assign(0, (Fraction(0), Fraction(0), Fraction(0)))
-    else:
-        assign(0, (Fraction(0), yval(), yval()))
-
-    if symmetry:
-        fi = int(f * xgrid)
-        for i in range(xgrid):
-            j = (fi - i) % xgrid  # mirror grid index of x_i
-            if triples[i] is not None:
-                if triples[j] is None:
-                    v, r, l = triples[i]
-                    assign(j, (1 - v, 1 - l, 1 - r))
-                continue
-            if j == i:
-                half = Fraction(1, 2)
-                if coin():
-                    assign(i, (half, half, half))
-                else:
-                    left = yval()
-                    assign(i, (half, 1 - left, left))
-            else:
-                if coin():
-                    v = yval()
-                    assign(i, (v, v, v))
-                else:
-                    assign(i, (yval(), yval(), yval()))
-                v, r, l = triples[i]
-                assign(j, (1 - v, 1 - l, 1 - r))
-    else:
-        for i in range(1, xgrid):
-            if coin():
-                v = yval()
-                assign(i, (v, v, v))
-            else:
-                assign(i, (yval(), yval(), yval()))
-
+    f = Fraction(fi, xgrid) if symmetry else None
     return from_breakpoints_and_limits(pts, triples, f=f, merge=True)

@@ -172,8 +172,9 @@ def oracle_additive_faces(fn):
     Face.contains_face.  Returns (key, maximal) for the additive faces in
     key order.  Valid for continuous and discontinuous functions."""
     all_faces = faces_of_complex(fn)
-    two = [f for f in all_faces if f.dimension == 2]
-    # a vertex of the complex lies in a face only as one of its vertices
+    # a vertex of the complex lies in a face only as one of its vertices,
+    # and a face of the complex that lies in another is one of its faces:
+    # the faces containing a face are among those at its first vertex
     at_vertex: dict = {}
     for g in all_faces:
         for v in g.vertices:
@@ -183,19 +184,22 @@ def oracle_additive_faces(fn):
     zero = cache(lambda face, v: limit(face, v) == 0)
     additive = []
     for face in all_faces:
+        around = at_vertex[face.vertices[0]]
         if face.dimension == 2:
             ok = all(zero(face, v) for v in face.vertices)
         elif face.dimension == 1:
-            containers = [face] + [g for g in two if g.contains_face(face)]
+            containers = [face] + [g for g in around if g.dimension == 2
+                                   and g.contains_face(face)]
             ok = any(all(zero(g, v) for v in face.vertices)
                      for g in containers)
         else:
-            v = face.vertices[0]
-            ok = any(zero(g, v) for g in at_vertex[v])
+            ok = any(zero(g, face.vertices[0]) for g in around)
         if ok:
             additive.append(face)
-    return [(f.key(), not any(g.dimension > f.dimension and g.contains_face(f)
-                              for g in additive))
+    keys = {f.key() for f in additive}
+    return [(f.key(), not any(g.dimension > f.dimension and g.key() in keys
+                              and g.contains_face(f)
+                              for g in at_vertex[f.vertices[0]]))
             for f in additive]
 
 

@@ -196,6 +196,35 @@ class TestVerdictVerbs:
             "uncovered intervals: [(5/12, 2/3)]",
             "perturbation unavailable: uncovered case"]
 
+    def test_minimality_json_lists_the_violation_kinds(self, capsys,
+                                                       tmp_path):
+        _, doc, _ = run(capsys, "random", "--xgrid", "4", "--ygrid", "4",
+                        "--continuous-proba", "1/2", "--seed", "3")
+        path = tmp_path / "r3.json"
+        path.write_text(doc)
+        code, out, _ = run(capsys, "minimality", str(path), "--json")
+        assert code == 1
+        data = json.loads(out)
+        assert not data["is_minimal"]
+        assert {v["kind"] for v in data["violations"]} == {"subadditivity"}
+        code, out, _ = run(capsys, "minimality", "gomory_fractional", "--json")
+        assert code == 1
+        assert sorted(v["kind"] for v in json.loads(out)["violations"]) == [
+            "range", "range", "symmetry", "symmetry", "symmetry"]
+
+    def test_value_at_the_origin_is_reported(self, capsys, tmp_path):
+        import groupcut as gc
+        from groupcut.jsonio import save_function
+
+        path = tmp_path / "lifted.json"
+        save_function(gc.from_breakpoints_and_values(
+            [0, "1/2", 1], ["1/5", 1, "1/5"], f="1/2"), path)
+        code, out, _ = run(capsys, "minimality", str(path))
+        assert code == 1
+        assert out.splitlines()[:3] == [
+            "pi(0) != 0", "pi is not symmetric.", "Thus pi is NOT minimal."]
+        assert "  violation: value-at-0 at x=0, slack 1/5" in out.splitlines()
+
     def test_cli_matches_library_verdicts(self, capsys):
         import groupcut as gc
 
@@ -236,6 +265,57 @@ class TestDataVerbs:
     def test_covered(self, capsys):
         code, out, _ = run(capsys, "covered", "gmic", "--f", "4/5")
         assert code == 0 and "component 2" in out
+
+    def test_covered_json(self, capsys):
+        code, out, _ = run(capsys, "covered", "gmic", "--f", "4/5", "--json")
+        assert code == 0
+        assert json.loads(out) == {
+            "closed": True, "components": [[["0", "4/5"]], [["4/5", "1"]]],
+            "uncovered": [], "moves": []}
+
+    def test_covered_text_lists_the_uncovered_intervals(self, capsys):
+        code, out, _ = run(capsys, "covered", "drlm_backward_3_slope")
+        assert code == 0
+        assert out.splitlines() == [
+            "component 1: [0, 1/12]",
+            "component 2: [1/12, 5/12] u [2/3, 1]",
+            "uncovered: (5/12, 2/3)"]
+
+    def test_show_a_discrete_file(self, capsys, tmp_path):
+        _, doc, _ = run(capsys, "restrict", "gmic", "--f", "4/5")
+        path = tmp_path / "discrete.json"
+        path.write_text(doc)
+        code, out, _ = run(capsys, "show", str(path))
+        assert code == 0
+        assert out.splitlines() == [
+            "discrete function on (1/5)Z, f = 4/5",
+            "points: 0, 1/5, 2/5, 3/5, 4/5, 1",
+            "values: 0, 1/4, 1/2, 3/4, 1, 0"]
+
+    def test_faces_text_tags_the_maximal_faces(self, capsys):
+        import groupcut as gc
+
+        code, out, _ = run(capsys, "faces", "gmic", "--f", "4/5")
+        assert code == 0
+        faces = gc.generate_additive_faces(gc.gmic(f="4/5"))
+        lines = out.splitlines()
+        assert len(lines) == len(faces.faces)
+        assert [line.endswith(" (maximal)") for line in lines] == list(faces.maximal)
+        assert "<Face dim 2 I'=[0, 4/5] J'=[0, 4/5] K'=[0, 4/5]> (maximal)" \
+            in lines
+        code, out, _ = run(capsys, "faces", "gmic", "--f", "4/5", "--maximal")
+        assert code == 0 and "(maximal)" not in out
+
+    def test_interpolate_refuses_a_piecewise_function(self, capsys):
+        code, out, err = run(capsys, "interpolate", "gmic")
+        assert code == 2 and not out
+        assert err == "error: interpolate expects a discrete function\n"
+
+    def test_param_without_a_value_is_refused(self, capsys):
+        code, out, err = run(capsys, "eval", "gmic", "--param", "f",
+                             "--x", "1/2")
+        assert code == 2 and not out
+        assert err == "error: --param needs name=p/q, got 'f'\n"
 
     def test_merit(self, capsys):
         code, out, _ = run(capsys, "merit", "gmic", "--f", "4/5")
@@ -454,6 +534,22 @@ class TestPlotVerb:
         code, _, err = run(capsys, "plot", "gmic", "--kind", "perturbation",
                            "--out", "/tmp/nope.svg")
         assert code == 2 and "no perturbation" in err
+
+    def test_plot_a_discrete_file(self, capsys, tmp_path):
+        _, doc, _ = run(capsys, "restrict", "gmic", "--f", "4/5")
+        src = tmp_path / "discrete.json"
+        src.write_text(doc)
+        out_file = tmp_path / "discrete.svg"
+        code, out, _ = run(capsys, "plot", str(src), "--out", str(out_file))
+        assert code == 0 and out == f"wrote {out_file}\n"
+        assert out_file.read_text().startswith('<?xml')
+
+    def test_plot_covered_kind(self, capsys, tmp_path):
+        out_file = tmp_path / "covered.svg"
+        code, _, _ = run(capsys, "plot", "drlm_backward_3_slope",
+                         "--kind", "covered", "--out", str(out_file))
+        assert code == 0
+        assert out_file.read_text().startswith('<?xml')
 
     def test_plot_cones_kind(self, capsys, tmp_path):
         out_file = tmp_path / "cones.svg"
