@@ -37,9 +37,13 @@ the faces it contains and its mirror F(J, I, K) (the first two
 projections swapped).  The walk (_additive_walk) is a generator that
 yields each additive 2-face and edge of the half, with its maximal flag,
 as it finds it: covering takes the maximal keys one at a time and stops
-the walk once it is saturated.  _grid_additive_faces runs the whole walk
-into {key: maximal} and adds the tight vertices, and the public
-generate_*_additive_faces add the mirror of each face with I != J.
+the walk once it is saturated.  It decides each tight vertex once, at
+its first tight cone that stays in the square, and reads each cone's
+cell from one table per coordinate that holds, for each side, the piece
+and its slope id (None for a point piece), so a cone compares small
+integers.  _grid_additive_faces runs the whole walk into {key: maximal}
+and adds the tight vertices, and the public generate_*_additive_faces
+add the mirror of each face with I != J.
 A face's shape comes from its key: one closed form (_corners) lists its
 corners counterclockwise, which give its sorted vertices and its boundary,
 and face_area is its projection box less two corner triangles.  Vertices
@@ -404,16 +408,23 @@ def _require_subadditive(fn: PiecewiseFunction) -> VertexSlacks:
     return rec
 
 
-def _pieces_at(grid: Sequence[int], t: int) -> list:
-    """The pieces of the integer grid approached at t, indexed by side 0
-    (t itself), 1 (from the right) and -1 (from the left): the cell around
-    t from every side when t is no grid point; None for a side that leaves
-    the grid."""
+def _slope_table(grid: Sequence[int], ids: Sequence[int], t: int) -> tuple:
+    """The pieces of the integer grid approached at t, each with the slope
+    id ids[m] of its cell m, or None for the point piece (t, t), indexed by
+    side 0 (t itself), 1 (from the right) and -1 (from the left): the cell
+    around t from every side when t is no grid point; None for a side that
+    leaves the grid."""
     i, j = bisect_left(grid, t), bisect_right(grid, t)
     if i == j:
-        return [(grid[i - 1], grid[i])] * 3
-    return [(t, t), (t, grid[j]) if j < len(grid) else None,
-            (grid[i - 1], t) if i else None]
+        return (((grid[i - 1], grid[i]), ids[i - 1]),) * 3
+    return (((t, t), None),
+            ((t, grid[j]), ids[i]) if j < len(grid) else None,
+            ((grid[i - 1], t), ids[i - 1]) if i else None)
+
+
+def _pieces_at(grid: Sequence[int], t: int) -> list:
+    """The pieces of _slope_table(grid, ., t) without their ids."""
+    return [e and e[0] for e in _slope_table(grid, range(len(grid)), t)]
 
 
 # The cones that the walk of _additive_walk follows from a tight
@@ -448,63 +459,71 @@ def _additive_walk(fn: PiecewiseFunction):
     at the vertices are that affine function's values.  It vanishes at all
     of them exactly when the moving pieces share one slope and it vanishes
     at one vertex.  Such a vertex is tight: it has a cone of zero slack
-    that stays in the square.  The slack is symmetric, so the walk visits
-    only the tight vertices with x <= y.  At each, a cone of _WALK_CONES
-    that stays in the square names a cell (I, J, K), and its test (the
-    value, or the cone's limit when fn is discontinuous) is the cell's
-    limit slack there.  A 2-cell is additive when its test passes and its
-    three pieces share a slope.  A ray's edge is additive when its two
-    moving pieces share a slope and its own test passes or that of a
-    2-cell that contains it, the cell of a sector beside the ray, and
-    maximal when none of those 2-cells is additive (the sectors come
-    first, so the flag is final when the edge is yielded).  Each 2-cell is
-    yielded once, and each edge once, from its lower end.
+    that stays in the square, decided once per vertex, at its first such
+    cone in the record.  The slack is symmetric, so the walk visits only
+    the tight vertices with x <= y.  At each, a cone of _WALK_CONES that
+    stays in the square names a cell (I, J, K), read with the slope ids of
+    its pieces from one table per coordinate (_slope_table), and its test
+    (the value, or the cone's limit when fn is discontinuous) is the
+    cell's limit slack there.  A 2-cell, one whose three pieces all move,
+    is additive when its test passes and its three slope ids agree.  A
+    ray's edge is additive when the ids of its two moving pieces agree and
+    its own test passes or that of a 2-cell that contains it, the cell of
+    a sector beside the ray, and maximal when none of those 2-cells is
+    additive (the sectors come first, so the flag is final when the edge
+    is yielded).  Each 2-cell is yielded once, and each edge once, from
+    its lower end.
     """
     rec = _require_subadditive(fn)
-    b, D = fn.scaled_tables()[0], rec.D
+    b, D, zero = fn.scaled_tables()[0], rec.D, rec.tight
     # the vertices (x <= y) with a cone of zero slack that stays in the
     # square: no side points below 0 or above D (2D for x + y), which only
-    # a cone on x = 0 or y = D can do
-    tight = {(x, y) for x, y, sides in rec.tight
-             if 0 < x and y < D or not any(
-                 s and t == (e if s > 0 else 0) for s, t, e in
-                 zip(sides, (x, y, x + y), (D, D, 2 * D)))}
+    # a cone on x = 0 or y = D can do; a vertex is added at its first such
+    # cone, so the set is built in the record's order
+    tight: set = set()
+    for x, y, sides in zero:
+        if (x, y) not in tight and (0 < x and y < D or not any(
+                s and t == (e if s > 0 else 0) for s, t, e in
+                zip(sides, (x, y, x + y), (D, D, 2 * D)))):
+            tight.add((x, y))
 
     def walk():
         ext = b + [t + D for t in b[1:]]
+        ids = fn._slope_ids()
+        ext_ids = ids * 2
         continuous = fn.is_continuous
-        # piece of b or ext -> a small integer per distinct slope
-        slope = dict(zip(zip(ext, ext[1:]), fn._slope_ids() * 2))
-        on_b: dict = {}  # coordinate -> _pieces_at(b, .), once per walk
+        on_b: dict = {}  # coordinate -> _slope_table(b, ids, .), once each
         on_ext: dict = {}  # the same for x + y on ext
         built = set()  # the additive 2-cells
         for x, y in tight:
-            px = on_b.get(x) or on_b.setdefault(x, _pieces_at(b, x))
-            py = on_b.get(y) or on_b.setdefault(y, _pieces_at(b, y))
+            px = on_b.get(x) or on_b.setdefault(x, _slope_table(b, ids, x))
+            py = on_b.get(y) or on_b.setdefault(y, _slope_table(b, ids, y))
             ps = on_ext.get(x + y) or on_ext.setdefault(
-                x + y, _pieces_at(ext, x + y))
+                x + y, _slope_table(ext, ext_ids, x + y))
             passed: dict = {}  # sector of zero limit slack -> additive
             for sides in _WALK_CONES:
-                cell = (px[sides[0]], py[sides[1]], ps[sides[2]])
-                if None in cell:
+                sx, sy, ss = sides
+                cx, cy, cs = px[sx], py[sy], ps[ss]
+                if cx is None or cy is None or cs is None:
                     continue  # the cone leaves the square
-                I, J, K = cell
+                (I, i), (J, j), (K, k) = cx, cy, cs
                 if x == y and I > J:
                     continue  # the mirror of a cell walked here
-                if I[0] < I[1] and J[0] < J[1] and K[0] < K[1]:
-                    if continuous or (x, y, sides) in rec.tight:
-                        passed[sides] = same = (
-                            slope[I] == slope[J] == slope[K])
-                        if same and cell not in built:
-                            built.add(cell)
-                            yield _projections(*cell), True
+                if i is not None and j is not None and k is not None:
+                    if continuous or (x, y, sides) in zero:
+                        passed[sides] = same = i == j == k
+                        if same and (I, J, K) not in built:
+                            built.add((I, J, K))
+                            yield _projections(I, J, K), True
                     continue
-                # a ray along a grid line, after the sectors beside it
-                if len({slope[p] for p in cell if p[0] < p[1]}) > 1:
+                # a ray along a grid line, after the sectors beside it;
+                # one of its pieces is a point, with id None
+                if (j != k if i is None else i != k if j is None
+                        else i != j):
                     continue  # the two moving pieces have two slopes
                 around = [passed[s] for s in _BESIDE[sides] if s in passed]
-                if around or continuous or (x, y, sides) in rec.tight:
-                    yield _projections(*cell), not any(around)
+                if around or continuous or (x, y, sides) in zero:
+                    yield _projections(I, J, K), not any(around)
 
     return D, tight, walk()
 

@@ -450,15 +450,16 @@ class _FiniteExtremality(_FiniteModel):
         points = [(i, j) for i in range(q + 1) for j in range(i, q + 1)]
         mirrors = [(a, (fq - a) % q) for a in grid]
         return (bool(neg), Fraction(min_pos, W) if min_pos else None,
-                *_epsilon_pairs(u, v, W, X, points, ((0, 0, 0),), set(points),
+                *_epsilon_pairs(u, v, W, X, points, ((0, 0, 0),), None,
                                 mirrors), W, X)
 
 
 def _epsilon_pairs(u, v, W, X, points, cones, own, mirrors):
     """(max_abs, pairs) from the tables u of pi and v of pi~ by point and
     side: the cones at points keep their least s / |t| by cross-multiplying
-    (max_abs is the largest |t| at own); then pi(0) = 0, and the range at
-    each x and its symmetry with side -s of its mirror m."""
+    (max_abs is the largest |t| at own, at every point when own is None);
+    then pi(0) = 0, and the range at each x and its symmetry with side -s
+    of its mirror m."""
     s0 = t0 = max_abs = 0
     for x, y in points:
         ux, uy, us, vx, vy, vs = u[x], u[y], u[x + y], v[x], v[y], v[x + y]
@@ -468,7 +469,7 @@ def _epsilon_pairs(u, v, W, X, points, cones, own, mirrors):
                 s = ux[sx] + uy[sy] - us[ss]
                 if not t0 or s * t0 < s0 * t:
                     s0, t0 = s, t
-                if t > max_abs and (x, y) in own:
+                if t > max_abs and (own is None or (x, y) in own):
                     max_abs = t
     pairs = [(s0, t0), (-abs(u[0][0]), v[0][0])]
     for x, m in mirrors:

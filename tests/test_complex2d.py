@@ -353,6 +353,32 @@ class TestAdditiveFaces:
         assert additive[(0, 7), (0, 7), (7, 7)] is False
         assert face_vertices(((0, 7), (0, 7), (7, 7))) == ((0, 7), (7, 0))
 
+    def test_the_walk_yields_each_face_once(self):
+        # covering reads every yield of the walk, while _grid_additive_faces
+        # folds it into a dict that would hide a face yielded twice, with
+        # the same flag or another; on the oracle corpora of the
+        # cross-validation tests and on three sourced functions under
+        # lam = 1..3
+        from conftest import random_minimal_functions
+
+        hom = gc.multiplicative_homomorphism
+        fns = [hom(make(), lam) for make in (
+            gc.hildebrand_discont_3_slope_1, gc.gj_2_slope,
+            gc.drlm_backward_3_slope) for lam in (1, 2, 3)]
+        fns += [fn for continuous in (True, False)
+                for fn in random_subadditive_functions(150, 12, continuous)
+                + random_subadditive_functions(15, 18, continuous)]
+        for grid in (4, 5):
+            fns += random_minimal_functions(20, xgrid=grid, ygrid=grid,
+                                            proba=F(1, 2))
+        fns += random_minimal_functions(4, xgrid=5, ygrid=5, proba=1)
+        walked = 0
+        for fn in fns:
+            keys = [key for key, _ in complex2d._additive_walk(fn)[2]]
+            assert len(keys) == len(set(keys))
+            walked += len(keys)
+        assert walked > 1000
+
 
 class TestMeritIndex:
     def test_gmic_formula(self, gmic45):

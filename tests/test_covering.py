@@ -8,7 +8,7 @@ from groupcut.complex2d import (Face, generate_additive_faces,
 from groupcut.covering import directly_covered_components
 from groupcut.errors import UnsupportedCaseError
 
-from conftest import random_minimal_functions
+from conftest import random_minimal_functions, random_subadditive_functions
 
 
 class TestDirectlyCovered:
@@ -397,3 +397,35 @@ def test_a_face_and_its_mirror_are_joined_once(monkeypatch):
         twofaces = sum(f.dimension == 2 for f in half)
         assert counts[0] == counts[1] <= twofaces < len(every.faces_of_dim(2))
     assert counts[0] == twofaces
+
+
+def test_phase_two_covers_only_what_moves(monkeypatch):
+    # phase two asks the classes to cover an image only when it is not yet
+    # in its source's class, so each call it makes (the calls with a root)
+    # logs a move; on hildebrand under lam = 1..4 and on a stream of
+    # seeded random subadditive functions, two of which have moves while
+    # the edges of the rest move nothing
+    from groupcut import covering
+
+    calls = []
+    cover = covering._Classes.cover
+
+    def counted(self, windows, root=None):
+        if root is not None:
+            calls.append(root)
+        return cover(self, windows, root)
+
+    monkeypatch.setattr(covering._Classes, "cover", counted)
+    fns = [gc.multiplicative_homomorphism(gc.hildebrand_discont_3_slope_1(),
+                                          lam) for lam in (1, 2, 3, 4)]
+    fns += random_subadditive_functions(700, 2, False)
+    moved = 0
+    for fn in fns:
+        calls.clear()
+        try:
+            cc = gc.generate_covered_components(fn)
+        except UnsupportedCaseError:
+            continue  # a jump at the origin from both sides
+        assert len(calls) == len(cc.edges_used)
+        moved += bool(cc.edges_used)
+    assert moved == 6
