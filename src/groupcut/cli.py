@@ -37,10 +37,6 @@ from .transforms import (automorphism, interpolate_to_infinite_group,
                          multiplicative_homomorphism, restrict_to_finite_group)
 
 
-def _out_dir() -> Path:
-    return Path(os.environ.get("GROUPCUT_OUT_DIR", "."))
-
-
 def _load(args, kind=None):
     """Input resolution: an existing path or *.json is a function file,
     anything else a compendium name with --param arguments (p/q, an
@@ -74,35 +70,23 @@ def _load(args, kind=None):
     return fn
 
 
-def _emit(doc: str, args, default_name: str) -> Path:
-    out = Path(args.out) if args.out else _out_dir() / default_name
-    out.parent.mkdir(parents=True, exist_ok=True)
-    out.write_text(doc, encoding="utf-8")
-    print(f"wrote {out}")
-    return out
+# the line that each failed check prints, in print order
+_FAILURES = (
+    ("range", "pi is not minimal because it does not stay in the range of "
+              "[0, 1]."),
+    ("subadditivity", "pi is not subadditive."),
+    ("symmetry", "pi is not symmetric."),
+)
 
 
 def _minimality_lines(rep) -> list[str]:
-    lines = []
     kinds = {v.kind for v in rep.violations}
-    if "value-at-0" in kinds:
-        lines.append("pi(0) != 0")
-    else:
-        lines.append("pi(0) = 0")
+    lines = ["pi(0) != 0" if "value-at-0" in kinds else "pi(0) = 0"]
     if rep.is_minimal:
-        lines.append("pi is subadditive.")
-        lines.append("pi is symmetric.")
-        lines.append("Thus pi is minimal.")
-    else:
-        if "range" in kinds:
-            lines.append("pi is not minimal because it does not stay in the "
-                         "range of [0, 1].")
-        if "subadditivity" in kinds:
-            lines.append("pi is not subadditive.")
-        if "symmetry" in kinds:
-            lines.append("pi is not symmetric.")
-        lines.append("Thus pi is NOT minimal.")
-    return lines
+        return lines + ["pi is subadditive.", "pi is symmetric.",
+                        "Thus pi is minimal."]
+    return lines + [line for kind, line in _FAILURES if kind in kinds] + [
+        "Thus pi is NOT minimal."]
 
 
 def cmd_list(args) -> int:
@@ -261,35 +245,51 @@ def cmd_random(args) -> int:
     return 0
 
 
+def _plot_perturbation(fn, spec) -> str:
+    rep = extremality_test(fn)
+    if rep.perturbation is None:
+        raise GroupCutError("no perturbation available for this function")
+    return plot_perturbation(fn, rep.perturbation, rep.epsilon, spec=spec)
+
+
+# each --kind and its diagram, in the order that --help lists them
+_PLOTS = {
+    "function": plot_function,
+    "cones": plot_2d_diagram_with_cones,
+    "additive": plot_2d_diagram,
+    "covered": lambda fn, spec: covered_steps_frames(fn, spec)[-1],
+    "perturbation": _plot_perturbation,
+}
+
+
 def cmd_plot(args) -> int:
     fn = _load(args)
     if isinstance(fn, DiscreteFunction):
         fn = interpolate_to_infinite_group(fn)
-    spec = DiagramSpec(size=args.size)
-    if args.kind == "function":
-        doc = plot_function(fn, spec=spec)
-    elif args.kind == "cones":
-        doc = plot_2d_diagram_with_cones(fn, spec=spec)
-    elif args.kind == "additive":
-        doc = plot_2d_diagram(fn, spec=spec)
-    elif args.kind == "perturbation":
-        rep = extremality_test(fn)
-        if rep.perturbation is None:
-            raise GroupCutError("no perturbation available for this function")
-        doc = plot_perturbation(fn, rep.perturbation, rep.epsilon, spec=spec)
-    else:  # covered
-        frames = covered_steps_frames(fn, spec=spec)
-        doc = frames[-1]
-    _emit(doc, args, f"{args.input.replace('/', '_')}_{args.kind}.svg")
+    doc = _PLOTS[args.kind](fn, DiagramSpec(size=args.size))
+    out = Path(args.out or Path(os.environ.get("GROUPCUT_OUT_DIR", "."))
+               / f"{args.input.replace('/', '_')}_{args.kind}.svg")
+    out.parent.mkdir(parents=True, exist_ok=True)
+    out.write_text(doc, encoding="utf-8")
+    print(f"wrote {out}")
     return 0
 
 
-def _add_input(p, with_f: bool = True):
-    p.add_argument("input", help="compendium name or JSON function file")
-    p.add_argument("--param", action="append",
-                   help="constructor parameter name=p/q (repeatable)")
-    if with_f:
-        p.add_argument("--f", help="f parameter as p/q")
+def _verb(sub, name, run, help, input=True, json=False, with_f=True):
+    """The subparser of one verb, which main runs as run(args): with input,
+    the input arguments (input, --param and, with_f, --f), then --json
+    when asked; the caller adds the verb's own arguments after these."""
+    p = sub.add_parser(name, help=help)
+    if input:
+        p.add_argument("input", help="compendium name or JSON function file")
+        p.add_argument("--param", action="append",
+                       help="constructor parameter name=p/q (repeatable)")
+        if with_f:
+            p.add_argument("--f", help="f parameter as p/q")
+    if json:
+        p.add_argument("--json", action="store_true")
+    p.set_defaults(run=run)
+    return p
 
 
 @cache  # the tree of every verb, built once per process
@@ -301,59 +301,44 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--version", action="version", version=__version__)
     sub = ap.add_subparsers(dest="verb", required=True)
 
-    sub.add_parser("list", help="show the compendium registry")
+    _verb(sub, "list", cmd_list, "show the compendium registry", input=False)
+    _verb(sub, "show", cmd_show, "print a function's data", json=True)
 
-    p = sub.add_parser("show", help="print a function's data")
-    _add_input(p)
-    p.add_argument("--json", action="store_true")
-
-    p = sub.add_parser("eval", help="evaluate a function")
-    _add_input(p)
+    p = _verb(sub, "eval", cmd_eval, "evaluate a function")
     p.add_argument("--x", required=True)
 
-    p = sub.add_parser("delta", help="subadditivity slack at (x, y)")
-    _add_input(p)
+    p = _verb(sub, "delta", cmd_delta, "subadditivity slack at (x, y)")
     p.add_argument("--x", required=True)
     p.add_argument("--y", required=True)
 
-    p = sub.add_parser("minimality", help="minimality test")
-    _add_input(p)
-    p.add_argument("--json", action="store_true")
+    p = _verb(sub, "minimality", cmd_minimality, "minimality test", json=True)
     p.add_argument("--fail-fast", action="store_true",
                    help="stop at the first violation")
 
-    p = sub.add_parser("extremality", help="extremality test")
-    _add_input(p)
-    p.add_argument("--json", action="store_true")
+    _verb(sub, "extremality", cmd_extremality, "extremality test", json=True)
 
-    p = sub.add_parser("covered", help="connected covered components")
-    _add_input(p)
-    p.add_argument("--json", action="store_true")
+    p = _verb(sub, "covered", cmd_covered, "connected covered components",
+              json=True)
     p.add_argument("--frames", help="directory for per-step SVG frames")
 
-    p = sub.add_parser("faces", help="additive faces")
-    _add_input(p)
-    p.add_argument("--json", action="store_true")
+    p = _verb(sub, "faces", cmd_faces, "additive faces", json=True)
     p.add_argument("--maximal", action="store_true")
 
-    p = sub.add_parser("merit", help="merit index")
-    _add_input(p)
+    _verb(sub, "merit", cmd_merit, "merit index")
 
-    p = sub.add_parser("restrict", help="restrict to the finite group")
-    _add_input(p)
+    p = _verb(sub, "restrict", cmd_restrict, "restrict to the finite group")
     p.add_argument("--order", type=int)
     p.add_argument("--oversampling", type=int)
 
-    p = sub.add_parser("interpolate", help="interpolate a discrete function")
-    _add_input(p, with_f=False)
+    _verb(sub, "interpolate", cmd_interpolate,
+          "interpolate a discrete function", with_f=False)
 
-    p = sub.add_parser("transform", help="group transformations")
-    _add_input(p)
+    p = _verb(sub, "transform", cmd_transform, "group transformations")
     g = p.add_mutually_exclusive_group(required=True)
     g.add_argument("--homomorphism", type=int, metavar="LAM")
     g.add_argument("--automorphism", type=int, nargs="?", const=-1, metavar="LAM")
 
-    p = sub.add_parser("random", help="seeded random function")
+    p = _verb(sub, "random", cmd_random, "seeded random function", input=False)
     p.add_argument("--xgrid", type=int, default=5)
     p.add_argument("--ygrid", type=int, default=5)
     p.add_argument("--continuous-proba", default="1/3")
@@ -361,40 +346,19 @@ def build_parser() -> argparse.ArgumentParser:
                    default=True)
     p.add_argument("--seed", type=int, default=0)
 
-    p = sub.add_parser("plot", help="write SVG diagrams")
-    _add_input(p)
-    p.add_argument("--kind", default="function",
-                   choices=["function", "cones", "additive", "covered",
-                            "perturbation"])
+    p = _verb(sub, "plot", cmd_plot, "write SVG diagrams")
+    p.add_argument("--kind", default="function", choices=list(_PLOTS))
     p.add_argument("--size", type=int, default=600)
     p.add_argument("--out")
 
     return ap
 
 
-_COMMANDS = {
-    "list": cmd_list,
-    "show": cmd_show,
-    "eval": cmd_eval,
-    "delta": cmd_delta,
-    "minimality": cmd_minimality,
-    "extremality": cmd_extremality,
-    "covered": cmd_covered,
-    "faces": cmd_faces,
-    "merit": cmd_merit,
-    "restrict": cmd_restrict,
-    "interpolate": cmd_interpolate,
-    "transform": cmd_transform,
-    "random": cmd_random,
-    "plot": cmd_plot,
-}
-
-
 def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
     try:
-        code = _COMMANDS[args.verb](args)
+        code = args.run(args)
         sys.stdout.flush()  # a closed pipe shows here, not at exit
     except (GroupCutError, KeyError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

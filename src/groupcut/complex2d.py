@@ -46,11 +46,11 @@ and adds the tight vertices, and the public generate_*_additive_faces
 add the mirror of each face with I != J.
 A face's shape comes from its key: one closed form (_corners) lists its
 corners counterclockwise, which give its sorted vertices and its boundary,
-and face_area is its projection box less two corner triangles.  Vertices
-are derived only where a Fraction Face is returned (grid_face,
-face_from_triple) and where _grid_additive_faces needs them to tell
-whether a vertex lies in a larger face.  faces_of_complex lists every face
-of the complex, the brute-force reference that checks need.
+and face_area is its projection box less two corner triangles.  A
+Fraction Face holds only its key and derives its vertices on first read;
+below the API only _grid_additive_faces derives them, on the integers, to
+tell whether a vertex lies in a larger face.  faces_of_complex lists every
+face of the complex, the brute-force reference that checks need.
 """
 
 from __future__ import annotations
@@ -58,7 +58,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
 from . import _scan
@@ -77,26 +77,43 @@ TWO = Fraction(2)
 @dataclass(frozen=True)
 class Face:
     """A face of the complex: the polytope {x in I, y in J, x+y in K},
-    stored by its vertex list and tight projections.
+    stored as its key alone, the tight projections proj1/proj2/proj3.
 
-    proj1/proj2/proj3 are the exact min/max of x, y, x+y over the vertices;
-    the face equals the set cut out by its own projections, which makes the
-    triple a canonical key, from which the vertices are derived.
-    dimension is 0, 1 or 2 (-1 for the empty face); one-dimensional faces
-    carry edge_kind 'vertical', 'horizontal' or 'diagonal' according to
-    which projection is a point.
+    They are the exact min/max of x, y, x+y over the vertices, and the face
+    equals the set they cut out.  vertices are derived from them on first
+    read; dimension is 0, 1 or 2 (-1 for the empty face, whose projections
+    are None); a one-dimensional face has edge_kind 'vertical',
+    'horizontal' or 'diagonal' according to which projection is a point.
     """
 
     proj1: Optional[Interval]
     proj2: Optional[Interval]
     proj3: Optional[Interval]
-    vertices: tuple[Point, ...]
-    dimension: int
-    edge_kind: Optional[str]
+
+    @cached_property
+    def vertices(self) -> tuple[Point, ...]:
+        if self.is_empty:
+            return ()
+        # found on the integers of the key's common grid
+        D, ends = on_grid(t for iv in self.key() for t in iv)
+        return tuple((Fraction(x, D), Fraction(y, D)) for x, y in
+                     _face_vertices(tuple(zip(ends[::2], ends[1::2]))))
+
+    @property
+    def dimension(self) -> int:
+        return -1 if self.is_empty else {0: 2, 1: 1, 3: 0}[
+            sum(lo == hi for lo, hi in self.key())]
+
+    @property
+    def edge_kind(self) -> Optional[str]:
+        if self.dimension != 1:
+            return None
+        return ("vertical", "horizontal", "diagonal")[
+            [lo == hi for lo, hi in self.key()].index(True)]
 
     @property
     def is_empty(self) -> bool:
-        return not self.vertices
+        return self.proj1 is None
 
     def contains_point(self, p: Point) -> bool:
         if self.is_empty:
@@ -130,7 +147,7 @@ def _fmt_iv(iv: Interval) -> str:
     return f"[{iv[0]}, {iv[1]}]" if iv[0] != iv[1] else f"{{{iv[0]}}}"
 
 
-_EMPTY_FACE = Face(None, None, None, (), -1, None)
+_EMPTY_FACE = Face(None, None, None)
 
 
 def _coerce_interval(iv, lo_bound: Fraction, hi_bound: Fraction) -> Interval:
@@ -151,11 +168,6 @@ def _coerce_interval(iv, lo_bound: Fraction, hi_bound: Fraction) -> Interval:
     return (a, b)
 
 
-# t / D for grid integers, one shared object per value for the faces that
-# reports keep
-_grid_fraction = lru_cache(maxsize=4096)(Fraction)
-
-
 def face_from_triple(I, J, K) -> Face:
     """Face F(I, J, K) from intervals (or single points) I, J in [0, 1] and
     K in [0, 2]; an empty face is allowed.  The face is found on the grid
@@ -168,12 +180,10 @@ def face_from_triple(I, J, K) -> Face:
 
 def grid_face(key, D: int) -> Face:
     """The face with the integer projections key over D (as _projections
-    gives them): the vertices are found on the integers and each number is
-    converted to a Fraction once."""
-    return _face(
-        tuple((_grid_fraction(lo, D), _grid_fraction(hi, D)) for lo, hi in key),
-        tuple((_grid_fraction(x, D), _grid_fraction(y, D))
-              for x, y in _face_vertices(key)))
+    gives them), the empty face when a projection is empty."""
+    if any(lo > hi for lo, hi in key):
+        return _EMPTY_FACE
+    return Face(*((Fraction(lo, D), Fraction(hi, D)) for lo, hi in key))
 
 
 def _projections(I, J, K) -> tuple:
@@ -216,24 +226,9 @@ def _boundary(key) -> tuple:
     return tuple(p for p, q in zip(c, c[1:] + c[:1]) if p != q) or c[:1]
 
 
-def _face(key, vertices) -> Face:
-    """The Face with the Fraction projections key and its vertices; the
-    key's single points give the dimension and the edge kind."""
-    if not vertices:
-        return _EMPTY_FACE
-    p1, p2, p3 = key
-    singles = (p1[0] == p1[1]) + (p2[0] == p2[1]) + (p3[0] == p3[1])
-    kind = None
-    if singles == 1:
-        kind = ("vertical" if p1[0] == p1[1]
-                else "horizontal" if p2[0] == p2[1] else "diagonal")
-    return Face(p1, p2, p3, vertices, {0: 2, 1: 1, 3: 0}[singles], kind)
-
-
 def mirror_face(face: Face) -> Face:
     """The face F(J, I, K) of face.mirror_key()."""
-    return _face(face.mirror_key(),
-                 tuple(sorted((y, x) for x, y in face.vertices)))
+    return Face(*face.mirror_key())
 
 
 # -- slack and its directional limits ----------------------------------------

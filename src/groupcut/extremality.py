@@ -177,11 +177,12 @@ class ExtremalityReport:
     is_extreme: bool
     is_minimal: bool
     minimality: MinimalityReport
-    covered: Optional[CoveredComponentSet]
-    system: Optional[EquationSystem]
-    kernel_dimension: Optional[int]
-    perturbation: Optional[object]  # PiecewiseFunction or DiscreteFunction
-    epsilon: Optional[Fraction]
+    covered: Optional[CoveredComponentSet] = None
+    system: Optional[EquationSystem] = None
+    kernel_dimension: Optional[int] = None
+    # a PiecewiseFunction or a DiscreteFunction
+    perturbation: Optional[object] = None
+    epsilon: Optional[Fraction] = None
     notes: tuple[str, ...] = ()
     kernel: tuple[Vector, ...] = ()
     # extreme: the rows of system.integer_rows that raised the rank modulo
@@ -531,21 +532,20 @@ def extremality_test(fn: PiecewiseFunction | DiscreteFunction,
     m = _model(fn, _InfiniteExtremality, _FiniteExtremality)
     rep = _minimality_test(m, f, collect_all=True)
     if not rep.is_minimal:
-        return ExtremalityReport(False, False, rep, None, None, None, None,
-                                 None, ("not minimal valid",))
+        return ExtremalityReport(False, False, rep,
+                                 notes=("not minimal valid",))
     covered, system, to_perturbation = m.system(rep.f_used)
     if system is None:
-        return ExtremalityReport(
-            False, True, rep, covered, None, None, None, None,
-            (f"uncovered intervals: [{format_intervals(covered.uncovered)}]",
-             "perturbation unavailable: uncovered case"))
+        return ExtremalityReport(False, True, rep, covered, notes=(
+            f"uncovered intervals: [{format_intervals(covered.uncovered)}]",
+            "perturbation unavailable: uncovered case"))
     rank_rows = _rank_rows(system._read(), system.ncols)
     basis = [] if len(rank_rows) == system.ncols else _exact_kernel(
         system.integer_rows, rank_rows, system.ncols)
     dim = len(basis)
     if dim == 0:
-        return ExtremalityReport(True, True, rep, covered, system, 0, None,
-                                 None, (), rank_rows=tuple(rank_rows))
+        return ExtremalityReport(True, True, rep, covered, system, 0,
+                                 rank_rows=tuple(rank_rows))
     pert = to_perturbation(basis[0])
     eps = _find_epsilon(m, type(m)(pert), rep.f_used)
     return ExtremalityReport(False, True, rep, covered, system, dim, pert,

@@ -4,7 +4,8 @@ Function graphs with one color per slope value and open/closed markers at
 discontinuities; the two-dimensional diagram of the additivity complex with
 colored slack cones at the vertices (green = zero, red = negative); the
 additive-faces diagram with gray projection shadows; step frames of the
-covered-component computation; and perturbation plots.
+covered-component computation; and perturbation plots.  The two line
+plots share one graph frame (_graph).
 
 Conventions: the x-axis runs along the top border, the y-axis down the left
 border, and the (x+y)-axis is a ruler along the bottom border (values in
@@ -21,13 +22,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Optional
 
 from ._scan import SIDE_TRIPLES
 from .complex2d import (_BESIDE, _boundary, generate_maximal_additive_faces,
                         vertex_slacks)
-from .covering import (CoveredComponentSet, directly_covered_components,
-                       generate_covered_components)
+from .covering import directly_covered_components, generate_covered_components
 from .errors import ParameterError
 from .pwl import PiecewiseFunction
 
@@ -64,12 +64,6 @@ class DiagramSpec:
 
 def _fmt(x) -> str:
     return f"{float(x):.4f}"
-
-
-def _slope_colors(fn: PiecewiseFunction) -> dict:
-    slopes = sorted(set(fn.interval_slopes()))
-    return {s: SLOPE_PALETTE[i % len(SLOPE_PALETTE)]
-            for i, s in enumerate(slopes)}
 
 
 class _Doc:
@@ -114,32 +108,39 @@ def _graph_segments(fn: PiecewiseFunction):
             for i, slope in enumerate(fn.interval_slopes())]
 
 
-def plot_function(fn: PiecewiseFunction,
-                  spec: Optional[DiagramSpec] = None) -> str:
-    """Graph over [0, 1] with a color per slope value and open/closed
-    endpoint markers at discontinuities."""
-    spec = spec or DiagramSpec()
-    S = spec.size
+def _graph(S, vmin, vmax):
+    """The S x S frame of a graph over [0, 1] with values in [vmin, vmax]:
+    (doc, X, Y), the background and the x-axis drawn, X and Y the canvas
+    coordinates of an abscissa and of a value.  Y reads float(v - vmin),
+    exact for Fraction bounds and float(v) - vmin for float ones."""
     pad = S * 0.08
-    vs = [v for t in fn.limits for v in t]
-    vmax = max(max(vs), 1)
-    vmin = min(min(vs), 0)
 
     def X(x):
         return pad + float(x) * (S - 2 * pad)
 
     def Y(v):
-        rng = float(vmax - vmin)
-        return S - pad - (float(v - vmin) / rng) * (S - 2 * pad)
+        return S - pad - float(v - vmin) / float(vmax - vmin) * (S - 2 * pad)
 
     doc = _Doc(S, S)
     doc.rect(0, 0, S, S, "#ffffff")
     doc.line(X(0), Y(0), X(1), Y(0), "#cccccc")
+    return doc, X, Y
+
+
+def plot_function(fn: PiecewiseFunction,
+                  spec: Optional[DiagramSpec] = None) -> str:
+    """Graph over [0, 1] with a color per slope value and open/closed
+    endpoint markers at discontinuities."""
+    spec = spec or DiagramSpec()
+    vs = [v for t in fn.limits for v in t]
+    vmin, vmax = min(min(vs), 0), max(max(vs), 1)
+    doc, X, Y = _graph(spec.size, vmin, vmax)
     doc.line(X(0), Y(vmax), X(0), Y(vmin), "#cccccc")
-    colors = _slope_colors(fn)
+    colors = {s: SLOPE_PALETTE[i % len(SLOPE_PALETTE)]
+              for i, s in enumerate(sorted(set(fn.interval_slopes())))}
     for (x1, v1), (x2, v2), slope in _graph_segments(fn):
         doc.line(X(x1), Y(v1), X(x2), Y(v2), colors[slope], width=2.0)
-    r = max(2.5, S * 0.006)
+    r = max(2.5, spec.size * 0.006)
     for x, (v, right, left) in zip(fn.breakpoints, fn.limits):
         if left != v:
             doc.circle(X(x), Y(left), r, "#555555", fill=False)
@@ -294,15 +295,6 @@ def plot_2d_diagram(fn: PiecewiseFunction,
     return sq.doc.finish()
 
 
-def _covered_bars(sq: _Square, intervals: Sequence[tuple],
-                  final: CoveredComponentSet, thick):
-    """One bar per interval, colored by the final component holding it."""
-    for lo, hi in intervals:
-        ci = final.component_of((lo + hi) / 2)
-        sq.doc.rect(sq.at(lo), sq.M * 0.55, sq.at(hi) - sq.at(lo), thick,
-                    COMPONENT_PALETTE[ci % len(COMPONENT_PALETTE)], 0.9)
-
-
 def covered_steps_frames(fn: PiecewiseFunction,
                          spec: Optional[DiagramSpec] = None) -> list[str]:
     """One frame per propagation step: the additive-face diagram, the
@@ -320,7 +312,11 @@ def covered_steps_frames(fn: PiecewiseFunction,
         for face in additive.faces:
             if face.dimension == 2:
                 sq.shade(face, 0.25)
-        _covered_bars(sq, covered, final, sq.M * 0.25)
+        for lo, hi in covered:  # a bar colored by its final component
+            ci = final.component_of((lo + hi) / 2)
+            sq.doc.rect(sq.at(lo), sq.M * 0.55, sq.at(hi) - sq.at(lo),
+                        sq.M * 0.25,
+                        COMPONENT_PALETTE[ci % len(COMPONENT_PALETTE)], 0.9)
         if active_edge is not None:
             (x1, y1), (x2, y2) = active_edge.vertices
             sq.doc.line(sq.at(x1), sq.at(y1), sq.at(x2), sq.at(y2),
@@ -345,25 +341,13 @@ def plot_perturbation(fn: PiecewiseFunction, pert: PiecewiseFunction,
     from .pwl import linear_combination
 
     spec = spec or DiagramSpec()
-    S = spec.size
-    pad = S * 0.08
     plus = linear_combination(1, fn, eps, pert, f=fn.f)
     minus = linear_combination(1, fn, -eps, pert, f=fn.f)
     scaled = linear_combination(eps, pert, 0, pert, f=None)
     curves = [(fn, "#000000", 2.2), (plus, ROLE_COLORS["function"], 1.4),
               (minus, ROLE_COLORS["violated"], 1.4), (scaled, "#cc00cc", 1.4)]
     vs = [float(v) for g, _, _ in curves for t in g.limits for v in t]
-    vmax, vmin = max(vs + [1.0]), min(vs + [0.0])
-
-    def X(x):
-        return pad + float(x) * (S - 2 * pad)
-
-    def Y(v):
-        return S - pad - ((float(v) - vmin) / (vmax - vmin)) * (S - 2 * pad)
-
-    doc = _Doc(S, S)
-    doc.rect(0, 0, S, S, "#ffffff")
-    doc.line(X(0), Y(0), X(1), Y(0), "#cccccc")
+    doc, X, Y = _graph(spec.size, min(vs + [0.0]), max(vs + [1.0]))
     for g, color, w in curves:
         for (x1, v1), (x2, v2), _ in _graph_segments(g):
             doc.line(X(x1), Y(v1), X(x2), Y(v2), color, w)

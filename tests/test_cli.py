@@ -457,10 +457,10 @@ class TestDataVerbs:
         # a fault inside a verb exits 3, never 0 or 1 (the verdicts)
         from groupcut import cli
 
-        def broken(args):
+        def broken(fn):
             raise TypeError("unexpected")
 
-        monkeypatch.setitem(cli._COMMANDS, "extremality", broken)
+        monkeypatch.setattr(cli, "extremality_test", broken)
         code, out, err = run(capsys, "extremality", "gmic")
         assert code == 3 and not out
         assert err == "internal error: TypeError: unexpected\n"
@@ -491,6 +491,39 @@ class TestPlotVerb:
         code, out, _ = run(capsys, "plot", "gmic", "--kind", "function")
         assert code == 0
         assert list(tmp_path.glob("*.svg"))
+
+    def test_each_kind_draws_its_diagram(self, capsys, tmp_path):
+        # --help lists the kinds in this order, and each writes the
+        # diagram of its name
+        from fractions import Fraction as F
+
+        import groupcut as gc
+        from groupcut import svgplot
+        from groupcut.jsonio import save_function
+
+        with pytest.raises(SystemExit):
+            main(["plot", "--help"])
+        assert ("--kind {function,cones,additive,covered,perturbation}"
+                in capsys.readouterr().out)
+        fn = gc.random_piecewise_function(4, 4, F(1, 2), True, seed=227)
+        save_function(fn, tmp_path / "r227.json")
+        rep = gc.extremality_test(fn)
+        spec = svgplot.DiagramSpec(size=200)
+        drawn = {
+            "function": svgplot.plot_function(fn, spec),
+            "cones": svgplot.plot_2d_diagram_with_cones(fn, spec),
+            "additive": svgplot.plot_2d_diagram(fn, spec),
+            "covered": svgplot.covered_steps_frames(fn, spec)[-1],
+            "perturbation": svgplot.plot_perturbation(
+                fn, rep.perturbation, rep.epsilon, spec),
+        }
+        assert len(set(drawn.values())) == 5
+        for kind, doc in drawn.items():
+            out = tmp_path / f"{kind}.svg"
+            code, _, _ = run(capsys, "plot", str(tmp_path / "r227.json"),
+                             "--kind", kind, "--size", "200", "--out",
+                             str(out))
+            assert code == 0 and out.read_text() == doc
 
     def test_covered_frames_written(self, capsys, tmp_path):
         frames_dir = tmp_path / "frames"

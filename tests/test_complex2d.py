@@ -1,3 +1,6 @@
+import copy
+import dataclasses
+import pickle
 import random
 from collections import Counter
 from fractions import Fraction as F
@@ -140,6 +143,36 @@ class TestFaceFromTriple:
             for g in faces:
                 assert g.contains_face(f) == all(
                     g.contains_point(v) for v in f.vertices)
+
+
+    def test_a_face_stores_its_key_alone(self):
+        # a Face holds its three projections; its vertices (read once),
+        # its dimension and its edge kind are read from them, and a copy
+        # of a face whose vertices were read is still the same face
+        assert [f.name for f in dataclasses.fields(gc.Face)] == [
+            "proj1", "proj2", "proj3"]
+        fns = [gc.gmic(), gc.gj_2_slope(), gc.hildebrand_discont_3_slope_1()]
+        fns += [gc.random_piecewise_function(4, 3, F(seed % 3, 2), seed=seed)
+                for seed in range(20)]
+        kinds = Counter()
+        for fn in fns:
+            for face in faces_of_complex(fn):
+                (x0, y0), *rest = face.vertices
+                moves = [(x - x0, y - y0) for x, y in rest]
+                bent = any(a * d != b * c for a, b in moves for c, d in moves)
+                assert face.dimension == (2 if bent else 1 if moves else 0)
+                constant = [len({x for x, _ in face.vertices}) == 1,
+                            len({y for _, y in face.vertices}) == 1,
+                            len({x + y for x, y in face.vertices}) == 1]
+                assert face.edge_kind == (
+                    ("vertical", "horizontal", "diagonal")[constant.index(True)]
+                    if face.dimension == 1 else None)
+                kinds[face.edge_kind] += 1
+                for twin in (copy.copy(face), copy.deepcopy(face),
+                             pickle.loads(pickle.dumps(face))):
+                    assert twin == face and hash(twin) == hash(face)
+                    assert twin.vertices == face.vertices
+        assert min(kinds.values()) > 100 and len(kinds) == 4, kinds
 
 
 class TestFaceGeometry:

@@ -108,16 +108,27 @@ class TestPerturbationPlot:
         assert doc == plot_perturbation(fn, rep.perturbation, rep.epsilon)
 
 
+def _perturbation_227():
+    fn = gc.random_piecewise_function(4, 4, F(1, 2), True, seed=227)
+    rep = gc.extremality_test(fn)
+    return plot_perturbation(fn, rep.perturbation, rep.epsilon)
+
+
 class TestPinnedDiagrams:
-    # sha256 of four diagrams at the default size, first drawn from the
-    # convex hull of each 2-face's vertices and a written-out table of the
-    # twelve cones' rays: an independent reference for the boundary and
-    # the rays that the key and the sides now give
+    # sha256 of six diagrams at the default size; the first four were
+    # first drawn from the convex hull of each 2-face's vertices and a
+    # written-out table of the twelve cones' rays: an independent
+    # reference for the boundary and the rays that the key and the sides
+    # now give
     PINNED = {
         "cones_hildebrand": "4cd416bb6e17e7ef67944c5ca64413052fc806c856b6a7fa092c70380bd2a5bf",
         "additive_gj_2_slope": "994b2c74ba2058a9a4e0008af92a43b5fa9ba3afe18226e10d2d7f1007adc6c9",
         "additive_hildebrand": "e4e81ff7eacdacfb01dbc9e4b962330902797e196bb6dc05875ed4d970af5bfa",
         "last_covered_frame_hildebrand": "f94beca0b2e5234750bea6c9b5f8b1a1b0f3f7a0204fb78626f954e467ef7cd1",
+        # the two line plots, which share one graph frame: Fraction value
+        # bounds in the first, float ones in the second
+        "function_hildebrand": "ab01d815967a7aea6722e0643841a1e3b6c971d21c94ac6bad7322dfe9b9b30b",
+        "perturbation_random_227": "fe3102b411ca98c6d0141dedb80c0938736848fb6a677429f5a8c94ecade2dae",
     }
 
     @pytest.mark.parametrize("name", sorted(PINNED))
@@ -128,6 +139,8 @@ class TestPinnedDiagrams:
             "additive_hildebrand": lambda: plot_2d_diagram(hildebrand),
             "last_covered_frame_hildebrand":
                 lambda: covered_steps_frames(hildebrand)[-1],
+            "function_hildebrand": lambda: plot_function(hildebrand),
+            "perturbation_random_227": _perturbation_227,
         }[name]
         assert hashlib.sha256(draw().encode()).hexdigest() == self.PINNED[name]
 
