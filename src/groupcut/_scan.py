@@ -16,7 +16,10 @@ PiecewiseFunction.scaled_tables():
 The table is periodic: rows 0 and n describe the same point of the
 circle, so rows[0][2] is the left limit at 1 and rows[-1][1] the right
 limit at 0.  Query points are ints on the D-grid; sums up to 2*D are
-reduced here.
+reduced here.  fold is the same seam seen on the interval [0, D]: it
+moves a one-sided point there, so that D approached from the right is 0
+and 0 approached from the left is D, for readers that take each limit
+from the piece beside the point, with no wrapping.
 
 A scan evaluates the function once per distinct coordinate, not once per
 cone: limit_table fills, for each coordinate p that the scan meets (x, y
@@ -60,6 +63,17 @@ SIDE_TRIPLES = (
     (-1, 1, 1),
     (-1, 1, -1),
 )
+
+
+def fold(t, side, D):
+    """The point t of [0, 2D] on the circle [0, D], approached from side
+    (0, 1 or -1): past D, t is t - D; D from the right is 0 and 0 from the
+    left is D, so the side's limit lies on a piece inside [0, D]."""
+    if t > D:
+        t -= D
+    if side and t == (D if side > 0 else 0):
+        return D - t
+    return t
 
 
 def limit_table(b, rows, V, coords):

@@ -147,73 +147,68 @@ class CompendiumEntry:
         return self.builder(**kwargs)
 
 
-REGISTRY: dict[str, CompendiumEntry] = {}
-
-
-def _register(entry: CompendiumEntry):
-    REGISTRY[entry.name] = entry
-
-
-_register(CompendiumEntry(
-    "gmic", "Gomory mixed-integer cut (2 slopes, extreme)",
-    (("f", "4/5"),),
-    "R.E. Gomory, An algorithm for the mixed integer problem, "
-    "RM-2597, RAND Corporation, 1960",
-    True, gmic, None))
-_register(CompendiumEntry(
-    "gomory_fractional", "Gomory fractional cut (not minimal)",
-    (("f", "4/5"),),
-    "R.E. Gomory, Outline of an algorithm for integer solutions to linear "
-    "programs, Bull. AMS 64 (1958) 275-278",
-    True, gomory_fractional, None))
-_register(CompendiumEntry(
-    "equiv5_random_discont_1",
-    "random discontinuous function on the 1/5 grid (not minimal)",
-    (),
-    "seeded random generation on the 1/5 grid, shipped for reproducibility",
-    True, equiv5_random_discont_1, "equiv5_random_discont_1.json"))
-_register(CompendiumEntry(
-    "gj_2_slope", "classical 2-slope extreme function",
-    (("f", "3/5"), ("lam", "1/3")),
-    "R.E. Gomory and E.L. Johnson, Some continuous functions related to "
-    "corner polyhedra, Math. Programming 3 (1972) 359-389",
-    True, gj_2_slope, "gj_2_slope__3_5__1_3.json"))
-_register(CompendiumEntry(
-    "drlm_backward_3_slope", "backward 3-slope function",
-    (("f", "1/12"), ("bkpt", "4/12")),
-    "S.S. Dey, J.-P.P. Richard, Y. Li, L.A. Miller, On the extreme "
-    "inequalities of infinite group problems, Math. Programming 121 (2010) "
-    "145-170",
-    True, drlm_backward_3_slope, "drlm_backward_3_slope__1_12__4_12.json"))
-_register(CompendiumEntry(
-    "hildebrand_discont_3_slope_1",
-    "discontinuous 3-slope extreme function, f = 1/2",
-    (),
-    "R. Hildebrand (2013), unpublished; listed in the electronic "
-    "compendium of extreme functions",
-    True, hildebrand_discont_3_slope_1, "hildebrand_discont_3_slope_1.json"))
-_register(CompendiumEntry(
-    "not_minimal_2", "educational non-minimal example",
-    (),
-    "electronic compendium of extreme functions (data not reproduced here)",
-    False))
-_register(CompendiumEntry(
-    "example7slopecoarse2", "7-slope extreme function found by search",
-    (),
-    "electronic compendium of extreme functions (data not reproduced here)",
-    False))
-_register(CompendiumEntry(
-    "bcdsp_arbitrary_slope", "extreme family with arbitrarily many slopes",
-    (("k", "4"),),
-    "A. Basu, M. Conforti, M. Di Summa, J. Paat, Extreme functions with "
-    "many slopes (IPCO 2016)",
-    False))
-_register(CompendiumEntry(
-    "kzh_2q_example_1", "oversampling-tightness witness",
-    (),
-    "M. Koeppe, Y. Zhou, computer-based search for extreme functions "
-    "(2015); data not reproduced here",
-    False))
+REGISTRY: dict[str, CompendiumEntry] = {
+    "gmic": CompendiumEntry(
+        "gmic", "Gomory mixed-integer cut (2 slopes, extreme)",
+        (("f", "4/5"),),
+        "R.E. Gomory, An algorithm for the mixed integer problem, "
+        "RM-2597, RAND Corporation, 1960",
+        True, gmic, None),
+    "gomory_fractional": CompendiumEntry(
+        "gomory_fractional", "Gomory fractional cut (not minimal)",
+        (("f", "4/5"),),
+        "R.E. Gomory, Outline of an algorithm for integer solutions to linear "
+        "programs, Bull. AMS 64 (1958) 275-278",
+        True, gomory_fractional, None),
+    "equiv5_random_discont_1": CompendiumEntry(
+        "equiv5_random_discont_1",
+        "random discontinuous function on the 1/5 grid (not minimal)",
+        (),
+        "seeded random generation on the 1/5 grid, shipped for reproducibility",
+        True, equiv5_random_discont_1, "equiv5_random_discont_1.json"),
+    "gj_2_slope": CompendiumEntry(
+        "gj_2_slope", "classical 2-slope extreme function",
+        (("f", "3/5"), ("lam", "1/3")),
+        "R.E. Gomory and E.L. Johnson, Some continuous functions related to "
+        "corner polyhedra, Math. Programming 3 (1972) 359-389",
+        True, gj_2_slope, "gj_2_slope__3_5__1_3.json"),
+    "drlm_backward_3_slope": CompendiumEntry(
+        "drlm_backward_3_slope", "backward 3-slope function",
+        (("f", "1/12"), ("bkpt", "4/12")),
+        "S.S. Dey, J.-P.P. Richard, Y. Li, L.A. Miller, On the extreme "
+        "inequalities of infinite group problems, Math. Programming 121 (2010) "
+        "145-170",
+        True, drlm_backward_3_slope, "drlm_backward_3_slope__1_12__4_12.json"),
+    "hildebrand_discont_3_slope_1": CompendiumEntry(
+        "hildebrand_discont_3_slope_1",
+        "discontinuous 3-slope extreme function, f = 1/2",
+        (),
+        "R. Hildebrand (2013), unpublished; listed in the electronic "
+        "compendium of extreme functions",
+        True, hildebrand_discont_3_slope_1, "hildebrand_discont_3_slope_1.json"),
+    "not_minimal_2": CompendiumEntry(
+        "not_minimal_2", "educational non-minimal example",
+        (),
+        "electronic compendium of extreme functions (data not reproduced here)",
+        False),
+    "example7slopecoarse2": CompendiumEntry(
+        "example7slopecoarse2", "7-slope extreme function found by search",
+        (),
+        "electronic compendium of extreme functions (data not reproduced here)",
+        False),
+    "bcdsp_arbitrary_slope": CompendiumEntry(
+        "bcdsp_arbitrary_slope", "extreme family with arbitrarily many slopes",
+        (("k", "4"),),
+        "A. Basu, M. Conforti, M. Di Summa, J. Paat, Extreme functions with "
+        "many slopes (IPCO 2016)",
+        False),
+    "kzh_2q_example_1": CompendiumEntry(
+        "kzh_2q_example_1", "oversampling-tightness witness",
+        (),
+        "M. Koeppe, Y. Zhou, computer-based search for extreme functions "
+        "(2015); data not reproduced here",
+        False),
+}
 
 
 def sourced_entries() -> list[CompendiumEntry]:

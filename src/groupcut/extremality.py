@@ -264,16 +264,7 @@ class _VectorIds(dict):
 
     def __missing__(self, key: tuple[int, int]) -> tuple[int, tuple]:
         t, side = key
-        D = self.sym.D
-        # sums lie in [0, 2D]: fold into [0, D], then 1+ is 0+ and 0- is 1-
-        u = t * self.scale
-        if u > D:
-            u -= D
-        if u == D and side > 0:
-            u = 0
-        elif u == 0 and side < 0:
-            u = D
-        v = self.sym.scaled(u, side)
+        v = self.sym.scaled(_scan.fold(t * self.scale, side, self.sym.D), side)
         self[key] = out = self.vectors.setdefault(v, len(self.vectors)), v
         return out
 

@@ -129,11 +129,7 @@ def witness_face(fn: PiecewiseFunction, v, sides) -> Face:
 def _grid_witness_face(b: list[int], D: int, x: int, y: int, sides) -> Face:
     """witness_face at the point (x, y) / D of the breakpoint grid b / D."""
     sx, sy, ss = sides
-    # a cone leaving the square at 1 (at 0) is the cone at 0 (at 1)
-    if sx and x == (D if sx > 0 else 0):
-        x = D - x
-    if sy and y == (D if sy > 0 else 0):
-        y = D - y
+    x, y = _scan.fold(x, sx, D), _scan.fold(y, sy, D)
     ext = b + [t + D for t in b[1:]]
     return grid_face(_projections(_pieces_at(b, x)[sx], _pieces_at(b, y)[sy],
                                   _pieces_at(ext, x + y)[ss]), D)

@@ -167,27 +167,15 @@ _CONE_RAYS = {s: _cone_rays(s) for s in SIDE_TRIPLES if any(s)}
 
 
 class _Square:
-    """Unit square with border strips for the three axes and the function."""
+    """Unit square with border strips for the three axes and the function,
+    drawn with the grid lines of fn's breakpoints."""
 
     def __init__(self, fn, spec):
         self.fn = fn
         self.M = spec.size * 0.16
         self.S = spec.size
-        self.doc = _Doc(spec.size + self.M, spec.size + self.M)
-        self.doc.rect(0, 0, spec.size + self.M, spec.size + self.M, "#ffffff")
-
-    def at(self, t):
-        """The canvas coordinate of t in [0, 1] on either axis."""
-        return self.M + float(t) * (self.S - self.M)
-
-    def shade(self, face, opacity, stroke=None):
-        """A 2-face filled green, drawn along its boundary."""
-        self.doc.polygon([(self.at(x), self.at(y))
-                          for x, y in _boundary(face.key())],
-                         ROLE_COLORS["additive"], opacity, stroke)
-
-    def draw_grid(self):
-        fn, doc = self.fn, self.doc
+        self.doc = doc = _Doc(spec.size + self.M, spec.size + self.M)
+        doc.rect(0, 0, spec.size + self.M, spec.size + self.M, "#ffffff")
         for b in fn.breakpoints:
             doc.line(self.at(b), self.at(0), self.at(b), self.at(1),
                      ROLE_COLORS["grid"], 0.6)
@@ -201,6 +189,16 @@ class _Square:
             doc.line(self.at(lo), self.at(float(c) - lo),
                      self.at(hi), self.at(float(c) - hi),
                      ROLE_COLORS["grid"], 0.6)
+
+    def at(self, t):
+        """The canvas coordinate of t in [0, 1] on either axis."""
+        return self.M + float(t) * (self.S - self.M)
+
+    def shade(self, face, opacity, stroke=None):
+        """A 2-face filled green, drawn along its boundary."""
+        self.doc.polygon([(self.at(x), self.at(y))
+                          for x, y in _boundary(face.key())],
+                         ROLE_COLORS["additive"], opacity, stroke)
 
     def draw_border_functions(self):
         fn, doc = self.fn, self.doc
@@ -236,7 +234,6 @@ def plot_2d_diagram_with_cones(fn: PiecewiseFunction,
     cones where the (limit) slack is zero, red where it is negative."""
     spec = spec or DiagramSpec()
     sq = _Square(fn, spec)
-    sq.draw_grid()
     sq.draw_border_functions()
     rec = vertex_slacks(fn)
     radius = (sq.S - sq.M) * 0.035
@@ -269,7 +266,6 @@ def plot_2d_diagram(fn: PiecewiseFunction,
     two-dimensional ones drawn as gray shadows on the three axes."""
     spec = spec or DiagramSpec()
     sq = _Square(fn, spec)
-    sq.draw_grid()
     sq.draw_border_functions()
     additive = generate_maximal_additive_faces(fn)
     shadow = ROLE_COLORS["shadow"]
@@ -303,12 +299,11 @@ def covered_steps_frames(fn: PiecewiseFunction,
     highlighted."""
     spec = spec or DiagramSpec()
     additive = generate_maximal_additive_faces(fn)
-    final = generate_covered_components(fn, additive)
+    final = generate_covered_components(fn)
     covered = directly_covered_components(fn, additive).all_intervals()
 
     def frame(active_edge, moved):
         sq = _Square(fn, spec)
-        sq.draw_grid()
         for face in additive.faces:
             if face.dimension == 2:
                 sq.shade(face, 0.25)

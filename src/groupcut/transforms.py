@@ -13,7 +13,7 @@ from fractions import Fraction
 from math import gcd
 from typing import Optional, Union
 
-from .errors import ParameterError
+from .errors import ConstructionError, ParameterError
 from .minimality import find_f
 from .pwl import (DiscreteFunction, PiecewiseFunction,
                   discrete_from_points_and_values, from_breakpoints_and_limits,
@@ -69,6 +69,8 @@ def automorphism(fn: Union[PiecewiseFunction, DiscreteFunction],
             raise ParameterError(
                 f"lam must be an integer coprime with the group order {fn.q}")
         q, lam = fn.q, lam % fn.q
+        if fn.f is not None and (fn.f * q).denominator != 1:
+            raise ConstructionError(f"f = {fn.f} is not a point of (1/{q})Z")
         values = tuple(fn.values[(lam * i) % q] for i in range(q)) + (fn.values[0],)
         new_f = None if fn.f is None else Fraction(
             pow(lam, -1, q) * int(fn.f * q) % q, q)

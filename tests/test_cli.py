@@ -355,6 +355,16 @@ class TestDataVerbs:
         code, _, err = run(capsys, "transform", "gmic", "--automorphism", "2")
         assert code == 2
 
+    def test_automorphism_refuses_an_f_off_the_group(self, capsys, tmp_path):
+        _, out, _ = run(capsys, "restrict", "gmic")
+        doc = json.loads(out)
+        path = tmp_path / "discrete.json"
+        path.write_text(json.dumps({**doc, "f": "1/3"}))
+        for verb in (["minimality"], ["transform", "--automorphism", "2"]):
+            code, out, err = run(capsys, verb[0], str(path), *verb[1:])
+            assert code == 2 and not out
+            assert err == "error: f = 1/3 is not a point of (1/5)Z\n"
+
     @pytest.mark.parametrize("verb", [
         "covered", "faces", "merit", "restrict --oversampling 2",
         "transform --homomorphism 2"])

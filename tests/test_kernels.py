@@ -1,6 +1,7 @@
 """The integer slack-scan kernel on hand-checked tables."""
 
 import random
+from bisect import bisect_left
 from fractions import Fraction as F
 
 from groupcut import _scan, kernels
@@ -17,6 +18,33 @@ def test_limit_table_periodic_tables():
     assert F(t[80][0], W) == F(5, 12)
     # interior interpolation between right(0)=1 and left(20)=4
     assert F(t[10][0], W) == F(5, 24)
+
+
+def test_fold_reads_the_limit_table_on_the_interval():
+    # fold moves a one-sided point of [0, 2D] onto [0, D]; the side's
+    # limit read there from the piece beside it, with no wrapping, is the
+    # periodic table's limit at the point
+    rng = random.Random(32)
+    for D in range(1, 13):
+        for _ in range(4):
+            b = sorted({0, D, *rng.sample(range(D + 1), rng.randint(0, D))})
+            rows = [tuple(rng.randint(-5, 5) for _ in range(3)) for _ in b]
+            rows[-1] = rows[0]
+            coords = range(2 * D + 1)
+            table, W = _scan.limit_table(b, rows, 1, coords)
+            for t in coords:
+                for side in (0, 1, -1):
+                    u = _scan.fold(t, side, D)
+                    assert 0 <= u <= D
+                    assert (u, side) not in ((D, 1), (0, -1))
+                    i = bisect_left(b, u)
+                    if b[i] == u:  # rows[i] is (value, right, left) at u
+                        lim = F(rows[i][side])
+                    else:  # inside the piece [b[i - 1], b[i]]
+                        lo, right = b[i - 1], rows[i - 1][1]
+                        lim = right + F(rows[i][2] - right,
+                                        b[i] - lo) * (u - lo)
+                    assert F(table[t][side], W) == lim, (D, b, t, side)
 
 
 def test_complex_vertices_square():

@@ -62,6 +62,18 @@ class TestAutomorphism:
         with pytest.raises(ParameterError):
             gc.automorphism(hr, 5)
 
+    def test_discrete_f_off_the_group_is_refused(self):
+        # f = 1/3 is no point of (1/5)Z: refused as minimality_test
+        # refuses it, not moved to a group point
+        d = gc.discrete_from_points_and_values(
+            [F(i, 5) for i in range(6)], [0, F(1, 2), 1, F(1, 2), F(1, 4), 0],
+            f=F(1, 3))
+        message = r"f = 1/3 is not a point of \(1/5\)Z"
+        with pytest.raises(ConstructionError, match=message):
+            gc.minimality_test(d)
+        with pytest.raises(ConstructionError, match=message):
+            gc.automorphism(d, 2)
+
 
 class TestRestrict:
     def test_gmic_default_order(self, gmic45):
