@@ -3,7 +3,8 @@
 Inputs are compendium names (with --param name=p/q constructor arguments)
 or paths to JSON function files.  Rationals on the command line are p/q
 strings; decimals are rejected.  Verdict verbs exit 0 on the positive
-verdict, 1 on the negative one and 2 on errors; every verb exits 141, with
+verdict, 1 on the negative one and 2 on errors (bad input, an unreadable
+or unwritable file); every verb exits 3 on a fault (a bug) and 141, with
 no traceback, when its output pipe is closed early.
 """
 
@@ -21,7 +22,7 @@ from .compendium import REGISTRY, construct
 from .complex2d import (delta_pi, generate_additive_faces,
                         generate_maximal_additive_faces, merit_index)
 from .covering import format_intervals, generate_covered_components
-from .errors import GroupCutError
+from .errors import GroupCutError, InternalConsistencyError
 from .extremality import extremality_test
 from .jsonio import (components_to_dict, dumps_function,
                      extremality_report_to_dict, face_to_dict, load_function,
@@ -360,15 +361,19 @@ def main(argv=None) -> int:
     try:
         code = args.run(args)
         sys.stdout.flush()  # a closed pipe shows here, not at exit
-    except (GroupCutError, KeyError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except BrokenPipeError:
+    except BrokenPipeError:  # an OSError, so it comes first
         # the reader stopped early (groupcut ... | head): exit as SIGPIPE
         # would, and keep the exit-time flush off the closed pipe
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 141
-    except Exception as exc:  # a fault, never a verdict: 0 and 1 are those
+    except Exception as exc:
+        if (isinstance(exc, (GroupCutError, KeyError, ValueError, OSError))
+                and not isinstance(exc, InternalConsistencyError)):
+            # str() of a KeyError quotes its message
+            msg = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
+            print(f"error: {msg}", file=sys.stderr)
+            return 2
+        # a fault, never a verdict: 0 and 1 are those
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
     return code

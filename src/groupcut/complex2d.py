@@ -240,36 +240,18 @@ def delta_pi(fn: PiecewiseFunction, x, y) -> Fraction:
     return fn(x) + fn(y) - fn(x + y)
 
 
-def _approach_side(iv: Interval, t: Fraction) -> int:
-    """Side from which a coordinate functional approaches t when the point
-    tends into the relative interior of a face with projection iv."""
-    lo, hi = iv
-    if lo == hi:
-        return 0
-    if t == lo:
-        return 1
-    if t == hi:
-        return -1
-    return 0  # interior of the projection: the function is continuous there
-
-
-def face_sides(face: Face, v: Point) -> tuple[int, int, int]:
-    x, y = v
-    return (
-        _approach_side(face.proj1, x),
-        _approach_side(face.proj2, y),
-        _approach_side(face.proj3, x + y),
-    )
-
-
 def delta_pi_limit(fn: PiecewiseFunction, face: Face, v) -> Fraction:
     """Limit of the slack at v approached from the relative interior of
-    face.  v must belong to the face."""
+    face.  v must belong to the face.  Each coordinate is approached from
+    inside its projection: the lower end from the right, the upper end
+    from the left, and a point projection or an interior point by its
+    value (the function is continuous inside a piece)."""
     v = (to_rational(v[0]), to_rational(v[1]))
     if not face.contains_point(v):
         raise ConstructionError(f"point {v} does not belong to {face}")
-    sx, sy, ss = face_sides(face, v)
     x, y = v
+    sx, sy, ss = ((t == lo < hi) - (lo < hi == t)
+                  for t, (lo, hi) in zip((x, y, x + y), face.key()))
     return fn.limit(x, sx) + fn.limit(y, sy) - fn.limit(x + y, ss)
 
 

@@ -218,11 +218,9 @@ class _Classes:
         return bool(new or roots)
 
     def holds(self, lo: int, hi: int, root: int) -> bool:
-        """True when every element inside the interval (lo, hi) is covered
-        in the class of root, a root: cover([(lo, hi)], root) would then
-        change nothing.  Nothing is cut."""
-        if lo == hi:
-            return True
+        """True when every element inside the interval (lo, hi), lo < hi,
+        is covered in the class of root, a root: cover([(lo, hi)], root)
+        would then change nothing.  Nothing is cut."""
         parent, find = self.parent, self.find
         for e in self.elements(lo, hi):
             if e not in parent or find(e) != root:

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import random
 from bisect import bisect_right
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain
 from math import gcd
@@ -37,25 +38,17 @@ from .rational import common_denominator, on_grid, to_rational
 Triple = tuple[Fraction, Fraction, Fraction]  # (value, right limit, left limit)
 
 
+@dataclass(repr=False, slots=True)
 class AffinePiece:
     """Affine data of the smallest face of the breakpoint complex containing
     a point: value = slope*x + intercept on the relative interior of face."""
 
-    __slots__ = ("slope", "intercept", "face")
-
-    def __init__(self, slope: Fraction, intercept: Fraction, face: tuple[Fraction, Fraction]):
-        self.slope = slope
-        self.intercept = intercept
-        self.face = face
+    slope: Fraction
+    intercept: Fraction
+    face: tuple[Fraction, Fraction]
 
     def __call__(self, x) -> Fraction:
         return self.slope * to_rational(x) + self.intercept
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, AffinePiece)
-            and (self.slope, self.intercept, self.face) == (other.slope, other.intercept, other.face)
-        )
 
     def __repr__(self):
         return f"AffinePiece({self.slope}*x + {self.intercept} on {self.face})"
@@ -73,6 +66,7 @@ def _reduce_mod_one(x: Fraction) -> Fraction:
     return x - (x.numerator // x.denominator)
 
 
+@dataclass(eq=False, repr=False, slots=True)
 class PiecewiseFunction:
     """Z-periodic piecewise linear function, possibly discontinuous.
 
@@ -80,14 +74,10 @@ class PiecewiseFunction:
     :func:`from_breakpoints_and_limits` or the compendium constructors.
     """
 
-    __slots__ = ("breakpoints", "limits", "f", "_cache")
-
-    def __init__(self, breakpoints: tuple[Fraction, ...], limits: tuple[Triple, ...],
-                 f: Optional[Fraction] = None):
-        self.breakpoints = breakpoints
-        self.limits = limits
-        self.f = f
-        self._cache = {}
+    breakpoints: tuple[Fraction, ...]
+    limits: tuple[Triple, ...]
+    f: Optional[Fraction] = None
+    _cache: dict = field(default_factory=dict, init=False)
 
     # -- data access -------------------------------------------------------
 
@@ -132,17 +122,18 @@ class PiecewiseFunction:
 
     # -- evaluation --------------------------------------------------------
 
-    def _locate(self, x: Fraction) -> int:
-        """Index i with breakpoints[i] <= x < breakpoints[i+1] for x in [0,1)."""
-        return bisect_right(self.breakpoints, x) - 1
+    def _locate(self, x) -> tuple[Fraction, int]:
+        """(x reduced mod 1, the index i with breakpoints[i] <= x <
+        breakpoints[i+1])."""
+        x = _reduce_mod_one(to_rational(x))
+        return x, bisect_right(self.breakpoints, x) - 1
 
     def __call__(self, x) -> Fraction:
         return self.limits_at(x)[0]
 
     def limits_at(self, x) -> Triple:
         """(value, right limit, left limit) at x, periodically reduced."""
-        x = _reduce_mod_one(to_rational(x))
-        i = self._locate(x)
+        x, i = self._locate(x)
         bk, lm = self.breakpoints, self.limits
         if bk[i] == x:
             return lm[i]
@@ -156,8 +147,7 @@ class PiecewiseFunction:
     def which_function(self, x) -> AffinePiece:
         """Affine data of the smallest face containing x; a constant piece at
         breakpoints."""
-        x = _reduce_mod_one(to_rational(x))
-        i = self._locate(x)
+        x, i = self._locate(x)
         bk, lm = self.breakpoints, self.limits
         if bk[i] == x:
             return AffinePiece(Fraction(0), lm[i][0], (bk[i], bk[i]))
@@ -288,6 +278,7 @@ def linear_combination(a, fn1: PiecewiseFunction, b, fn2: PiecewiseFunction,
                                        triples, f=ff, merge=True)
 
 
+@dataclass(repr=False, slots=True)
 class DiscreteFunction:
     """Function on the cyclic group (1/q)Z, given by its values on [0, 1].
 
@@ -296,14 +287,10 @@ class DiscreteFunction:
     points and values; the optional f is ignored.
     """
 
-    __slots__ = ("q", "points", "values", "f")
-
-    def __init__(self, q: int, points: tuple[Fraction, ...], values: tuple[Fraction, ...],
-                 f: Optional[Fraction] = None):
-        self.q = q
-        self.points = points
-        self.values = values
-        self.f = f
+    q: int = field(compare=False)
+    points: tuple[Fraction, ...]
+    values: tuple[Fraction, ...]
+    f: Optional[Fraction] = field(default=None, compare=False)
 
     def __call__(self, x) -> Fraction:
         x = _reduce_mod_one(to_rational(x))
@@ -311,13 +298,6 @@ class DiscreteFunction:
         if idx.denominator != 1:
             raise ConstructionError(f"{x} is not a point of (1/{self.q})Z")
         return self.values[int(idx)]
-
-    def __eq__(self, other):
-        if not isinstance(other, DiscreteFunction):
-            return NotImplemented
-        return self.points == other.points and self.values == other.values
-
-    __hash__ = None
 
     def __repr__(self):
         return f"<DiscreteFunction on (1/{self.q})Z, f={self.f}>"

@@ -607,3 +607,45 @@ class TestPlotVerb:
                                  "--out", str(out_file))
             assert code == 2 and not out and "size" in err
         assert not out_file.exists()
+
+
+class TestErrorExitCodes:
+    """2 for an error the user can mend, 3 for a fault of the program."""
+
+    def test_a_missing_file_is_an_error(self, capsys, tmp_path):
+        code, out, err = run(capsys, "extremality", str(tmp_path / "nosuch.json"))
+        assert code == 2 and not out
+        assert err.startswith("error: ") and "No such file" in err
+
+    def test_a_directory_input_is_an_error(self, capsys, tmp_path):
+        code, out, err = run(capsys, "extremality", str(tmp_path))
+        assert code == 2 and not out
+        assert err.startswith("error: ") and "internal error" not in err
+
+    def test_an_unwritable_output_is_an_error(self, capsys, tmp_path):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        for argv in (["plot", "gmic", "--out", str(blocker / "gmic.svg")],
+                     ["covered", "gmic", "--frames", str(blocker / "frames")]):
+            code, _, err = run(capsys, *argv)
+            assert code == 2
+            assert err.startswith("error: ") and "internal error" not in err
+
+    def test_an_internal_consistency_error_is_a_fault(self, capsys,
+                                                     monkeypatch):
+        from groupcut import cli
+        from groupcut.errors import InternalConsistencyError
+
+        def broken(fn):
+            raise InternalConsistencyError("rank check failed")
+
+        monkeypatch.setattr(cli, "extremality_test", broken)
+        code, out, err = run(capsys, "extremality", "gmic")
+        assert code == 3 and not out
+        assert err == ("internal error: InternalConsistencyError: "
+                       "rank check failed\n")
+
+    def test_an_unknown_name_is_named_without_extra_quotes(self, capsys):
+        code, out, err = run(capsys, "show", "nosuch")
+        assert code == 2 and not out
+        assert err == "error: unknown compendium entry 'nosuch'\n"

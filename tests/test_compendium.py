@@ -30,6 +30,11 @@ class TestGmic:
 
 
 class TestGomoryFractional:
+    @pytest.mark.parametrize("f", [0, 1, F(-1, 5), F(3, 2)])
+    def test_f_outside_the_unit_interval_is_refused(self, f):
+        with pytest.raises(ParameterError):
+            gc.gomory_fractional(f)
+
     def test_not_minimal_range(self):
         rep = gc.minimality_test(gc.gomory_fractional(F(4, 5)))
         assert not rep.is_minimal

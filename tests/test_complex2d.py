@@ -44,6 +44,25 @@ class TestDeltaPi:
 
 
 class TestFaceFromTriple:
+    def test_one_element_intervals_are_points(self):
+        # [t] is the point t, like a bare t
+        face = gc.face_from_triple([F(1, 4)], (0, F(1, 2)), (0, 1))
+        assert face == gc.face_from_triple(F(1, 4), (0, F(1, 2)), (0, 1))
+        assert face.key() == ((F(1, 4), F(1, 4)), (0, F(1, 2)),
+                              (F(1, 4), F(3, 4)))
+        assert face.edge_kind == "vertical"
+        assert gc.face_from_triple([F(1, 4)], [F(1, 2)], [F(3, 4)]).vertices \
+            == ((F(1, 4), F(1, 2)),)
+
+    def test_empty_face(self):
+        # x, y <= 1/4 never reach x + y >= 1
+        face = gc.face_from_triple((0, F(1, 4)), (0, F(1, 4)), (1, 2))
+        assert face.is_empty and face.dimension == -1
+        assert face.vertices == () and face.edge_kind is None
+        assert not face.contains_point((0, 0))
+        assert not face.contains_point((F(1, 2), F(1, 2)))
+        assert repr(face) == "<Face empty>"
+
     def test_published_face(self):
         face = gc.face_from_triple(
             (F(1, 5), F(3, 10)), (F(3, 4), F(17, 20)), (1, F(6, 5)))
@@ -176,6 +195,12 @@ class TestFaceFromTriple:
 
 
 class TestFaceGeometry:
+    def test_edges_and_vertices_have_no_area(self):
+        edge = gc.face_from_triple(F(1, 4), (0, F(1, 2)), (0, 1))
+        vertex = gc.face_from_triple(F(1, 4), F(1, 2), (0, 1))
+        assert (edge.dimension, vertex.dimension) == (1, 0)
+        assert face_area(edge) == face_area(vertex) == 0
+
     @pytest.fixture(scope="class")
     def two_faces(self, gj, hildebrand):
         """Every 2-face of the complex of gj_2_slope and hildebrand under

@@ -66,6 +66,14 @@ class TestGenerateCoveredComponents:
     def test_drlm_uncovered(self, drlm):
         assert gc.uncovered_intervals(drlm) == [(F(5, 12), F(2, 3))]
 
+    def test_component_of(self, drlm):
+        cc = gc.generate_covered_components(drlm)
+        assert cc.component_of(F(1, 24)) == 0
+        assert cc.component_of(F(3, 4)) == 1
+        # inside the uncovered (5/12, 2/3), and at an end of a component
+        assert cc.component_of(F(1, 2)) is None
+        assert cc.component_of(F(1, 12)) is None
+
     def test_gmic_fully_covered(self, gmic45):
         assert gc.uncovered_intervals(gmic45) == []
 
@@ -429,3 +437,47 @@ def test_phase_two_covers_only_what_moves(monkeypatch):
         assert len(calls) == len(cc.edges_used)
         moved += bool(cc.edges_used)
     assert moved == 6
+
+
+def test_covered_runs_and_moves_span_a_cell(monkeypatch):
+    # a grid point is covered only inside a window or an image, with the
+    # cells on both sides, and classes only merge: so every covered run,
+    # and every image of one that phase two asks _Classes.holds about,
+    # spans a cell; every component interval and every EdgeMove source
+    # and image has lo < hi, with and without the additive= argument
+    from groupcut import covering
+
+    asked = []
+    holds = covering._Classes.holds
+
+    def checked(self, lo, hi, root):
+        asked.append(hi - lo)
+        return holds(self, lo, hi, root)
+
+    monkeypatch.setattr(covering._Classes, "holds", checked)
+    hom = gc.multiplicative_homomorphism
+    fns = [hom(make(), lam) for make in (gc.hildebrand_discont_3_slope_1,
+                                         gc.gj_2_slope,
+                                         gc.drlm_backward_3_slope)
+           for lam in (1, 2, 3)]
+    for grid in (4, 5):
+        fns += random_minimal_functions(20, xgrid=grid, ygrid=grid,
+                                        proba=F(1, 2))
+    fns += [fn for continuous in (True, False)
+            for fn in random_subadditive_functions(40, 12, continuous)]
+    results = []
+    for fn in fns:
+        every = generate_additive_faces(fn)
+        half = [f for f in every.faces if f.key() <= f.mirror_key()]
+        for args in ((), (every,), (gc.AdditiveFaceSet(
+                tuple(half), (True,) * len(half)),)):
+            results.append(_covering(gc.generate_covered_components, fn,
+                                     *args))
+    ccs = [cc for cc in results if not isinstance(cc, type)]
+    assert len(ccs) > 200 and sum(bool(cc.edges_used) for cc in ccs) >= 9
+    for cc in ccs:
+        for lo, hi in cc.all_intervals():
+            assert lo < hi
+        for mv in cc.edges_used:
+            assert mv.source[0] < mv.source[1] and mv.moved[0] < mv.moved[1]
+    assert len(asked) > 100 and min(asked) > 0

@@ -592,6 +592,10 @@ class TestIntegerTailAgainstOracles:
 
 
 class TestExtremalityTest:
+    def test_truth_is_the_verdict(self, gmic45, drlm):
+        assert bool(gc.extremality_test(gmic45)) is True
+        assert bool(gc.extremality_test(drlm)) is False
+
     def test_gmic_extreme(self, gmic45, gmic15):
         rep = gc.extremality_test(gmic45)
         assert rep.is_extreme and rep.kernel_dimension == 0

@@ -96,6 +96,10 @@ class TestFunctionFormat:
 
 
 class TestFaceFormat:
+    def test_empty_face_dict(self):
+        face = gc.face_from_triple((0, F(1, 4)), (0, F(1, 4)), (1, 2))
+        assert face_to_dict(face) == {"empty": True}
+
     def test_face_dict(self):
         face = gc.face_from_triple(
             (F(1, 5), F(3, 10)), (F(3, 4), F(17, 20)), (1, F(6, 5)))

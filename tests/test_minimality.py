@@ -36,6 +36,7 @@ class TestMinimalityTest:
     def test_gomory_fractional_range_violation(self):
         rep = gc.minimality_test(gc.gomory_fractional(F(4, 5)))
         assert not rep.is_minimal
+        assert not rep and bool(gc.minimality_test(gc.gmic(F(4, 5)))) is True
         kinds = {v.kind for v in rep.violations}
         assert "range" in kinds
 

@@ -1,9 +1,12 @@
+import copy
+import pickle
 from fractions import Fraction as F
 
 import pytest
 
 import groupcut as gc
 from groupcut.errors import ConstructionError
+from groupcut.pwl import AffinePiece, DiscreteFunction, PiecewiseFunction
 
 from conftest import oracle_canonical, oracle_linear_combination
 
@@ -153,6 +156,83 @@ class TestDiscrete:
             [0, F(1, 2), 1], [0, 1, 0])
         with pytest.raises(ConstructionError):
             dfn(F(1, 3))
+
+
+class TestValueTypes:
+    """The behaviour that the three value types of pwl promise: repr,
+    equality, unhashability, copies and both ways of construction."""
+
+    def _instances(self, gmic45):
+        piece = gmic45.which_function(F(1, 2))
+        dfn = gc.restrict_to_finite_group(gmic45)
+        return [
+            (piece, AffinePiece(F(5, 4), F(0), (F(0), F(4, 5))),
+             AffinePiece(F(5, 4), F(1), (F(0), F(4, 5)))),
+            (dfn, DiscreteFunction(5, dfn.points, dfn.values, F(4, 5)),
+             DiscreteFunction(5, dfn.points, dfn.values[:2] + (F(1, 3),)
+                              + dfn.values[3:], F(4, 5))),
+            (gmic45, PiecewiseFunction(gmic45.breakpoints, gmic45.limits),
+             gc.gmic(F(3, 5))),
+        ]
+
+    def test_repr(self, gmic45, hildebrand):
+        assert repr(gmic45.which_function(F(1, 2))) == \
+            "AffinePiece(5/4*x + 0 on (Fraction(0, 1), Fraction(4, 5)))"
+        assert repr(gmic45.which_function(F(4, 5))) == \
+            "AffinePiece(0*x + 1 on (Fraction(4, 5), Fraction(4, 5)))"
+        assert repr(gc.restrict_to_finite_group(gmic45)) == \
+            "<DiscreteFunction on (1/5)Z, f=4/5>"
+        assert repr(gc.discrete_from_points_and_values([0, 1], [0, 0])) == \
+            "<DiscreteFunction on (1/1)Z, f=None>"
+        assert repr(gmic45) == "<PiecewiseFunction continuous, 2 pieces, f=4/5>"
+        assert repr(hildebrand) == \
+            "<PiecewiseFunction discontinuous, 8 pieces, f=1/2>"
+
+    def test_equality(self, gmic45):
+        for obj, same, other in self._instances(gmic45):
+            assert obj == same and not obj != same
+            assert obj != other and not obj == other
+            assert obj != 3 and not obj == 3 and 3 != obj
+
+    def test_unhashable(self, gmic45):
+        for obj, _, _ in self._instances(gmic45):
+            with pytest.raises(TypeError):
+                hash(obj)
+
+    def test_copies_compare_equal(self, gmic45):
+        for obj, _, _ in self._instances(gmic45):
+            for twin in (copy.copy(obj), copy.deepcopy(obj),
+                         pickle.loads(pickle.dumps(obj))):
+                assert type(twin) is type(obj) and twin == obj
+                assert repr(twin) == repr(obj)
+
+    def test_positional_and_keyword_construction(self, gmic45):
+        pts, vals = (F(0), F(1, 2), F(1)), (F(0), F(1), F(0))
+        assert AffinePiece(1, 2, (0, 1)) == \
+            AffinePiece(slope=1, intercept=2, face=(0, 1))
+        dfn = DiscreteFunction(q=2, points=pts, values=vals, f=F(1, 2))
+        assert DiscreteFunction(2, pts, vals, F(1, 2)) == dfn
+        assert (dfn.q, dfn.points, dfn.values, dfn.f) == (2, pts, vals, F(1, 2))
+        assert DiscreteFunction(2, pts, vals).f is None
+        fn = PiecewiseFunction(breakpoints=gmic45.breakpoints,
+                               limits=gmic45.limits, f=F(4, 5))
+        assert fn == PiecewiseFunction(gmic45.breakpoints, gmic45.limits)
+        assert (fn.breakpoints, fn.limits, fn.f) == \
+            (gmic45.breakpoints, gmic45.limits, F(4, 5))
+        assert PiecewiseFunction(gmic45.breakpoints, gmic45.limits).f is None
+
+    def test_discrete_equality_ignores_f(self):
+        pts, vals = (F(0), F(1, 2), F(1)), (F(0), F(1), F(0))
+        assert DiscreteFunction(2, pts, vals, F(1, 2)) == \
+            DiscreteFunction(2, pts, vals, None)
+
+    def test_piecewise_equality_is_canonical(self, gmic45):
+        # an unmerged flat interior point and a different f change nothing
+        unmerged = gc.from_breakpoints_and_values(
+            [0, F(2, 5), F(4, 5), 1], [0, F(1, 2), 1, 0], merge=False)
+        assert len(unmerged.breakpoints) == 4 and unmerged == gmic45
+        assert PiecewiseFunction(gmic45.breakpoints, gmic45.limits,
+                                 F(1, 2)) == gmic45
 
 
 class TestRandomGeneration:
