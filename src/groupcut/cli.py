@@ -31,9 +31,9 @@ from .minimality import minimality_test
 from .pwl import (DiscreteFunction, PiecewiseFunction,
                   random_piecewise_function)
 from .rational import parse_rational
-from .svgplot import (DiagramSpec, covered_steps_frames, plot_2d_diagram,
-                      plot_2d_diagram_with_cones, plot_function,
-                      plot_perturbation)
+from .svgplot import (DiagramSpec, covered_final_frame, covered_steps_frames,
+                      plot_2d_diagram, plot_2d_diagram_with_cones,
+                      plot_function, plot_perturbation)
 from .transforms import (automorphism, interpolate_to_infinite_group,
                          multiplicative_homomorphism, restrict_to_finite_group)
 
@@ -258,7 +258,7 @@ _PLOTS = {
     "function": plot_function,
     "cones": plot_2d_diagram_with_cones,
     "additive": plot_2d_diagram,
-    "covered": lambda fn, spec: covered_steps_frames(fn, spec)[-1],
+    "covered": covered_final_frame,
     "perturbation": _plot_perturbation,
 }
 

@@ -60,7 +60,7 @@ from .errors import (ConstructionError, InternalConsistencyError,
 from .exactlinalg import _exact_kernel, _rank_rows
 from .minimality import (MinimalityReport, _FiniteModel, _InfiniteModel,
                          _find_f, _minimality_test, _model)
-from .pwl import DiscreteFunction, PiecewiseFunction, from_breakpoints_and_limits
+from .pwl import DiscreteFunction, PiecewiseFunction, _merged
 from .rational import common_denominator, on_grid, to_rational
 
 ZERO = Fraction(0)
@@ -324,21 +324,18 @@ def perturbation_from_vector(sym: SymbolicPerturbation, vec: Vector,
     """Materialize pi~ = g . vec as a periodic piecewise function.  vec must
     satisfy the normalization rows so that pi~(0) = pi~(1) = 0.  vec is
     scaled once to integers by its common denominator (1 for a kernel
-    vector), so each entry is one integer dot product with D*g."""
+    vector), so each entry is one integer dot product with D*g, and the
+    grid points are merged on those integers."""
     if len(vec) != sym.dim:
         raise ParameterError(
             f"vector of length {len(vec)}, expected {sym.dim}")
     den, ivec = on_grid(to_rational(a) for a in vec)
-    scale = sym.D * den
-    triples = [tuple(Fraction(sum(map(mul, part, ivec)), scale)
-                     for part in t) for t in sym.triples]
-    v0, r0, _ = triples[0]
-    v1, _, l1 = triples[-1]
-    if v0 != 0 or v1 != 0:
+    rows = [tuple(sum(map(mul, part, ivec)) for part in t) for t in sym.triples]
+    (v0, r0, _), (v1, _, l1) = rows[0], rows[-1]
+    if v0 or v1:
         raise ConstructionError("vector does not vanish at 0 and 1")
-    seam = (ZERO, r0, l1)
-    triples[0] = triples[-1] = seam
-    return from_breakpoints_and_limits(sym.grid, triples, f=f, merge=True)
+    rows[0] = rows[-1] = (0, r0, l1)
+    return _merged(sym.ticks, rows, sym.D, sym.D * den, f)
 
 
 class _InfiniteExtremality(_InfiniteModel):

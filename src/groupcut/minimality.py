@@ -172,22 +172,29 @@ class _InfiniteModel:
 class _FiniteModel:
     """A DiscreteFunction as the shared checks read it: the group points
     over q with their one-value rows over V, and all group pairs scanned
-    once on those values."""
+    once on those values, both kept in the function's cache."""
 
     SIDES = (None,)
 
     def __init__(self, fn: DiscreteFunction):
         self.fn = fn
 
-    @cached_property
+    @property
     def tables(self) -> tuple[range, list[tuple[int]], int, int]:
-        V, u = on_grid(self.fn.values)
-        return range(self.fn.q + 1), list(zip(u)), self.fn.q, V
+        fn = self.fn
+        if "tables" not in fn._cache:
+            V, u = on_grid(fn.values)
+            fn._cache["tables"] = range(fn.q + 1), list(zip(u)), fn.q, V
+        return fn._cache["tables"]
 
-    @cached_property
+    @property
     def scan(self):
         """(neg, zero, min_pos) of `_scan.scan_discrete`, in units of 1/V."""
-        return _scan.scan_discrete([v for v, in self.tables[1]], self.fn.q)
+        fn = self.fn
+        if "scan" not in fn._cache:
+            fn._cache["scan"] = _scan.scan_discrete(
+                [v for v, in self.tables[1]], fn.q)
+        return fn._cache["scan"]
 
     def symmetry_table(self, f: Fraction):
         """As for the infinite model, over the q group points; an f that is

@@ -11,9 +11,10 @@ at 0 is the left limit at 1 and the right limit stored at 1 the right
 limit at 0.  ``__call__``, ``limit`` and ``limits_at`` share one
 interpolation: the first two read the triple ``limits_at`` returns, the
 stored one at a breakpoint and the interpolated value three times
-elsewhere.  Merging and equality drop the interior points that are
-neither discontinuities nor slope changes, and decide equal slopes on the
-integer slope ids of the pieces.
+elsewhere.  One keep rule, `_kept`, merges on integer tables: it keeps the
+ends, discontinuities and slope changes (by integer slope id) for
+`_canonical`, random_piecewise_function (integer draws over 2*ygrid),
+linear_combination and extremality.perturbation_from_vector.
 
 Discrete functions on the cyclic group (1/q)Z are represented by their full
 value table on [0, 1].
@@ -112,12 +113,7 @@ class PiecewiseFunction:
     def _slope_ids(self) -> list[int]:
         """A small id per piece, shared exactly by the pieces of one slope."""
         if "slope_ids" not in self._cache:
-            b, rows, _, _ = self.scaled_tables()
-            ids, out = {}, self._cache.setdefault("slope_ids", [])
-            for i in range(len(b) - 1):
-                rise, run = rows[i + 1][2] - rows[i][1], b[i + 1] - b[i]
-                g = gcd(rise, run)
-                out.append(ids.setdefault((rise // g, run // g), len(ids)))
+            self._cache["slope_ids"] = _slope_ids_of(*self.scaled_tables()[:2])
         return self._cache["slope_ids"]
 
     # -- evaluation --------------------------------------------------------
@@ -174,9 +170,7 @@ class PiecewiseFunction:
 
     def _canonical(self):
         if "canon" not in self._cache:
-            ids, n = self._slope_ids(), len(self.breakpoints) - 1
-            keep = [i for i, (v, r, l) in enumerate(self.limits)
-                    if i in (0, n) or not v == r == l or ids[i - 1] != ids[i]]
+            keep = _kept(*self.scaled_tables()[:2])
             self._cache["canon"] = (tuple(self.breakpoints[i] for i in keep),
                                     tuple(self.limits[i] for i in keep))
         return self._cache["canon"]
@@ -192,6 +186,32 @@ class PiecewiseFunction:
         kind = "continuous" if self.is_continuous else "discontinuous"
         return (f"<PiecewiseFunction {kind}, {len(self.breakpoints) - 1} pieces, "
                 f"f={self.f}>")
+
+
+def _slope_ids_of(b, rows) -> list[int]:
+    """A small id per piece of (b, rows), shared by the pieces of one slope."""
+    ids, out = {}, []
+    for i in range(len(b) - 1):
+        rise, run = rows[i + 1][2] - rows[i][1], b[i + 1] - b[i]
+        g = gcd(rise, run)
+        out.append(ids.setdefault((rise // g, run // g), len(ids)))
+    return out
+
+
+def _kept(b, rows) -> list[int]:
+    """The keep rule: the ends, discontinuities and slope changes of (b, rows)."""
+    ids, n = _slope_ids_of(b, rows), len(b) - 1
+    return [i for i, (v, r, l) in enumerate(rows)
+            if i in (0, n) or not v == r == l or ids[i - 1] != ids[i]]
+
+
+def _merged(b, rows, D: int, V: int, f=None) -> PiecewiseFunction:
+    """The checked function of b / D and rows / V, merged on the integers."""
+    keep = _kept(b, rows)
+    frac = {a: Fraction(a, V) for a in {a for i in keep for a in rows[i]}}
+    return from_breakpoints_and_limits(
+        [Fraction(b[i], D) for i in keep],
+        [tuple(map(frac.__getitem__, rows[i])) for i in keep], f=f, merge=False)
 
 
 def _validate_breakpoints(bkpt: Sequence) -> tuple[Fraction, ...]:
@@ -257,9 +277,9 @@ def linear_combination(a, fn1: PiecewiseFunction, b, fn2: PiecewiseFunction,
 
     Both functions are read through _scan.limit_table on the grid 1/D of
     both breakpoint sets: each side of a merged point is an integer over
-    the table's W, and each entry of the result is one Fraction whose
-    denominator is the product of the coefficients' denominators and the
-    two W's."""
+    the table's W, and each entry of the result an integer over the
+    product of the coefficients' denominators and the two W's, merged on
+    those integers."""
     a = to_rational(a)
     b = to_rational(b)
     D = common_denominator((*fn1.breakpoints, *fn2.breakpoints))
@@ -271,11 +291,8 @@ def linear_combination(a, fn1: PiecewiseFunction, b, fn2: PiecewiseFunction,
     ca = a.numerator * b.denominator * W2
     cb = b.numerator * a.denominator * W1
     den = a.denominator * b.denominator * W1 * W2
-    triples = [tuple(Fraction(ca * x + cb * y, den) for x, y in zip(u[p], w[p]))
-               for p in ticks]
-    ff = f if f is not None else fn1.f
-    return from_breakpoints_and_limits([Fraction(p, D) for p in ticks],
-                                       triples, f=ff, merge=True)
+    rows = [tuple(ca * x + cb * y for x, y in zip(u[p], w[p])) for p in ticks]
+    return _merged(ticks, rows, D, den, f if f is not None else fn1.f)
 
 
 @dataclass(repr=False, slots=True)
@@ -291,6 +308,8 @@ class DiscreteFunction:
     points: tuple[Fraction, ...]
     values: tuple[Fraction, ...]
     f: Optional[Fraction] = field(default=None, compare=False)
+    _cache: dict = field(default_factory=dict, init=False, repr=False,
+                         compare=False)
 
     def __call__(self, x) -> Fraction:
         x = _reduce_mod_one(to_rational(x))
@@ -336,14 +355,14 @@ def random_piecewise_function(xgrid: int = 5, ygrid: int = 5,
     is drawn on the grid, pi(f) = 1, and the symmetry condition
     pi(x) + pi(f - x) = 1 holds including one-sided limits, enforced by
     mirroring x -> f - x; the midpoint of a mirror pair is pinned to 1/2
-    even when 1/2 is off the y-grid.  Deterministic for a fixed seed.
+    even when 1/2 is off the y-grid.  Values are integers over Y = 2*ygrid
+    (1/2 is ygrid / Y, a mirror Y - v), merged by `_kept`.
 
-    The draw order is fixed: f first, then the origin, then the grid points
-    in index order, each its continuity coin and then its free values
-    (value, right limit, left limit); a mirrored point draws nothing.  The
-    seeded benchmark pools, perfbench/reference.json and the seeded test
-    corpora pin the functions each seed gives, so the order must not
-    change.
+    The draw order is fixed, so a seed gives one function: f, the origin,
+    then the grid points in index order, each its continuity coin and then
+    its free values (value, right limit, left limit); a mirrored point
+    draws nothing.  The seeded benchmark pools, perfbench/reference.json
+    and the seeded test corpora pin those functions, so it must not change.
     """
     if xgrid < 1 or ygrid < 1:
         raise ConstructionError("xgrid and ygrid must be at least 1")
@@ -355,11 +374,12 @@ def random_piecewise_function(xgrid: int = 5, ygrid: int = 5,
             "symmetry needs xgrid >= 2 (f must be an interior grid point)")
     rng = random.Random(seed)
     fi = rng.randrange(1, xgrid) if symmetry else None  # f = fi / xgrid
+    Y = 2 * ygrid  # every value is an integer over Y, and 1/2 is ygrid / Y
 
-    def yval() -> Fraction:
-        return Fraction(rng.randrange(ygrid + 1), ygrid)
+    def yval() -> int:
+        return 2 * rng.randrange(ygrid + 1)
 
-    def draw(value: Optional[Fraction] = None, own_mirror: bool = False) -> Triple:
+    def draw(value: Optional[int] = None, own_mirror: bool = False) -> tuple:
         # a point that is its own mirror draws its left limit only, and its
         # right limit is the mirror of that
         continuous = rng.randrange(proba.denominator) < proba.numerator
@@ -367,17 +387,16 @@ def random_piecewise_function(xgrid: int = 5, ygrid: int = 5,
         if continuous:
             return (v, v, v)
         w = yval()
-        return (v, 1 - w, w) if own_mirror else (v, w, yval())
+        return (v, Y - w, w) if own_mirror else (v, w, yval())
 
-    triples: list[Optional[Triple]] = [draw(Fraction(0))] + [None] * xgrid
+    rows: list[Optional[tuple]] = [draw(0)] + [None] * xgrid
     for i in range(xgrid):
         j = (fi - i) % xgrid if symmetry else None  # mirror grid index of x_i
-        if triples[i] is None:
-            triples[i] = draw(Fraction(1, 2), own_mirror=True) if j == i else draw()
-        if j is not None and triples[j] is None:
-            v, r, l = triples[i]
-            triples[j] = (1 - v, 1 - l, 1 - r)
-    triples[xgrid] = triples[0]
-    pts = [Fraction(i, xgrid) for i in range(xgrid + 1)]
+        if rows[i] is None:
+            rows[i] = draw(ygrid, own_mirror=True) if j == i else draw()
+        if j is not None and rows[j] is None:
+            v, r, l = rows[i]
+            rows[j] = (Y - v, Y - l, Y - r)
+    rows[xgrid] = rows[0]
     f = Fraction(fi, xgrid) if symmetry else None
-    return from_breakpoints_and_limits(pts, triples, f=f, merge=True)
+    return _merged(range(xgrid + 1), rows, xgrid, Y, f)

@@ -291,42 +291,53 @@ def plot_2d_diagram(fn: PiecewiseFunction,
     return sq.doc.finish()
 
 
+def _covered_frame(fn: PiecewiseFunction, spec: Optional[DiagramSpec]):
+    """(frame, n): frame(k) draws the step of covered_steps_frames after k
+    of the n edge moves."""
+    spec = spec or DiagramSpec()
+    additive = generate_maximal_additive_faces(fn)
+    final = generate_covered_components(fn)
+    covered = directly_covered_components(fn, additive).all_intervals()
+    moves, start = final.edges_used, len(covered)
+    covered += [mv.moved for mv in moves]
+
+    def frame(k):
+        sq = _Square(fn, spec)
+        for face in additive.faces:
+            if face.dimension == 2:
+                sq.shade(face, 0.25)
+        for lo, hi in covered[:start + k]:  # a bar colored by its final component
+            ci = final.component_of((lo + hi) / 2)
+            sq.doc.rect(sq.at(lo), sq.M * 0.55, sq.at(hi) - sq.at(lo),
+                        sq.M * 0.25,
+                        COMPONENT_PALETTE[ci % len(COMPONENT_PALETTE)], 0.9)
+        if k:  # the edge of step k and the image it moved
+            (x1, y1), (x2, y2) = moves[k - 1].face.vertices
+            lo, hi = moves[k - 1].moved
+            sq.doc.line(sq.at(x1), sq.at(y1), sq.at(x2), sq.at(y2),
+                        ROLE_COLORS["highlight"], 3.0)
+            sq.doc.rect(sq.at(lo), sq.M * 0.2, sq.at(hi) - sq.at(lo),
+                        sq.M * 0.25, ROLE_COLORS["highlight"], 0.9)
+        return sq.doc.finish()
+
+    return frame, len(moves)
+
+
 def covered_steps_frames(fn: PiecewiseFunction,
                          spec: Optional[DiagramSpec] = None) -> list[str]:
     """One frame per propagation step: the additive-face diagram, the
     phase-one intervals and the images moved so far as bars on the x-axis
     strip, colored by final component, and the edge used in the step
     highlighted."""
-    spec = spec or DiagramSpec()
-    additive = generate_maximal_additive_faces(fn)
-    final = generate_covered_components(fn)
-    covered = directly_covered_components(fn, additive).all_intervals()
+    frame, n = _covered_frame(fn, spec)
+    return [frame(k) for k in range(n + 1)]
 
-    def frame(active_edge, moved):
-        sq = _Square(fn, spec)
-        for face in additive.faces:
-            if face.dimension == 2:
-                sq.shade(face, 0.25)
-        for lo, hi in covered:  # a bar colored by its final component
-            ci = final.component_of((lo + hi) / 2)
-            sq.doc.rect(sq.at(lo), sq.M * 0.55, sq.at(hi) - sq.at(lo),
-                        sq.M * 0.25,
-                        COMPONENT_PALETTE[ci % len(COMPONENT_PALETTE)], 0.9)
-        if active_edge is not None:
-            (x1, y1), (x2, y2) = active_edge.vertices
-            sq.doc.line(sq.at(x1), sq.at(y1), sq.at(x2), sq.at(y2),
-                        ROLE_COLORS["highlight"], 3.0)
-        if moved is not None:
-            sq.doc.rect(sq.at(moved[0]), sq.M * 0.2,
-                        sq.at(moved[1]) - sq.at(moved[0]), sq.M * 0.25,
-                        ROLE_COLORS["highlight"], 0.9)
-        return sq.doc.finish()
 
-    frames = [frame(None, None)]
-    for mv in final.edges_used:
-        covered.append(mv.moved)
-        frames.append(frame(mv.face, mv.moved))
-    return frames
+def covered_final_frame(fn: PiecewiseFunction,
+                        spec: Optional[DiagramSpec] = None) -> str:
+    """The last frame of covered_steps_frames, the only one drawn."""
+    frame, n = _covered_frame(fn, spec)
+    return frame(n)
 
 
 def plot_perturbation(fn: PiecewiseFunction, pert: PiecewiseFunction,

@@ -3,6 +3,7 @@
 import random
 from fractions import Fraction as F
 from functools import cache
+from typing import Optional
 from math import gcd, lcm
 
 import pytest
@@ -488,6 +489,52 @@ def oracle_find_epsilon(fn, pert):
         eps /= 2
     raise gc.InternalConsistencyError(
         "no epsilon makes both perturbed functions minimal valid")
+
+
+def oracle_random_piecewise_function(xgrid: int = 5, ygrid: int = 5,
+                                     continuous_proba=F(1),
+                                     symmetry: bool = True,
+                                     seed: Optional[int] = None
+                                     ) -> gc.PiecewiseFunction:
+    """random_piecewise_function as it was drawn in Fractions, each value
+    k / ygrid, the pinned 1/2 and every mirror 1 - v, merged by
+    from_breakpoints_and_limits: the oracle of the integer generator."""
+    if xgrid < 1 or ygrid < 1:
+        raise gc.ConstructionError("xgrid and ygrid must be at least 1")
+    proba = gc.to_rational(continuous_proba)
+    if not (0 <= proba <= 1):
+        raise gc.ConstructionError("continuous_proba must lie in [0, 1]")
+    if symmetry and xgrid < 2:
+        raise gc.ConstructionError(
+            "symmetry needs xgrid >= 2 (f must be an interior grid point)")
+    rng = random.Random(seed)
+    fi = rng.randrange(1, xgrid) if symmetry else None  # f = fi / xgrid
+
+    def yval() -> F:
+        return F(rng.randrange(ygrid + 1), ygrid)
+
+    def draw(value: Optional[F] = None, own_mirror: bool = False) -> tuple:
+        # a point that is its own mirror draws its left limit only, and its
+        # right limit is the mirror of that
+        continuous = rng.randrange(proba.denominator) < proba.numerator
+        v = yval() if value is None else value
+        if continuous:
+            return (v, v, v)
+        w = yval()
+        return (v, 1 - w, w) if own_mirror else (v, w, yval())
+
+    triples: list[Optional[tuple]] = [draw(F(0))] + [None] * xgrid
+    for i in range(xgrid):
+        j = (fi - i) % xgrid if symmetry else None  # mirror grid index of x_i
+        if triples[i] is None:
+            triples[i] = draw(F(1, 2), own_mirror=True) if j == i else draw()
+        if j is not None and triples[j] is None:
+            v, r, l = triples[i]
+            triples[j] = (1 - v, 1 - l, 1 - r)
+    triples[xgrid] = triples[0]
+    pts = [F(i, xgrid) for i in range(xgrid + 1)]
+    f = F(fi, xgrid) if symmetry else None
+    return gc.from_breakpoints_and_limits(pts, triples, f=f, merge=True)
 
 
 def random_subadditive_functions(count, seed, continuous):

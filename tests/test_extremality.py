@@ -896,3 +896,58 @@ def test_one_vertex_scan_per_verdict(monkeypatch):
         callers.clear()
         assert gc.extremality_test(fn).is_extreme
         assert callers == {"scan_slacks": 1, "symmetry_table": 1}
+
+
+def _covered_non_extreme_inputs():
+    """(fn, report) of covered non-extreme functions: random227 and
+    random344 under lam = 1 and 2, and the distinct seeded random minimal
+    functions of thirteen grids that are covered and not extreme, each
+    also under lam = -1, +-2, +-3 and +-4."""
+    out, seen = [], set()
+
+    def add(fn):
+        if (fn._canonical(), fn.f) in seen:
+            return False
+        seen.add((fn._canonical(), fn.f))
+        try:
+            rep = gc.extremality_test(fn)
+        except gc.UnsupportedCaseError:
+            return False
+        if rep.kernel:
+            out.append((fn, rep))
+        return bool(rep.kernel)
+
+    for seed, lam in product((227, 344), (1, 2)):
+        add(_hom(_random(seed), lam))
+    for x, y, p in ((8, 3, 1), (3, 6, 0), (4, 4, F(1, 2)), (6, 3, F(1, 2)),
+                    (6, 8, 1), (8, 4, 1), (3, 3, 0), (6, 8, F(1, 2)),
+                    (8, 4, F(1, 2)), (6, 6, F(1, 2)), (6, 6, 1), (6, 4, 1),
+                    (6, 3, 1)):
+        for seed in range(300):
+            fn = gc.random_piecewise_function(x, y, p, True, seed=seed)
+            if gc.minimality_test(fn, collect_all=False).is_minimal and add(fn):
+                for lam in (-1, 2, -2, 3, -3, 4, -4):
+                    add(_hom(fn, lam))
+    return out
+
+
+def test_integer_merge_of_kernel_perturbations_matches_the_fraction_merge():
+    # perturbation_from_vector merges its grid on the integer dot products;
+    # the Fraction triples merged by from_breakpoints_and_limits give the
+    # same breakpoints, limits and f for every kernel vector
+    from operator import mul
+
+    inputs = _covered_non_extreme_inputs()
+    assert len(inputs) >= 104
+    for fn, rep in inputs:
+        sym = gc.generate_symbolic(fn, rep.covered)
+        f = rep.minimality.f_used
+        for vec in rep.kernel:
+            triples = [tuple(F(sum(map(mul, part, vec)), sym.D) for part in t)
+                       for t in sym.triples]
+            triples[0] = triples[-1] = (F(0), triples[0][1], triples[-1][2])
+            want = gc.from_breakpoints_and_limits(sym.grid, triples, f=f,
+                                                  merge=True)
+            got = perturbation_from_vector(sym, vec, f=f)
+            assert (got.breakpoints, got.limits, got.f) == \
+                (want.breakpoints, want.limits, want.f), fn

@@ -291,3 +291,24 @@ class TestEitherModel:
         # the former finite-model names take the infinite model too
         assert gc.minimality_test_discrete(gmic45) == gc.minimality_test(gmic45)
         assert gc.find_f(d) == F(4, 5)
+
+
+def test_a_restriction_is_scanned_once(monkeypatch):
+    # the finite scan is kept on the DiscreteFunction: the minimality test,
+    # the extremality test and the epsilon search share one scan
+    from groupcut import _scan
+
+    calls = []
+    scan = _scan.scan_discrete
+
+    def counting_scan(*args):
+        calls.append(args)
+        return scan(*args)
+
+    monkeypatch.setattr(_scan, "scan_discrete", counting_scan)
+    d = gc.restrict_to_finite_group(gc.drlm_backward_3_slope(), oversampling=3)
+    assert gc.minimality_test(d).is_minimal
+    rep = gc.extremality_test(d)
+    assert not rep.is_extreme and rep.perturbation is not None
+    assert gc.find_epsilon(d, rep.perturbation) == rep.epsilon
+    assert len(calls) == 1

@@ -8,7 +8,8 @@ import groupcut as gc
 from groupcut.errors import ConstructionError
 from groupcut.pwl import AffinePiece, DiscreteFunction, PiecewiseFunction
 
-from conftest import oracle_canonical, oracle_linear_combination
+from conftest import (oracle_canonical, oracle_linear_combination,
+                      oracle_random_piecewise_function)
 
 
 class TestConstructors:
@@ -420,3 +421,48 @@ def test_slope_ids_are_the_classes_of_equal_slopes():
         assert sorted(set(ids)) == list(range(fn.number_of_slopes()))
         for i, j in combinations(range(len(ids)), 2):
             assert (ids[i] == ids[j]) == (slopes[i] == slopes[j]), fn
+
+
+def test_integer_generator_matches_the_fraction_oracle():
+    # the integer draws over 2*ygrid and the integer merge give the
+    # breakpoints, limits and f of the Fraction generator, for every seed;
+    # odd ygrid puts the pinned 1/2 off the y-grid, and a refusal is the
+    # same error type
+    from itertools import product
+
+    def outcome(make, *args):
+        try:
+            fn = make(*args)
+        except (gc.GroupCutError, TypeError) as exc:
+            return type(exc)
+        return fn.breakpoints, fn.limits, fn.f
+
+    calls = [(x, y, p, sym, seed) for x, y, p, sym in product(
+        range(1, 13), range(1, 10), (0, F(1, 3), F(1, 2), 1, "2/5"),
+        (False, True)) for seed in range(3)]
+    calls += [(x, y, p, sym, 0) for x, y, p, sym in product(
+        (0, 1, 3), (0, 2), (F(-1, 3), F(3, 2), "1/2", 0.5), (False, True))]
+    assert len(calls) >= 3000
+    refused = 0
+    for args in calls:
+        want = outcome(oracle_random_piecewise_function, *args)
+        assert outcome(gc.random_piecewise_function, *args) == want, args
+        refused += isinstance(want, type)
+    assert 100 <= refused < len(calls) // 2
+
+
+def test_screen_pool_is_pinned():
+    # the 1,600 candidates of the benchmark's screen pool: its four
+    # configurations, seeds 0..399 each, as function documents
+    import hashlib
+
+    from groupcut.jsonio import dumps_function
+
+    digest = hashlib.sha256()
+    for config in ((4, 4, F(1, 2)), (6, 6, F(1, 2)), (8, 8, F(1, 2)),
+                   (6, 6, F(1))):
+        for seed in range(400):
+            digest.update(dumps_function(
+                gc.random_piecewise_function(*config, True, seed=seed)).encode())
+    assert digest.hexdigest() == (
+        "79517b27e712377d5f40ce45c0f7881bcf0e29f8c555ac064af364291124a56f")

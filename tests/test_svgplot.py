@@ -151,3 +151,14 @@ class TestDiagramSpec:
             with pytest.raises(gc.ParameterError):
                 DiagramSpec(size=size)
         assert DiagramSpec(size=1).size == 1
+
+
+@pytest.mark.parametrize("lam", (1, 2, 6))
+def test_covered_final_frame_is_the_last_step(hildebrand, lam):
+    # plot --kind covered draws only the last frame, byte for byte the
+    # last of covered_steps_frames
+    from groupcut.svgplot import covered_final_frame
+
+    fn = gc.multiplicative_homomorphism(hildebrand, lam)
+    spec = DiagramSpec(size=300)
+    assert covered_final_frame(fn, spec) == covered_steps_frames(fn, spec)[-1]
